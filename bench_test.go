@@ -387,62 +387,7 @@ func BenchmarkGeoLookup(b *testing.B) {
 	}
 }
 
-// --- Observation store benchmarks (sharded engine vs seed linear scan) ---
-
-// benchLinear is the seed's single-mutex, single-slice store engine,
-// reproduced here as the baseline the sharded engine is measured against.
-type benchLinear struct {
-	mu  sync.RWMutex
-	obs []store.Observation
-}
-
-func (s *benchLinear) add(o store.Observation) {
-	s.mu.Lock()
-	s.obs = append(s.obs, o)
-	s.mu.Unlock()
-}
-
-func (s *benchLinear) filter(q store.Query) []store.Observation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []store.Observation
-	for _, o := range s.obs {
-		if q.Domain != "" && o.Domain != q.Domain {
-			continue
-		}
-		if q.SKU != "" && o.SKU != q.SKU {
-			continue
-		}
-		if q.Source != "" && o.Source != q.Source {
-			continue
-		}
-		if q.VP != "" && o.VP != q.VP {
-			continue
-		}
-		if q.Round >= 0 && o.Round != q.Round {
-			continue
-		}
-		if q.OnlyOK && !o.OK {
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-func (s *benchLinear) groupByProduct(source string) map[store.Key][]store.Observation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := map[store.Key][]store.Observation{}
-	for _, o := range s.obs {
-		if source != "" && o.Source != source {
-			continue
-		}
-		k := store.Key{Domain: o.Domain, SKU: o.SKU}
-		out[k] = append(out[k], o)
-	}
-	return out
-}
+// --- Observation store benchmarks ---
 
 // benchObservations synthesizes a campaign-shaped dataset: crawl rows
 // over domains × SKUs × vantage points × rounds, with a crowd slice
@@ -535,25 +480,6 @@ func BenchmarkStoreFilterDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreFilterDomainLinear is the same query against the seed's
-// linear scan — the baseline the ≥5× win is measured against.
-func BenchmarkStoreFilterDomainLinear(b *testing.B) {
-	for _, size := range storeBenchSizes {
-		st := &benchLinear{}
-		for _, o := range benchObservations(size.n) {
-			st.add(o)
-		}
-		q := store.Query{Domain: "shop02.example.com", Round: 3, OnlyOK: true}
-		b.Run(size.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if rows := st.filter(q); len(rows) == 0 {
-					b.Fatal("empty filter")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreGroupByProduct measures the analysis layer's partition
 // query on the indexed engine (posting lists, no full-dataset scan).
 func BenchmarkStoreGroupByProduct(b *testing.B) {
@@ -563,23 +489,6 @@ func BenchmarkStoreGroupByProduct(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if g := st.GroupByProduct(store.SourceCrawl); len(g) == 0 {
-					b.Fatal("empty grouping")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStoreGroupByProductLinear is the seed's full-scan grouping.
-func BenchmarkStoreGroupByProductLinear(b *testing.B) {
-	for _, size := range storeBenchSizes {
-		st := &benchLinear{}
-		for _, o := range benchObservations(size.n) {
-			st.add(o)
-		}
-		b.Run(size.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if g := st.groupByProduct(store.SourceCrawl); len(g) == 0 {
 					b.Fatal("empty grouping")
 				}
 			}

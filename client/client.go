@@ -176,8 +176,9 @@ func (c *Client) backoffDelay(attempt int, retryAfter string) time.Duration {
 }
 
 // do runs one HTTP call with retries and returns the response on any
-// 2xx. Non-2xx responses are decoded into *APIError (legacy text errors
-// degrade to an APIError with an empty Code). The caller owns the body.
+// 2xx. Non-2xx responses are decoded into *APIError (plain-text error
+// bodies — a proxy's, or the mux's 404 off the v1 routes — degrade to an
+// APIError with an empty Code). The caller owns the body.
 // On a follower-routing client, idempotent GETs try a follower first and
 // fall back to the primary within the same attempt when the follower is
 // down, failing, or too far behind.
@@ -274,7 +275,8 @@ func followerUsable(resp *http.Response, err error, maxLag uint64) bool {
 }
 
 // decodeAPIError turns a non-2xx response into an *APIError — the v1
-// envelope when present, the raw text otherwise (legacy endpoints).
+// envelope when present, the raw text otherwise (proxies and other
+// non-v1 responders do not speak the envelope).
 func decodeAPIError(resp *http.Response) *APIError {
 	ae := &APIError{
 		StatusCode: resp.StatusCode,

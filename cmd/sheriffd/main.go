@@ -30,11 +30,10 @@
 //	GET  /api/v1/events                    analysis event history; NDJSON/SSE live tail
 //	GET  /                                 human-readable service description
 //
-// plus the legacy aliases /api/check, /api/anchors and /api/stats (the
-// beta extension contract, byte-identical responses; each reply carries
-// Deprecation/Sunset lifecycle headers — set the Sunset date with
-// -legacy-sunset). Errors on v1 travel as
-// {"error":{"code","message","detail"}}. The middleware stack is
+// The v1 routes are the only API surface: the pre-v1 aliases
+// /api/check, /api/anchors and /api/stats are retired and answer 404
+// (the extension posts the same body to /api/v1/checks). Errors on v1
+// travel as {"error":{"code","message","detail"}}. The middleware stack is
 // tunable: -cors-origin restricts cross-origin callers, -rate-limit
 // enables a per-client token bucket, -max-body caps request bodies.
 //
@@ -68,7 +67,7 @@
 //
 // Example check (the user at 10.0.1.50 highlighted "$49.99"):
 //
-//	curl -s localhost:8080/api/check -d '{
+//	curl -s localhost:8080/api/v1/checks -d '{
 //	  "url": "http://www.amazon.com/product/WWW-00001",
 //	  "highlight": "$49.99",
 //	  "user_addr": "10.0.1.50",
@@ -118,7 +117,6 @@ func main() {
 	follow := flag.String("follow", "", "run as a read-only follower of the primary at this base URL (e.g. http://primary:8317)")
 	followKey := flag.String("follow-key", "", "admin API key the follower presents when polling the primary's tenancy snapshot (required once the primary has tenants)")
 	readyMaxLag := flag.Uint64("ready-max-lag", 0, "follower readiness bound: /api/v1/readyz reports unready past this replication lag (default 8192)")
-	legacySunset := flag.String("legacy-sunset", "", "Sunset date advertised on the legacy /api/check|anchors|stats aliases (YYYY-MM-DD or RFC3339)")
 	adminKey := flag.String("admin-key", "", "bootstrap an unlimited-quota admin tenant with this API key (enables tenancy)")
 	flag.Parse()
 
@@ -127,17 +125,6 @@ func main() {
 	}
 	if *followKey != "" && *follow == "" {
 		log.Fatalf("sheriffd: -follow-key only makes sense with -follow")
-	}
-	var sunset time.Time
-	if *legacySunset != "" {
-		t, err := time.Parse("2006-01-02", *legacySunset)
-		if err != nil {
-			t, err = time.Parse(time.RFC3339, *legacySunset)
-		}
-		if err != nil {
-			log.Fatalf("sheriffd: -legacy-sunset %q: want YYYY-MM-DD or RFC3339", *legacySunset)
-		}
-		sunset = t
 	}
 
 	// With -data-dir the store outlives the process: recover whatever the
@@ -216,7 +203,6 @@ func main() {
 		RateBurst:         *rateBurst,
 		TrustProxyHeaders: *trustProxy,
 		ReadyMaxLag:       *readyMaxLag,
-		LegacySunset:      sunset,
 		Tenants:           tenants,
 	}
 	if follower != nil {
@@ -252,7 +238,6 @@ func main() {
 		fmt.Fprintf(rw, "POST /api/v1/campaigns  GET /api/v1/campaigns[/{id}]  POST /api/v1/campaigns/{id}/activate|claim\n")
 		fmt.Fprintf(rw, "GET  /api/v1/healthz  GET /api/v1/readyz\n")
 		fmt.Fprintf(rw, "GET  /api/v1/replication/wal?after=N[&follow=true]  (WAL stream for -follow replicas)\n")
-		fmt.Fprintf(rw, "legacy: POST /api/check  GET /api/anchors  GET /api/stats  (deprecated; see Sunset header)\n")
 		fmt.Fprintf(rw, "\ntry a product: http://%s/product/%s\n",
 			w.Crawled[0], w.Retailers[w.Crawled[0]].Catalog().Products()[0].SKU)
 	})

@@ -94,7 +94,7 @@ func TestAPIStatsReportsDurability(t *testing.T) {
 	if _, err := w.RunCrowd(sheriff.CrowdOptions{Users: 5, Requests: 8, Span: 24 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.Client().Get(srv.URL + "/api/stats")
+	resp, err := srv.Client().Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestAPIStatsReportsDurability(t *testing.T) {
 	wm := sheriff.NewWorld(sheriff.WorldOptions{Seed: 33, LongTail: 6})
 	srvm := httptest.NewServer(sheriff.NewAPI(wm))
 	defer srvm.Close()
-	respm, err := srvm.Client().Get(srvm.URL + "/api/stats")
+	respm, err := srvm.Client().Get(srvm.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Contract tests for the cluster-mode surface: the replication stream,
-// the health probes, the follower's read-only rejection, the legacy
-// deprecation headers, and reads against a lagging follower.
+// the health probes, the follower's read-only rejection, and reads
+// against a lagging follower.
 package api_test
 
 import (
@@ -165,14 +165,6 @@ func TestV1FollowerReadOnly(t *testing.T) {
 		t.Fatalf("detail = %q (%v)", env.Error.Detail, err)
 	}
 
-	// The legacy write is rejected the same way, before the legacy handler.
-	status, body, hdr = doReq(t, http.MethodPost, ts.srv.URL+"/api/check",
-		`{"url":"http://x/product/1","highlight":"$1","user_addr":"10.0.0.1"}`, nil)
-	wantEnvelope(t, status, body, http.StatusForbidden, "read_only")
-	if loc := hdr.Get("Location"); loc != "http://primary.example:8317/api/check" {
-		t.Fatalf("legacy Location = %q", loc)
-	}
-
 	// Reads still serve, and carry the follower role headers.
 	status, _, hdr = doReq(t, http.MethodGet, ts.srv.URL+"/api/v1/observations", "", nil)
 	if status != http.StatusOK || hdr.Get("X-Sheriff-Role") != "follower" {
@@ -261,46 +253,6 @@ func TestV1FollowerStatsAndReadyz(t *testing.T) {
 	if r == nil || r.Role != "follower" || r.Primary != stub.URL || !r.Connected ||
 		r.PrimaryWatermark != primaryWM || r.Lag != primaryWM {
 		t.Fatalf("stats replication = %+v", r)
-	}
-}
-
-func TestV1LegacyDeprecationHeaders(t *testing.T) {
-	sunset := time.Date(2027, 1, 1, 0, 0, 0, 0, time.UTC)
-	with := newTestServer(t, sheriff.APIOptions{LegacySunset: sunset})
-	without := newTestServer(t, sheriff.APIOptions{})
-
-	for _, ep := range []string{"/api/anchors", "/api/stats"} {
-		status, body, hdr := doReq(t, http.MethodGet, with.srv.URL+ep, "", nil)
-		if status != http.StatusOK {
-			t.Fatalf("%s = %d", ep, status)
-		}
-		if hdr.Get("Deprecation") != "true" {
-			t.Fatalf("%s Deprecation = %q", ep, hdr.Get("Deprecation"))
-		}
-		if got := hdr.Get("Sunset"); got != "Fri, 01 Jan 2027 00:00:00 GMT" {
-			t.Fatalf("%s Sunset = %q", ep, got)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-			t.Fatalf("%s Link = %q", ep, link)
-		}
-		// Lifecycle headers must not perturb the frozen legacy bodies.
-		_, plain, _ := doReq(t, http.MethodGet, without.srv.URL+ep, "", nil)
-		if !bytes.Equal(body, plain) {
-			t.Fatalf("%s body changed under deprecation headers:\n%s\nvs\n%s", ep, body, plain)
-		}
-	}
-
-	// Without the flag the Sunset header stays off but Deprecation is on.
-	_, _, hdr := doReq(t, http.MethodGet, without.srv.URL+"/api/stats", "", nil)
-	if hdr.Get("Deprecation") != "true" || hdr.Get("Sunset") != "" {
-		t.Fatalf("default legacy headers = Deprecation %q, Sunset %q",
-			hdr.Get("Deprecation"), hdr.Get("Sunset"))
-	}
-
-	// The legacy write path keeps working on a primary, headers included.
-	status, _, hdr := doReq(t, http.MethodPost, with.srv.URL+"/api/check", validCheckBody(t, with.w), nil)
-	if status != http.StatusOK || hdr.Get("Deprecation") != "true" {
-		t.Fatalf("legacy check = %d, Deprecation %q", status, hdr.Get("Deprecation"))
 	}
 }
 

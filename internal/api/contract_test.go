@@ -485,10 +485,34 @@ func TestV1StatsAndAnchorsContract(t *testing.T) {
 			t.Fatalf("anchors = %s", body)
 		}
 	})
+	t.Run("anchors_method", func(t *testing.T) {
+		status, body, _ := doReq(t, http.MethodPost, ts.srv.URL+"/api/v1/anchors", "{}", nil)
+		wantEnvelope(t, status, body, http.StatusMethodNotAllowed, "method_not_allowed")
+	})
 	t.Run("unknown_endpoint", func(t *testing.T) {
 		status, body, _ := doReq(t, http.MethodGet, ts.srv.URL+"/api/v1/nope", "", nil)
 		wantEnvelope(t, status, body, http.StatusNotFound, "not_found")
 	})
+	// The retired pre-v1 aliases are not routes: the mux answers its
+	// plain 404, with no handler, envelope or lifecycle header involved.
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"retired_check", http.MethodPost, "/api/check", valid},
+		{"retired_anchors", http.MethodGet, "/api/anchors", ""},
+		{"retired_stats", http.MethodGet, "/api/stats", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, body, hdr := doReq(t, tc.method, ts.srv.URL+tc.path, tc.body, nil)
+			if status != http.StatusNotFound {
+				t.Fatalf("%s %s = %d, want 404 (body %s)", tc.method, tc.path, status, body)
+			}
+			if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+				t.Fatalf("%s content type = %q, want the plain 404", tc.path, ct)
+			}
+			if hdr.Get("Deprecation") != "" || hdr.Get("Sunset") != "" {
+				t.Fatalf("%s still carries lifecycle headers: %v", tc.path, hdr)
+			}
+		})
+	}
 }
 
 // TestV1NDJSONMatchesWriteJSONL pins the streaming contract: the NDJSON

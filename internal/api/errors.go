@@ -1,7 +1,7 @@
 // Package api is the versioned HTTP surface of the $heriff backend: the
 // /api/v1/ routes the browser extension, the analysis tooling and the
-// typed Go SDK (sheriff/client) talk, plus byte-identical aliases for
-// the legacy /api/check|anchors|stats contract of the paper's beta.
+// typed Go SDK (sheriff/client) talk. It is the only HTTP surface: the
+// pre-v1 /api/check|anchors|stats aliases are retired and answer 404.
 //
 // Every v1 error travels in one envelope:
 //

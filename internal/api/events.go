@@ -49,10 +49,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, s.opts.Logger, perr)
 		return
 	}
-	var log *events.Log
-	if s.analysis != nil {
-		log = s.analysis.Events()
-	}
+	log := s.analysis.Events()
 	switch {
 	case wantsSSE(r):
 		s.tailEvents(w, r, log, after, true)
@@ -85,13 +82,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				limit = n
 			}
 		}
-		page := EventsPage{Events: []events.Event{}}
-		if log != nil {
-			page.Events = log.After(after, limit)
-			page.LatestSeq = log.Len()
-			if page.Events == nil {
-				page.Events = []events.Event{}
-			}
+		page := EventsPage{Events: log.After(after, limit), LatestSeq: log.Len()}
+		if page.Events == nil {
+			page.Events = []events.Event{}
 		}
 		page.Count = len(page.Events)
 		writeJSON(w, s.opts.Logger, page)
@@ -120,9 +113,6 @@ func parseEventsAfter(r *http.Request) (uint64, *Error) {
 // non-following export form.
 func (s *Server) replayEventsNDJSON(w http.ResponseWriter, log *events.Log, after uint64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if log == nil {
-		return
-	}
 	enc := json.NewEncoder(w)
 	for _, e := range log.After(after, 0) {
 		if err := enc.Encode(e); err != nil {
@@ -152,10 +142,6 @@ func (s *Server) tailEvents(w http.ResponseWriter, r *http.Request, log *events.
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	if log == nil {
-		flush()
-		return
 	}
 	enc := json.NewEncoder(w)
 	cur := after

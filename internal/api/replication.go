@@ -281,31 +281,6 @@ func (s *Server) roleHeaders(next http.Handler) http.Handler {
 	})
 }
 
-// legacyHeaders wraps the legacy aliases with their lifecycle headers —
-// Deprecation, an optional Sunset date, and a Link to the v1 successor —
-// without touching the response bodies (those are frozen by golden
-// tests). On a follower the one legacy write, POST /api/check, is
-// rejected read-only before it reaches the legacy handler.
-func (s *Server) legacyHeaders(next http.Handler) http.Handler {
-	sunset := ""
-	if !s.opts.LegacySunset.IsZero() {
-		sunset = s.opts.LegacySunset.UTC().Format(http.TimeFormat)
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := w.Header()
-		h.Set("Deprecation", "true")
-		if sunset != "" {
-			h.Set("Sunset", sunset)
-		}
-		h.Set("Link", `</api/v1/>; rel="successor-version"`)
-		if s.opts.ReadOnly && r.Method == http.MethodPost {
-			s.writeReadOnly(w, r)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 // Stop releases long-lived streams (the tailing replication handlers);
 // idempotent. Wire it into the HTTP server's shutdown so graceful drains
 // do not wait on followers that would otherwise tail forever.

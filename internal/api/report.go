@@ -62,25 +62,13 @@ type DomainReport struct {
 // the dataset has never seen.
 func (s *Server) handleDomainReport(w http.ResponseWriter, r *http.Request) {
 	domain := r.PathValue("domain")
-	rep := s.domainReport(domain)
+	rep := ReportFromEngine(s.analysis, domain)
 	if rep.Observations == 0 {
 		writeError(w, s.opts.Logger, errf(http.StatusNotFound, CodeNotFound,
 			"no observations for domain %q", domain))
 		return
 	}
 	writeJSON(w, s.opts.Logger, rep)
-}
-
-// domainReport serves off the incremental engine's aggregates when one
-// is wired (O(products of the domain) at worst, cached between writes),
-// falling back to the full recompute otherwise. The two paths are
-// byte-identical by contract — the differential test in the root package
-// holds them together.
-func (s *Server) domainReport(domain string) DomainReport {
-	if s.analysis != nil {
-		return ReportFromEngine(s.analysis, domain)
-	}
-	return FullDomainReport(s.store, s.backend.Market(), domain)
 }
 
 // ReportFromEngine assembles the wire report off an incremental engine's

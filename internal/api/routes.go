@@ -1,26 +1,26 @@
 package api
 
 // The declarative route table: every endpoint the server exposes — v1
-// resources, the replication stream, health probes, the legacy aliases
-// and the v1 404 fallback — declares its method, pattern, handler,
-// required role and follower-readability in one place, and registration,
-// the structured 405s (with Allow), the follower-side read-only
-// rejection and the per-route auth check all derive from it. Handlers no
-// longer method-check or read-only-check themselves; adding an endpoint
-// is adding a row.
+// resources, the replication stream, health probes and the v1 404
+// fallback — declares its method, pattern, handler, required role and
+// follower-readability in one place, and registration, the structured
+// 405s (with Allow), the follower-side read-only rejection and the
+// per-route auth check all derive from it. Handlers no longer
+// method-check or read-only-check themselves; adding an endpoint is
+// adding a row. Paths outside the table (the retired pre-v1
+// /api/check|anchors|stats aliases among them) get the mux's plain 404.
 
 import (
 	"net/http"
 	"strings"
 
-	"sheriff/internal/backend"
 	"sheriff/internal/tenant"
 )
 
 // route is one row of the table.
 type route struct {
 	// method the row answers. Empty matches every method — for handlers
-	// that dispatch internally (the legacy aliases and the 404 fallback).
+	// that answer any verb (the v1 404 fallback).
 	method string
 	// pattern is the ServeMux pattern; rows sharing a pattern share a
 	// dispatcher and pool their methods into Allow.
@@ -43,12 +43,7 @@ type route struct {
 }
 
 // routes is the whole surface.
-func (s *Server) routes(b *backend.Backend) []route {
-	// Legacy aliases: the pre-v1 handlers, verbatim. backend.API still
-	// owns them so the old wire bytes cannot drift by accident; the
-	// wrapper adds only lifecycle headers (and the follower-side write
-	// rejection), never body changes. They dispatch methods themselves.
-	legacy := s.legacyHeaders(backend.NewAPI(b)).ServeHTTP
+func (s *Server) routes() []route {
 	return []route{
 		{method: http.MethodPost, pattern: "/api/v1/checks", handler: s.handleChecks, role: tenant.RoleContributor, write: true},
 		{method: http.MethodGet, pattern: "/api/v1/observations", handler: s.handleObservations},
@@ -75,19 +70,15 @@ func (s *Server) routes(b *backend.Backend) []route {
 		{method: http.MethodGet, pattern: "/api/v1/healthz", handler: s.handleHealthz},
 		{method: http.MethodGet, pattern: "/api/v1/readyz", handler: s.handleReadyz},
 		{pattern: "/api/v1/", handler: s.handleUnknownV1},
-
-		{pattern: "/api/check", handler: legacy},
-		{pattern: "/api/anchors", handler: legacy},
-		{pattern: "/api/stats", handler: legacy},
 	}
 }
 
 // registerRoutes groups the table by pattern and mounts one dispatcher
 // per pattern.
-func (s *Server) registerRoutes(mux *http.ServeMux, b *backend.Backend) {
+func (s *Server) registerRoutes(mux *http.ServeMux) {
 	byPattern := make(map[string][]route)
 	var order []string
-	for _, rt := range s.routes(b) {
+	for _, rt := range s.routes() {
 		if _, seen := byPattern[rt.pattern]; !seen {
 			order = append(order, rt.pattern)
 		}

@@ -43,12 +43,6 @@ type Options struct {
 	// Now is the wall clock the rate limiter refills on; nil uses
 	// time.Now. Injectable for tests.
 	Now func() time.Time
-	// Analysis is the incremental analysis engine. When set, domain
-	// reports are served from its per-domain aggregates (O(delta) instead
-	// of O(store)), /api/v1/events exposes its event log, and /api/v1/stats
-	// gains an "analysis" block. Nil falls back to full recomputation and
-	// an empty event history.
-	Analysis *aggregate.Engine
 	// ReadOnly rejects every write endpoint with the typed read_only
 	// envelope — follower mode. PrimaryURL, when set, rides along in the
 	// rejection's Location header and error detail.
@@ -61,9 +55,6 @@ type Options struct {
 	// ReadyMaxLag is the lag (in sequence numbers) past which a
 	// follower's /api/v1/readyz flips unready (default 8192).
 	ReadyMaxLag uint64
-	// LegacySunset, when set, is the retirement date the legacy aliases
-	// advertise in their Sunset header.
-	LegacySunset time.Time
 	// Tenants is the identity registry: API keys, roles, quotas and
 	// campaigns. Nil constructs an empty in-memory registry, which leaves
 	// the server in anonymous mode (no auth anywhere) until a tenant is
@@ -80,10 +71,11 @@ type Options struct {
 //	GET  /api/v1/domains/{domain}/report   per-domain variation + strategy report
 //	GET  /api/v1/stats                     counters: checks, store, cache, server
 //	GET  /api/v1/anchors                   learned anchors per domain
+//	GET  /api/v1/events                    analysis event log; NDJSON/SSE tail
 //
-// plus the legacy aliases /api/check, /api/anchors and /api/stats, whose
-// responses stay byte-identical to the pre-v1 server (the beta extension
-// contract; frozen by golden test).
+// plus tenancy, replication and health routes (see routes.go). Domain
+// reports, events and the stats "analysis" block are served off the
+// incremental analysis engine the server is built with.
 type Server struct {
 	backend  *backend.Backend
 	store    store.Reader
@@ -108,8 +100,10 @@ type Server struct {
 	rateDenied *atomic.Uint64
 }
 
-// NewServer wraps a backend with the v1 surface and middleware stack.
-func NewServer(b *backend.Backend, opts Options) *Server {
+// NewServer wraps a backend and its incremental analysis engine (which
+// must fold the backend's store) with the v1 surface and middleware
+// stack.
+func NewServer(b *backend.Backend, analysis *aggregate.Engine, opts Options) *Server {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = 1 << 20
 	}
@@ -129,7 +123,7 @@ func NewServer(b *backend.Backend, opts Options) *Server {
 		opts.Tenants = tenant.NewRegistry(tenant.Options{})
 	}
 	s := &Server{
-		backend: b, store: b.Store(), opts: opts, analysis: opts.Analysis,
+		backend: b, store: b.Store(), opts: opts, analysis: analysis,
 		follower: opts.Follower,
 		tenants:  opts.Tenants,
 		start:    time.Now(),
@@ -137,12 +131,12 @@ func NewServer(b *backend.Backend, opts Options) *Server {
 		stop:     make(chan struct{}),
 	}
 
-	// The whole surface — v1 endpoints, legacy aliases, the v1 404
-	// fallback — registers from the declarative route table in routes.go:
-	// one place drives mux registration, the structured 405s, the
-	// follower-side read-only rejection and the per-route role check.
+	// The whole surface — v1 endpoints and the v1 404 fallback —
+	// registers from the declarative route table in routes.go: one place
+	// drives mux registration, the structured 405s, the follower-side
+	// read-only rejection and the per-route role check.
 	mux := http.NewServeMux()
-	s.registerRoutes(mux, b)
+	s.registerRoutes(mux)
 
 	// Middleware order (outermost first) is a pinned contract
 	// (TestMiddlewareOrder): counting, request IDs and logging precede
@@ -193,7 +187,7 @@ func (s *Server) countRequests(next http.Handler) http.Handler {
 }
 
 // CheckPayload is the v1 wire form of one check submission (the address
-// travels as a string; it is the same shape the legacy endpoint takes).
+// travels as a string) — the body the browser extension posts.
 type CheckPayload struct {
 	URL       string `json:"url"`
 	Highlight string `json:"highlight"`
@@ -226,8 +220,7 @@ const maxBatchChecks = 64
 
 // handleChecks serves POST /api/v1/checks: a single check object, or
 // {"checks":[...]} for a batch. Single responses are the CheckResult
-// itself (same shape as the legacy endpoint); batches wrap per-item
-// results and errors.
+// itself; batches wrap per-item results and errors.
 func (s *Server) handleChecks(w http.ResponseWriter, r *http.Request) {
 	// The contributing tenant (empty when anonymous) stamps every
 	// observation this request produces.
@@ -337,9 +330,9 @@ type SourceCount struct {
 	OK    int `json:"ok"`
 }
 
-// StatsResponse is the v1 stats payload — the legacy counters plus the
-// store's per-source split, domain count, and the HTTP server's own
-// counters.
+// StatsResponse is the v1 stats payload — check, observation and cache
+// counters, the store's per-source split, domain count, the analysis
+// engine's counters, and the HTTP server's own counters.
 type StatsResponse struct {
 	Checks       int                    `json:"checks"`
 	Observations int                    `json:"observations"`
@@ -421,10 +414,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ts := s.tenants.Stats()
 		resp.Tenancy = &ts
 	}
-	if s.analysis != nil {
-		stats := s.analysis.Stats()
-		resp.Analysis = &stats
-	}
+	stats := s.analysis.Stats()
+	resp.Analysis = &stats
 	repl := s.replicationStats()
 	resp.Replication = &repl
 	resp.Server.Requests = s.requests.Load()

@@ -9,6 +9,7 @@ package api_test
 
 import (
 	"encoding/base64"
+	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -21,6 +22,18 @@ import (
 
 	"sheriff"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files from the live server")
+
+// snapshot renders one response the way the golden files store it:
+// status line, content type, blank line, body.
+func snapshot(status int, contentType, body string) string {
+	return fmt.Sprintf("%d\n%s\n\n%s", status, contentType, body)
+}
+
+func indent(s string) string {
+	return "\t" + strings.ReplaceAll(s, "\n", "\n\t")
+}
 
 func TestV1GoldenWireContract(t *testing.T) {
 	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: 1, LongTail: 6})

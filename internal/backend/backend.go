@@ -317,10 +317,6 @@ func (b *Backend) VantagePoints() []geo.VantagePoint { return b.vps }
 // v1 API's query endpoints read it directly.
 func (b *Backend) Store() store.Backend { return b.store }
 
-// Market returns the FX market the backend converts prices with; the
-// analysis endpoints must use the same fixings.
-func (b *Backend) Market() *fx.Market { return b.market }
-
 // splitProductURL decomposes a product URI into domain and SKU.
 func splitProductURL(rawURL string) (domain, sku string, err error) {
 	u, err := url.Parse(rawURL)

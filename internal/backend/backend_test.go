@@ -2,9 +2,6 @@ package backend
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"net/netip"
 	"testing"
 	"time"
@@ -200,107 +197,6 @@ func TestCheckSynchronizedTimestamps(t *testing.T) {
 		if !o.Time.Equal(obs[0].Time) {
 			t.Fatal("fan-out not synchronized")
 		}
-	}
-}
-
-func TestAPICheckEndpoint(t *testing.T) {
-	w := newTestWorld(t)
-	api := NewAPI(w.backend)
-	srv := httptest.NewServer(api)
-	defer srv.Close()
-
-	sku := w.vary.Catalog().Products()[3].SKU
-	payload := map[string]string{
-		"url":       "http://vary.example.com/product/" + sku,
-		"highlight": highlightFor(t, w.vary, sku, "US", "Boston", w.clk),
-		"user_addr": "10.0.1.77",
-		"user_id":   "api-user",
-	}
-	body, _ := json.Marshal(payload)
-	resp, err := http.Post(srv.URL+"/api/check", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var res CheckResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Varies || len(res.Prices) != 14 {
-		t.Fatalf("API result: %+v", res)
-	}
-}
-
-func TestAPIValidation(t *testing.T) {
-	w := newTestWorld(t)
-	srv := httptest.NewServer(NewAPI(w.backend))
-	defer srv.Close()
-
-	resp, _ := http.Get(srv.URL + "/api/check")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /api/check = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	resp, _ = http.Post(srv.URL+"/api/check", "application/json", bytes.NewBufferString(`{}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty payload = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	resp, _ = http.Post(srv.URL+"/api/check", "application/json",
-		bytes.NewBufferString(`{"url":"http://x/p","highlight":"$1","user_addr":"not-an-ip"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad addr = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	resp, _ = http.Post(srv.URL+"/api/check", "application/json",
-		bytes.NewBufferString(`{"url":"http://nowhere.example.com/product/X","highlight":"$1.00","user_addr":"10.0.1.77"}`))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("NXDOMAIN = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-}
-
-func TestAPIStatsAndAnchors(t *testing.T) {
-	w := newTestWorld(t)
-	srv := httptest.NewServer(NewAPI(w.backend))
-	defer srv.Close()
-
-	sku := w.vary.Catalog().Products()[4].SKU
-	_, err := w.backend.Check(CheckRequest{
-		URL:       "http://vary.example.com/product/" + sku,
-		Highlight: highlightFor(t, w.vary, sku, "US", "Boston", w.clk),
-		UserAddr:  addrOf(userAddr(t, "US", "Boston")),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(srv.URL + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats statsPayload
-	json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if stats.Checks != 1 || stats.Observations != 14 {
-		t.Fatalf("stats = %+v", stats)
-	}
-
-	resp, err = http.Get(srv.URL + "/api/anchors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var anchors map[string]json.RawMessage
-	json.NewDecoder(resp.Body).Decode(&anchors)
-	resp.Body.Close()
-	if _, ok := anchors["vary.example.com"]; !ok {
-		t.Fatalf("anchors = %v", anchors)
 	}
 }
 

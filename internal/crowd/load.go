@@ -27,7 +27,7 @@ import (
 
 // CheckFunc issues one $heriff check. The in-process form is
 // Backend.Check; examples/loadgen supplies an HTTP form that POSTs
-// /api/check on a live sheriffd.
+// /api/v1/checks on a live sheriffd.
 type CheckFunc func(backend.CheckRequest) (backend.CheckResult, error)
 
 // LoadOptions configures a load run; zero values take defaults.

@@ -91,17 +91,12 @@ type seqObs struct {
 	obs Observation
 }
 
-// collect gathers the shard's matching observations under its read lock,
-// choosing the narrowest index for the query: a product's source posting,
-// a product group, a domain order, a source order, a time-bucket
-// selection, or the shard order.
-func (s *Store) collect(si int, q Query, out []seqObs) []seqObs {
-	return s.collectRange(si, q, 0, ^uint64(0), out)
-}
-
-// collectRange is collect restricted to sequence numbers in
-// (after, upto] — the windowed form the streaming/pagination layer uses
-// to bound how much one gather materializes.
+// collectRange gathers the shard's matching observations with sequence
+// numbers in (after, upto] under its read lock, choosing the narrowest
+// index for the query: a product's source posting, a product group, a
+// domain order, a source order, a time-bucket selection, or the shard
+// order. The window bounds how much one gather materializes for the
+// streaming/pagination layer.
 func (s *Store) collectRange(si int, q Query, after, upto uint64, out []seqObs) []seqObs {
 	sh := &s.shards[si]
 	inWindow := func(seq uint64) bool { return seq > after && seq <= upto }
@@ -173,29 +168,12 @@ func (s *Store) collectRange(si int, q Query, after, upto uint64, out []seqObs) 
 	return out
 }
 
-// Scan streams matching observations in insertion order. Domain-scoped
-// queries walk a single shard's indexes; global queries merge candidates
-// across shards by sequence number. Each shard is snapshotted under its
-// read lock before any element is yielded, so the caller's loop body
-// never runs under a store lock and observations admitted mid-iteration
-// do not appear.
+// Scan streams matching observations in insertion order: ScanRange over
+// every sequence number, without the numbers.
 func (s *Store) Scan(q Query) iter.Seq[Observation] {
 	return func(yield func(Observation) bool) {
-		var rows []seqObs
-		if q.Domain != "" {
-			rows = s.collect(int(shardIdx(q.Domain)), q, nil)
-		} else {
-			for si := range s.shards {
-				rows = s.collect(si, q, rows)
-			}
-		}
-		// Index orders follow shard append order, which is sequence order
-		// for every serial caller; sorting is a near-no-op then and
-		// restores global insertion order across shards and after
-		// concurrent batch interleavings.
-		sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
-		for i := range rows {
-			if !yield(rows[i].obs) {
+		for _, o := range s.ScanRange(q, 0, ^uint64(0)) {
+			if !yield(o) {
 				return
 			}
 		}
@@ -204,12 +182,17 @@ func (s *Store) Scan(q Query) iter.Seq[Observation] {
 
 // ScanRange streams matching observations whose sequence numbers fall
 // in (after, upto], in sequence order, yielding each with its sequence
-// number. It is the windowed face of Scan: the HTTP layer pages and
-// streams large datasets window by window, so no single gather
-// materializes more than one window of rows. Pair upto with Watermark()
-// to read only the stable prefix (every sequence at or below the
-// watermark is applied and can never be reordered by an in-flight
-// batch).
+// number. The HTTP layer pages and streams large datasets window by
+// window, so no single gather materializes more than one window of rows.
+// Pair upto with Watermark() to read only the stable prefix (every
+// sequence at or below the watermark is applied and can never be
+// reordered by an in-flight batch).
+//
+// Domain-scoped queries walk a single shard's indexes; global queries
+// merge candidates across shards by sequence number. Each shard is
+// snapshotted under its read lock before any element is yielded, so the
+// caller's loop body never runs under a store lock and observations
+// admitted mid-iteration do not appear.
 func (s *Store) ScanRange(q Query, after, upto uint64) iter.Seq2[uint64, Observation] {
 	return func(yield func(uint64, Observation) bool) {
 		if after >= upto {
@@ -223,6 +206,10 @@ func (s *Store) ScanRange(q Query, after, upto uint64) iter.Seq2[uint64, Observa
 				rows = s.collectRange(si, q, after, upto, rows)
 			}
 		}
+		// Index orders follow shard append order, which is sequence order
+		// for every serial caller; sorting is a near-no-op then and
+		// restores global insertion order across shards and after
+		// concurrent batch interleavings.
 		sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
 		for i := range rows {
 			if !yield(rows[i].seq, rows[i].obs) {

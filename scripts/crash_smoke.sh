@@ -3,7 +3,7 @@
 # losing anything it had flushed.
 #
 # Phase 1 (quiesced kill): drive crowd load through examples/loadgen to
-# completion, record /api/stats observations (the flush point — under
+# completion, record /api/v1/stats observations (the flush point — under
 # -fsync always every completed check is durable), kill -9 the server,
 # restart on the same -data-dir and assert the observation count matches
 # the flush point exactly.
@@ -11,7 +11,7 @@
 # Phase 2 (mid-round kill): kill -9 while a loadgen round is in flight —
 # the WAL may end in a torn record — then restart and assert recovery
 # succeeds with at least the phase-1 flush point intact and a consistent
-# /api/stats.
+# /api/v1/stats.
 #
 # Phase 3 (compaction kill): on a multi-bucket data dir with a tiny
 # -compact-wal-bytes, every few checks trigger a checkpoint that
@@ -58,7 +58,7 @@ start_server() {
     -data-dir "$datadir" -fsync always "$@" >>"$logfile" 2>&1 &
   srv_pid=$!
   for _ in $(seq 1 150); do
-    if curl -sf "http://$ADDR/api/stats" >/dev/null 2>&1; then
+    if curl -sf "http://$ADDR/api/v1/stats" >/dev/null 2>&1; then
       return 0
     fi
     sleep 0.2
@@ -69,24 +69,14 @@ start_server() {
 }
 
 observations() {
-  curl -sf "http://$ADDR/api/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["observations"])'
-}
-
-v1_observations() {
   curl -sf "http://$ADDR/api/v1/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["observations"])'
 }
 
-# check_v1_surface cross-checks the v1 API against the legacy alias on a
-# live server: both stats endpoints must agree on the observation count,
-# a paginated page must come back with a cursor, and the NDJSON stream
-# must carry exactly one line per observation.
+# check_v1_surface cross-checks the v1 read paths on a live server: a
+# paginated page must come back with a cursor, and the NDJSON stream
+# must carry exactly one line per observation the stats count.
 check_v1_surface() {
-  legacy="$(observations)"
-  v1="$(v1_observations)"
-  if [ "$legacy" != "$v1" ]; then
-    say "FAIL: v1 stats ($v1) disagree with legacy stats ($legacy)"
-    exit 1
-  fi
+  v1="$(observations)"
   page_rows="$(curl -sf "http://$ADDR/api/v1/observations?limit=5" \
     | python3 -c 'import json,sys; d=json.load(sys.stdin); print(d["count"], "cursor" if d.get("next_cursor") else "nocursor")')"
   if [ "$page_rows" != "5 cursor" ]; then
@@ -94,15 +84,15 @@ check_v1_surface() {
     exit 1
   fi
   stream_rows="$(curl -sf -H 'Accept: application/x-ndjson' "http://$ADDR/api/v1/observations" | wc -l)"
-  if [ "$stream_rows" -ne "$legacy" ]; then
-    say "FAIL: NDJSON stream carried $stream_rows rows, want $legacy"
+  if [ "$stream_rows" -ne "$v1" ]; then
+    say "FAIL: NDJSON stream carried $stream_rows rows, want $v1"
     exit 1
   fi
   say "v1 surface consistent ($v1 observations, paginated + streamed)"
 }
 
 durable_fsync() {
-  curl -sf "http://$ADDR/api/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["durable"]["fsync"])'
+  curl -sf "http://$ADDR/api/v1/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["durable"]["fsync"])'
 }
 
 # variation_events counts the TypeVariation entries in the event history.

@@ -12,8 +12,8 @@
 # primary's engine in completion order while a follower folds in
 # sequence order, so here the order-independent count is the law). The
 # follower's v1 surface must report its role, refuse writes with the
-# typed read_only error, answer readyz ready, and stamp the legacy
-# aliases with deprecation headers.
+# typed read_only error and answer readyz ready; the primary must
+# answer the retired pre-v1 /api/stats alias with a 404.
 #
 # Phase 2 (kill -9 the follower): kill -9 the follower, advance the
 # primary with another load round, restart the follower and assert it
@@ -77,7 +77,7 @@ wait_http() { # wait_http <addr>
 
 start_primary() {
   "$workdir/sheriffd" -addr "$P_ADDR" -seed "$SEED" -longtail "$LONGTAIL" \
-    -data-dir "$datadir" -fsync always -legacy-sunset 2027-01-01 >>"$p_log" 2>&1 &
+    -data-dir "$datadir" -fsync always >>"$p_log" 2>&1 &
   p_pid=$!
   wait_http "$P_ADDR"
 }
@@ -173,13 +173,9 @@ case "$loc" in
 esac
 ready="$(curl -s -o /dev/null -w '%{http_code}' "http://$F_ADDR/api/v1/readyz")"
 [ "$ready" = "200" ] || { say "FAIL: caught-up follower readyz = $ready"; exit 1; }
-dep="$(curl -s -D - -o /dev/null "http://$P_ADDR/api/stats" \
-  | tr -d '\r' | awk 'tolower($1)=="deprecation:" {print $2}')"
-[ "$dep" = "true" ] || { say "FAIL: legacy alias missing Deprecation header"; exit 1; }
-sun="$(curl -s -D - -o /dev/null "http://$P_ADDR/api/stats" \
-  | tr -d '\r' | awk 'tolower($1)=="sunset:" {print substr($0, index($0, $2))}')"
-[ -n "$sun" ] || { say "FAIL: legacy alias missing Sunset header"; exit 1; }
-say "read_only 403 + Location, readyz ready, legacy Deprecation/Sunset present"
+retired="$(curl -s -o /dev/null -w '%{http_code}' "http://$P_ADDR/api/stats")"
+[ "$retired" = "404" ] || { say "FAIL: retired /api/stats answered $retired, want 404"; exit 1; }
+say "read_only 403 + Location, readyz ready, retired /api/stats 404"
 
 say "phase 2: kill -9 the follower and advance the primary"
 kill -9 "$f_pid"

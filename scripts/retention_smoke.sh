@@ -113,7 +113,7 @@ start_server() {
     -data-dir "$datadir" -fsync always -retain-bytes "$BUDGET" >>"$logfile" 2>&1 &
   srv_pid=$!
   for _ in $(seq 1 150); do
-    if curl -sf "http://$ADDR/api/stats" >/dev/null 2>&1; then
+    if curl -sf "http://$ADDR/api/v1/stats" >/dev/null 2>&1; then
       return 0
     fi
     sleep 0.2

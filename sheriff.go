@@ -106,9 +106,9 @@ type VPPrice = backend.VPPrice
 
 // API is the backend's versioned HTTP surface: the /api/v1/ routes
 // (checks single+batch, cursor-paginated/NDJSON observations, per-domain
-// strategy reports, stats, anchors) behind the middleware stack, plus
-// byte-identical aliases for the legacy /api/check|anchors|stats
-// contract. Serve it with net/http; drive it with sheriff/client.
+// strategy reports, stats, anchors, events) behind the middleware stack.
+// It is the only surface; the pre-v1 /api/check|anchors|stats aliases
+// are retired. Serve it with net/http; drive it with sheriff/client.
 type API = api.Server
 
 // APIOptions tunes the API middleware stack: CORS allowlist, body
@@ -121,15 +121,11 @@ type APIOptions = api.Options
 func NewAPI(w *World) *API { return NewAPIWithOptions(w, api.Options{}) }
 
 // NewAPIWithOptions is NewAPI with an explicit middleware configuration
-// (cmd/sheriffd wires its flags through this). Options.Analysis defaults
-// to the world's engine; set it explicitly to override (or leave the
-// engine out of a server on purpose — Options with a non-nil Analysis
-// are passed through untouched).
+// (cmd/sheriffd wires its flags through this). The world's incremental
+// analysis engine always backs the domain-report, events and stats
+// endpoints.
 func NewAPIWithOptions(w *World, opts APIOptions) *API {
-	if opts.Analysis == nil {
-		opts.Analysis = w.Analysis
-	}
-	return api.NewServer(w.Backend, opts)
+	return api.NewServer(w.Backend, w.Analysis, opts)
 }
 
 // Wire shapes of the v1 API, aliased so the server and the client SDK
