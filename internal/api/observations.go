@@ -2,7 +2,6 @@ package api
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -197,8 +196,10 @@ windows:
 }
 
 // streamObservations is the NDJSON path: rows flow window by window
-// from the store's ScanRange iterator to the socket through one
-// json.Encoder — at most one seqWindow of rows is ever gathered, so an
+// from the store's ScanRange iterator through the store's own JSONL
+// encoder (store.AppendJSONL, so the lines are WriteJSONL's bytes) into
+// a buffer handed to the socket every ndjsonFlushEvery rows — at most
+// one seqWindow of rows is ever gathered, so an
 // arbitrarily large export runs in constant memory. A cursor (sequence
 // position) is honored so a client can resume a torn stream; limits are
 // not — the stream form exists to avoid paging. The watermark is
@@ -207,24 +208,36 @@ windows:
 func (s *Server) streamObservations(w http.ResponseWriter, q store.Query, after uint64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	upto := s.store.Watermark()
+	var buf []byte
 	sent := 0
+	// flush hands the buffered lines to the client.
+	flush := func() bool {
+		if _, err := w.Write(buf); err != nil {
+			// The client hung up mid-stream; headers are long gone.
+			logf(s.opts.Logger, "api: ndjson stream aborted after %d rows: %v", sent, err)
+			return false
+		}
+		buf = buf[:0]
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	upto := s.store.Watermark()
 	for start := after; start < upto; start += seqWindow {
 		end := min(start+seqWindow, upto)
 		for _, o := range s.store.ScanRange(q, start, end) {
-			if err := enc.Encode(o); err != nil {
-				// The client hung up mid-stream; headers are long gone.
+			var err error
+			if buf, err = store.AppendJSONL(buf, &o); err != nil {
 				logf(s.opts.Logger, "api: ndjson stream aborted after %d rows: %v", sent, err)
+				flush()
 				return
 			}
 			sent++
-			if flusher != nil && sent%ndjsonFlushEvery == 0 {
-				flusher.Flush()
+			if sent%ndjsonFlushEvery == 0 && !flush() {
+				return
 			}
 		}
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
 }

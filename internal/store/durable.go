@@ -431,14 +431,51 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 		PrunedRows:    man.Pruned.Rows,
 	}
 	mem := newBucketed(man.BucketSeconds)
-	var pending []seqObs
+	// One intern table for the whole load, so recovered rows share their
+	// repeated strings (domains, VPs, URLs, ...).
+	strs := make(map[string]string)
+
+	// The log tail is read first so the merge buffer can be sized
+	// exactly; its rows still join after the snapshot's. Only rows
+	// logged after the snapshot qualify: the manifest records the
+	// sequence counter at its commit (MaxSeq), and every later batch
+	// reserved above it. Retention can leave holes below MaxSeq, which
+	// is why the cut is the counter, not the row count.
+	var tail []walRecord
+	tailRows := 0
+	for shard := 0; shard < numShards; shard++ {
+		data, err := os.ReadFile(filepath.Join(dir, walFile(man.Generation, shard)))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // no log for this shard: nothing was written there
+		}
+		if err != nil {
+			// A log that exists but cannot be read is NOT an empty log:
+			// skipping it would recover a silently truncated dataset and
+			// a writable open would then commit (and sweep) the loss.
+			return nil, nil, rep, fmt.Errorf("store: read wal: %w", err)
+		}
+		recs, discarded := replayWAL(data, strs)
+		rep.WALBytesDiscarded += discarded
+		rep.WALRecords += len(recs)
+		for _, rec := range recs {
+			for _, seq := range rec.Seqs {
+				if seq > man.MaxSeq {
+					tailRows++
+				}
+			}
+		}
+		tail = append(tail, recs...)
+	}
+	rep.WALRows = tailRows
+
+	pending := make([]seqObs, 0, man.Rows+uint64(tailRows))
 	for _, b := range man.Buckets {
 		rep.SnapshotBuckets++
 		if b.Compressed {
 			rep.CompressedBuckets++
 		}
 		for _, info := range b.Segments {
-			lost, err := loadSegment(dir, info, &pending)
+			lost, err := loadSegment(dir, info, &pending, strs)
 			if err != nil {
 				return nil, nil, rep, err
 			}
@@ -446,36 +483,10 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 			rep.SnapshotRows += info.Rows - lost
 		}
 	}
-
-	// Replay: gather every complete record across the per-shard logs.
-	// Only rows logged after the snapshot qualify: the manifest records
-	// the sequence counter at its commit (MaxSeq), and every later batch
-	// reserved above it. Retention can leave holes below MaxSeq, which is
-	// why the cut is the counter, not the row count.
-	for shard := 0; shard < numShards; shard++ {
-		f, err := os.Open(filepath.Join(dir, walFile(man.Generation, shard)))
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // no log for this shard: nothing was written there
-		}
-		if err != nil {
-			// A log that exists but cannot be opened is NOT an empty log:
-			// skipping it would recover a silently truncated dataset and
-			// a writable open would then commit (and sweep) the loss.
-			return nil, nil, rep, fmt.Errorf("store: open wal: %w", err)
-		}
-		recs, discarded, err := readWAL(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, rep, err
-		}
-		rep.WALBytesDiscarded += discarded
-		for _, rec := range recs {
-			rep.WALRecords++
-			for i := range rec.Obs {
-				if rec.Seqs[i] > man.MaxSeq {
-					pending = append(pending, seqObs{seq: rec.Seqs[i], obs: rec.Obs[i]})
-					rep.WALRows++
-				}
+	for _, rec := range tail {
+		for i, seq := range rec.Seqs {
+			if seq > man.MaxSeq {
+				pending = append(pending, seqObs{seq: seq, obs: rec.Obs[i]})
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"container/heap"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -16,9 +15,15 @@ import (
 // holds the store's read locks for the duration of the dump, so the
 // snapshot is globally consistent.
 func (s *Store) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	err := s.dumpOrdered(func(_ uint64, o *Observation) error { return enc.Encode(o) })
+	bw := bufio.NewWriterSize(w, 64<<10)
+	err := s.dumpOrdered(func(_ uint64, o *Observation) error {
+		line, err := AppendJSONL(bw.AvailableBuffer(), o)
+		if err != nil {
+			return err
+		}
+		_, err = bw.Write(line)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -115,19 +120,24 @@ const readBatch = 1024
 
 // ReadJSONL loads a store previously written with WriteJSONL, batching
 // decoded observations into the shards. Round-tripping a dataset through
-// ReadJSONL and WriteJSONL reproduces it byte for byte.
+// ReadJSONL and WriteJSONL reproduces it byte for byte. A row that does
+// not decode fails the load, naming the 1-based line it starts on.
 func ReadJSONL(r io.Reader) (*Store, error) {
 	s := New()
-	dec := json.NewDecoder(bufio.NewReader(r))
+	in := newJSONStream(r, make(map[string]string))
 	batch := make([]Observation, 0, readBatch)
-	for i := 0; ; i++ {
-		var o Observation
-		if err := dec.Decode(&o); err != nil {
+	var o Observation
+	for {
+		err := in.next(func(d *decoder) error {
+			o = Observation{}
+			return d.observation(&o)
+		})
+		if err != nil {
 			if err == io.EOF {
 				s.AddAll(batch)
 				return s, nil
 			}
-			return nil, fmt.Errorf("store: decode line %d: %w", i, err)
+			return nil, fmt.Errorf("store: decode line %d: %w", in.line(), err)
 		}
 		batch = append(batch, o)
 		if len(batch) == readBatch {

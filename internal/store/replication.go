@@ -96,7 +96,7 @@ func (fr *WALFrameReader) Next() (WALFrame, error) {
 	if _, err := io.ReadFull(fr.r, frame[walHeaderSize:]); err != nil {
 		return WALFrame{}, fmt.Errorf("%w: short payload: %v", ErrTornFrame, err)
 	}
-	rec, _, err := parseWALRecord(frame)
+	rec, _, err := parseWALRecord(frame, nil)
 	if err != nil {
 		return WALFrame{}, fmt.Errorf("%w: bad frame", ErrTornFrame)
 	}

@@ -202,7 +202,6 @@ func writeBucket(dir string, gen uint64, src *Store, bucket int64, compressed bo
 		f   *os.File
 		gz  *gzip.Writer
 		bw  *bufio.Writer
-		enc *json.Encoder
 		cur segmentInfo
 	)
 	closeCurrent := func() error {
@@ -228,7 +227,7 @@ func writeBucket(dir string, gen uint64, src *Store, bucket int64, compressed bo
 		}
 		info.Bytes += cur.Bytes
 		info.Segments = append(info.Segments, cur)
-		f, gz, bw, enc = nil, nil, nil, nil
+		f, gz, bw = nil, nil, nil
 		return nil
 	}
 	emit := func(seq uint64, o *Observation) error {
@@ -246,9 +245,8 @@ func writeBucket(dir string, gen uint64, src *Store, bucket int64, compressed bo
 			}
 			// cur.Bytes counts what lands in the file (compressed bytes
 			// for cold buckets), which is what rotation and the disk
-			// budget care about. The json.Encoder always feeds the bufio
-			// layer; the gzip layer, when present, sits between it and
-			// the counter.
+			// budget care about. Rows always go to the bufio layer; the
+			// gzip layer, when present, sits between it and the counter.
 			counted := io.Writer(&countingWriter{w: f, n: &cur.Bytes})
 			if compressed {
 				// BestSpeed: the dump already costs O(dataset); the cold
@@ -259,11 +257,15 @@ func writeBucket(dir string, gen uint64, src *Store, bucket int64, compressed bo
 			} else {
 				bw = bufio.NewWriter(counted)
 			}
-			enc = json.NewEncoder(bw)
+		}
+		row, err := appendSegRow(bw.AvailableBuffer(), seq, o)
+		if err != nil {
+			return err
 		}
 		info.Rows++
 		cur.Rows++
-		return enc.Encode(segRow{Seq: seq, Obs: *o})
+		_, err = bw.Write(append(row, '\n'))
+		return err
 	}
 	if err := src.dumpBucket(bucket, emit); err != nil {
 		if f != nil {
@@ -296,8 +298,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // expectation is returned as lost rows. A missing file — or a compressed
 // segment whose gzip header is gone — loses the whole segment. The .gz
 // suffix picks the transparent-decompression path, so callers never care
-// whether a bucket was cold when written.
-func loadSegment(dir string, info segmentInfo, dst *[]seqObs) (lost int, err error) {
+// whether a bucket was cold when written. Decoded strings are interned
+// in strs.
+func loadSegment(dir string, info segmentInfo, dst *[]seqObs, strs map[string]string) (lost int, err error) {
 	f, err := os.Open(filepath.Join(dir, info.Name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return info.Rows, nil
@@ -307,9 +310,9 @@ func loadSegment(dir string, info segmentInfo, dst *[]seqObs) (lost int, err err
 	}
 	defer f.Close()
 
-	var r io.Reader = bufio.NewReader(f)
+	var r io.Reader = f
 	if strings.HasSuffix(info.Name, ".gz") {
-		gz, err := gzip.NewReader(r)
+		gz, err := gzip.NewReader(bufio.NewReader(f))
 		if err != nil {
 			// Header never made it to disk: the crash artifact form of a
 			// compressed segment. Nothing is recoverable from it.
@@ -318,11 +321,15 @@ func loadSegment(dir string, info segmentInfo, dst *[]seqObs) (lost int, err err
 		defer gz.Close()
 		r = gz
 	}
-	dec := json.NewDecoder(r)
+	in := newJSONStream(r, strs)
 	rows := 0
+	var row segRow
 	for {
-		var row segRow
-		if err := dec.Decode(&row); err != nil {
+		err := in.next(func(d *decoder) error {
+			row = segRow{}
+			return d.segRow(&row)
+		})
+		if err != nil {
 			// EOF is the clean end; anything else is the torn tail of a
 			// segment that lost its last write — keep what decoded.
 			break

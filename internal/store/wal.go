@@ -2,11 +2,9 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // The write-ahead log is a sequence of framed records, one per AddAll
@@ -14,7 +12,7 @@ import (
 //
 //	offset 0  uint32 LE  payload length
 //	offset 4  uint32 LE  CRC-32C (Castagnoli) of the payload
-//	offset 8  payload    JSON walRecord
+//	offset 8  payload    JSON walRecord (codec.go)
 //
 // A record is the unit of atomicity: recovery replays complete records
 // and discards everything from the first frame that is short, oversized,
@@ -63,18 +61,19 @@ func appendWALRecord(buf []byte, seqs []uint64, obs []Observation) ([]byte, erro
 // appendFramed frames an arbitrary record — the shared encoder behind
 // the durable log and the replication stream.
 func appendFramed(buf []byte, rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	var hdr [walHeaderSize]byte
+	out, err := appendWALPayload(append(buf, hdr[:]...), &rec)
 	if err != nil {
 		return buf, fmt.Errorf("store: encode wal record: %w", err)
 	}
+	frame := out[len(buf):]
+	payload := frame[walHeaderSize:]
 	if len(payload) > maxWALRecord {
 		return buf, fmt.Errorf("store: wal record of %d bytes exceeds the %d-byte frame limit; split the batch", len(payload), maxWALRecord)
 	}
-	var hdr [walHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walCRC))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
+	return out, nil
 }
 
 // parseWALRecord decodes the first framed record of b, returning the
@@ -82,7 +81,8 @@ func appendFramed(buf []byte, rec walRecord) ([]byte, error) {
 // length, short payload, checksum mismatch, broken JSON, sequence count
 // not matching the observation count — returns errTornRecord: the frame
 // boundary cannot be trusted past a bad frame, so the caller must stop.
-func parseWALRecord(b []byte) (rec walRecord, rest []byte, err error) {
+// Decoded strings are interned in strs when it is non-nil.
+func parseWALRecord(b []byte, strs map[string]string) (rec walRecord, rest []byte, err error) {
 	if len(b) < walHeaderSize {
 		return walRecord{}, b, errTornRecord
 	}
@@ -95,7 +95,7 @@ func parseWALRecord(b []byte) (rec walRecord, rest []byte, err error) {
 	if crc32.Checksum(payload, walCRC) != sum {
 		return walRecord{}, b, errTornRecord
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := unmarshal(payload, &rec, (*decoder).walRecord, strs); err != nil {
 		return walRecord{}, b, errTornRecord
 	}
 	if len(rec.Seqs) != len(rec.Obs) {
@@ -106,9 +106,9 @@ func parseWALRecord(b []byte) (rec walRecord, rest []byte, err error) {
 
 // replayWAL parses every complete record of one shard's log and reports
 // how many tail bytes were discarded as torn.
-func replayWAL(data []byte) (recs []walRecord, discarded int64) {
+func replayWAL(data []byte, strs map[string]string) (recs []walRecord, discarded int64) {
 	for len(data) > 0 {
-		rec, rest, err := parseWALRecord(data)
+		rec, rest, err := parseWALRecord(data, strs)
 		if err != nil {
 			return recs, int64(len(data))
 		}
@@ -116,14 +116,4 @@ func replayWAL(data []byte) (recs []walRecord, discarded int64) {
 		data = rest
 	}
 	return recs, 0
-}
-
-// readWAL loads one shard's log from r and replays it.
-func readWAL(r io.Reader) (recs []walRecord, discarded int64, err error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: read wal: %w", err)
-	}
-	recs, discarded = replayWAL(data)
-	return recs, discarded, nil
 }

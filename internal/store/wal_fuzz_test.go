@@ -31,7 +31,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte("{\"seqs\":[],\"obs\":[]}")) // unframed JSON
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, discarded := replayWAL(data)
+		recs, discarded := replayWAL(data, nil)
 		if discarded < 0 || discarded > int64(len(data)) {
 			t.Fatalf("discarded %d of %d bytes", discarded, len(data))
 		}
@@ -47,7 +47,7 @@ func FuzzWALRecord(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted record does not re-encode: %v", err)
 			}
-			back, rest, err := parseWALRecord(buf)
+			back, rest, err := parseWALRecord(buf, nil)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("re-encoded record does not re-parse: %v (%d trailing)", err, len(rest))
 			}
@@ -61,7 +61,7 @@ func FuzzWALRecord(f *testing.F) {
 		for _, r := range recs {
 			healed, _ = appendWALRecord(healed, r.Seqs, r.Obs)
 		}
-		again, discarded2 := replayWAL(healed)
+		again, discarded2 := replayWAL(healed, nil)
 		if len(again) != len(recs) || discarded2 != 0 {
 			t.Fatalf("healed log replayed %d records (%d torn bytes), want %d (0)",
 				len(again), discarded2, len(recs))
@@ -73,10 +73,10 @@ func FuzzWALRecord(f *testing.F) {
 // header promising an absurd payload must be treated as torn, not obeyed.
 func TestWALRecordRejectsOversizedFrame(t *testing.T) {
 	frame := []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}
-	if _, _, err := parseWALRecord(frame); err == nil {
+	if _, _, err := parseWALRecord(frame, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if recs, discarded := replayWAL(frame); len(recs) != 0 || discarded != int64(len(frame)) {
+	if recs, discarded := replayWAL(frame, nil); len(recs) != 0 || discarded != int64(len(frame)) {
 		t.Fatalf("oversized frame not discarded whole: %d recs, %d bytes", len(recs), discarded)
 	}
 }
@@ -98,7 +98,7 @@ func TestWALRecordChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec[len(rec)-2] ^= 0x40
-	if _, _, err := parseWALRecord(rec); err == nil {
+	if _, _, err := parseWALRecord(rec, nil); err == nil {
 		t.Fatal("corrupt payload passed the checksum")
 	}
 	if !bytes.Contains([]byte(errTornRecord.Error()), []byte("torn")) {
