@@ -95,21 +95,10 @@ func (s *Store) bucketRows() map[int64]int {
 }
 
 // dumpBucket feeds one bucket's observations to emit in global sequence
-// order (k-way merge of the shards' bucket posting lists), with each
-// row's sequence number — the segment writer's core. Every shard read
-// lock is held for the duration; emit must not call back into the store.
+// order (a merge of the shards' seq-sorted bucket lists), with each
+// row's sequence number — the segment writer's core.
 func (s *Store) dumpBucket(start int64, emit func(uint64, *Observation) error) error {
-	for si := range s.shards {
-		s.shards[si].mu.RLock()
-		defer s.shards[si].mu.RUnlock()
-	}
-	var lists [][]gref
-	for si := range s.shards {
-		if refs := orderedBySeq(s.shards[si].byBucket[start]); len(refs) > 0 {
-			lists = append(lists, refs)
-		}
-	}
-	return mergeEmit(lists, emit)
+	return s.dumpOrdered(func(sh *shard) []gref { return sh.byBucket[start] }, emit)
 }
 
 // rebucket rebuilds every shard's bucket index at a new width. Only for
@@ -136,7 +125,7 @@ func (s *Store) rebucket(secs int64) {
 func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	ns := newBucketed(s.bucketSecs)
 	var prunedRows uint64
-	err := s.dumpOrdered(func(seq uint64, o *Observation) error {
+	err := s.dumpOrdered(shardOrder, func(seq uint64, o *Observation) error {
 		if _, drop := dropped[bucketOf(o.Time, s.bucketSecs)]; drop {
 			prunedRows++
 			return nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,8 +42,8 @@ import (
 //
 // Opening a directory recovers it: the manifest's bucket segments load
 // first, then the logs' complete records; both carry their original
-// sequence numbers, so one global sort re-merges them into exact
-// admission order. If replay folded anything in (or anything was torn,
+// sequence numbers, so one sort of compact (sequence, position) keys
+// re-merges them into exact admission order. If replay folded anything in (or anything was torn,
 // lost, or due for retention/compression), the recovered state is
 // committed as a fresh generation; a clean restart reuses the committed
 // generation and skips the O(dataset) rewrite. Torn log tails and
@@ -414,8 +416,8 @@ func OpenReadOnly(dir string) (*Store, RecoveryReport, error) {
 
 // recoverDir rebuilds the dataset a directory holds: the manifest's live
 // buckets plus the log tail's complete records, all carrying their
-// original sequence numbers, merged by one global sort back into exact
-// admission order. The rebuilt store keeps every row's original sequence
+// original sequence numbers, put back into exact admission order by one
+// sort of compact keys (replayOrder). The rebuilt store keeps every row's original sequence
 // number and resumes the counter at the recovered maximum — replication
 // resumes by sequence, so a restart must never renumber rows out from
 // under a follower's cursor. Pruned buckets are simply absent from the
@@ -490,28 +492,59 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 			}
 		}
 	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a].seq < pending[b].seq })
+	order := replayOrder(pending)
 	// Replay under the original sequence numbers (recovery runs
 	// single-threaded, so addDirect is safe). Batch boundaries — the cut
 	// points replication frames on — are reconstructed at sequence gaps
 	// (a retention hole or a lost record always breaks contiguity) and at
 	// readBatch rows otherwise, the same chunking bulk loads use.
 	run := 0
-	for i := range pending {
-		mem.addDirect(pending[i].obs, pending[i].seq)
+	for k, key := range order {
+		mem.addDirect(pending[key.i].obs, key.seq)
 		run++
-		if run < readBatch && i+1 < len(pending) && pending[i+1].seq == pending[i].seq+1 {
+		if run < readBatch && k+1 < len(order) && order[k+1].seq == key.seq+1 {
 			continue
 		}
-		mem.batchEnds = append(mem.batchEnds, pending[i].seq)
+		mem.batchEnds = append(mem.batchEnds, key.seq)
 		run = 0
 	}
 	maxSeq := man.MaxSeq
-	if n := len(pending); n > 0 && pending[n-1].seq > maxSeq {
-		maxSeq = pending[n-1].seq
+	if n := len(order); n > 0 && order[n-1].seq > maxSeq {
+		maxSeq = order[n-1].seq
 	}
 	mem.seq.Store(maxSeq)
 	return mem, man, rep, nil
+}
+
+// seqKey is a recovered row's compact sort key: its sequence number and
+// its position in the load buffer.
+type seqKey struct {
+	seq uint64
+	i   int
+}
+
+// replayOrder returns the load buffer's rows in sequence order as keys.
+// Segments and log records each arrive in their own order, so the keys
+// — not the ~300-byte rows — are sorted, and not at all when the buffer
+// is already ordered.
+func replayOrder(pending []seqObs) []seqKey {
+	keys := make([]seqKey, len(pending))
+	sorted := true
+	for i := range pending {
+		keys[i] = seqKey{seq: pending[i].seq, i: i}
+		if i > 0 && pending[i].seq < pending[i-1].seq {
+			sorted = false
+		}
+	}
+	if !sorted {
+		slices.SortFunc(keys, func(a, b seqKey) int {
+			if c := cmp.Compare(a.seq, b.seq); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.i, b.i)
+		})
+	}
+	return keys
 }
 
 // checkpointLocked commits the memory engine's current state as a new

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"iter"
+	"slices"
 	"sort"
 	"time"
 )
@@ -84,88 +86,64 @@ func (q Query) bucketOverlaps(start, secs int64) bool {
 	return true
 }
 
-// seqObs carries one matched observation with its sequence number
-// through a cross-shard merge.
-type seqObs struct {
-	seq uint64
-	obs Observation
-}
-
-// collectRange gathers the shard's matching observations with sequence
-// numbers in (after, upto] under its read lock, choosing the narrowest
-// index for the query: a product's source posting, a product group, a
-// domain order, a source order, a time-bucket selection, or the shard
-// order. The window bounds how much one gather materializes for the
-// streaming/pagination layer.
-func (s *Store) collectRange(si int, q Query, after, upto uint64, out []seqObs) []seqObs {
+// collectRange gathers, under the shard's read lock, the refs of its
+// matching observations with sequence numbers in (after, upto] into rr,
+// as seq-sorted runs, choosing the narrowest index for the query: a
+// product group (or its source posting), a domain order, a source order,
+// a time-bucket selection, or the shard order. Index lists are
+// seq-sorted, so each is one binary search plus a walk of the window.
+func (s *Store) collectRange(si int, q *Query, after, upto uint64, rr *refRuns) {
 	sh := &s.shards[si]
-	inWindow := func(seq uint64) bool { return seq > after && seq <= upto }
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if q.Domain != "" && q.SKU != "" {
+	switch {
+	case q.Domain != "" && q.SKU != "":
 		g := sh.groups[Key{Domain: q.Domain, SKU: q.SKU}]
 		if g == nil {
-			return out
+			return
+		}
+		start := len(rr.refs)
+		add := func(pos int) {
+			if seq := g.seqs[pos]; seq > after && seq <= upto && q.match(&g.obs[pos]) {
+				rr.refs = append(rr.refs, seqRef{seq: seq, obs: &g.obs[pos]})
+			}
 		}
 		if q.Source != "" {
 			for _, pos := range g.bySource[q.Source] {
-				if o := &g.obs[pos]; inWindow(g.seqs[pos]) && q.match(o) {
-					out = append(out, seqObs{seq: g.seqs[pos], obs: *o})
-				}
+				add(int(pos))
 			}
-			return out
-		}
-		for pos := range g.obs {
-			if o := &g.obs[pos]; inWindow(g.seqs[pos]) && q.match(o) {
-				out = append(out, seqObs{seq: g.seqs[pos], obs: *o})
+		} else {
+			for pos := range g.obs {
+				add(pos)
 			}
 		}
-		return out
-	}
-	var order []gref
-	switch {
+		// Group storage keeps append order, which concurrent batches can
+		// interleave; one product's refs are few enough to sort.
+		slices.SortFunc(rr.refs[start:], func(a, b seqRef) int { return cmp.Compare(a.seq, b.seq) })
+		rr.cut()
 	case q.Domain != "":
-		di := sh.byDomain[q.Domain]
-		if di == nil {
-			return out
+		if di := sh.byDomain[q.Domain]; di != nil {
+			rr.appendWindow(di.order, q, after, upto)
 		}
-		order = di.order
 	case q.Source != "":
-		order = sh.bySource[q.Source]
+		rr.appendWindow(sh.bySource[q.Source], q, after, upto)
 	case q.timeBounded():
 		// Time-range pushdown: with no narrower index to walk, the range
 		// predicate selects whole bucket partitions instead of testing
 		// every row — a cold bucket outside the range is never touched.
-		// Rows re-sort by sequence at the Scan/ScanRange layer, so bucket
-		// visit order is free.
+		// Each bucket is its own run of the merge, so bucket visit order
+		// is free.
 		for b, refs := range sh.byBucket {
 			if !q.bucketOverlaps(b, s.bucketSecs) {
 				s.segSkipped.Add(1)
 				continue
 			}
 			s.segScanned.Add(1)
-			for _, r := range refs {
-				if !inWindow(r.seq()) {
-					continue
-				}
-				if o := r.obs(); q.match(o) {
-					out = append(out, seqObs{seq: r.seq(), obs: *o})
-				}
-			}
+			rr.appendWindow(refs, q, after, upto)
 		}
-		return out
 	default:
-		order = sh.order
+		rr.appendWindow(sh.order, q, after, upto)
 	}
-	for _, r := range order {
-		if !inWindow(r.seq()) {
-			continue
-		}
-		if o := r.obs(); q.match(o) {
-			out = append(out, seqObs{seq: r.seq(), obs: *o})
-		}
-	}
-	return out
 }
 
 // Scan streams matching observations in insertion order: ScanRange over
@@ -189,33 +167,26 @@ func (s *Store) Scan(q Query) iter.Seq[Observation] {
 // reordered by an in-flight batch).
 //
 // Domain-scoped queries walk a single shard's indexes; global queries
-// merge candidates across shards by sequence number. Each shard is
-// snapshotted under its read lock before any element is yielded, so the
-// caller's loop body never runs under a store lock and observations
-// admitted mid-iteration do not appear.
+// k-way merge the shards' seq-sorted runs. A window costs O(log n +
+// window): each index list binary-searches the window bounds, and no row
+// is sorted or copied before it is yielded. Each shard's refs are taken
+// under its read lock before any element is yielded, so the caller's
+// loop body never runs under a store lock and observations admitted
+// mid-iteration do not appear.
 func (s *Store) ScanRange(q Query, after, upto uint64) iter.Seq2[uint64, Observation] {
 	return func(yield func(uint64, Observation) bool) {
 		if after >= upto {
 			return
 		}
-		var rows []seqObs
+		var rr refRuns
 		if q.Domain != "" {
-			rows = s.collectRange(int(shardIdx(q.Domain)), q, after, upto, nil)
+			s.collectRange(int(shardIdx(q.Domain)), &q, after, upto, &rr)
 		} else {
 			for si := range s.shards {
-				rows = s.collectRange(si, q, after, upto, rows)
+				s.collectRange(si, &q, after, upto, &rr)
 			}
 		}
-		// Index orders follow shard append order, which is sequence order
-		// for every serial caller; sorting is a near-no-op then and
-		// restores global insertion order across shards and after
-		// concurrent batch interleavings.
-		sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
-		for i := range rows {
-			if !yield(rows[i].seq, rows[i].obs) {
-				return
-			}
-		}
+		rr.merge(func(r seqRef) bool { return yield(r.seq, *r.obs) })
 	}
 }
 

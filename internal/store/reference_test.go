@@ -31,27 +31,44 @@ func (s *linearRef) lenOK() int {
 func (s *linearRef) filter(q Query) []Observation {
 	var out []Observation
 	for _, o := range s.obs {
-		if q.Domain != "" && o.Domain != q.Domain {
-			continue
+		if refKeep(q, o) {
+			out = append(out, o)
 		}
-		if q.SKU != "" && o.SKU != q.SKU {
-			continue
-		}
-		if q.Source != "" && o.Source != q.Source {
-			continue
-		}
-		if q.VP != "" && o.VP != q.VP {
-			continue
-		}
-		if q.Round >= 0 && o.Round != q.Round {
-			continue
-		}
-		if q.OnlyOK && !o.OK {
-			continue
-		}
-		out = append(out, o)
 	}
 	return out
+}
+
+// refKeep is the oracle's per-row predicate: the Query field semantics,
+// checked one field at a time.
+func refKeep(q Query, o Observation) bool {
+	if q.Domain != "" && o.Domain != q.Domain {
+		return false
+	}
+	if q.SKU != "" && o.SKU != q.SKU {
+		return false
+	}
+	if q.Source != "" && o.Source != q.Source {
+		return false
+	}
+	if q.VP != "" && o.VP != q.VP {
+		return false
+	}
+	if q.Tenant != "" && o.Tenant != q.Tenant {
+		return false
+	}
+	if q.Round >= 0 && o.Round != q.Round {
+		return false
+	}
+	if q.OnlyOK && !o.OK {
+		return false
+	}
+	if !q.Since.IsZero() && o.Time.Before(q.Since) {
+		return false
+	}
+	if !q.Until.IsZero() && !o.Time.Before(q.Until) {
+		return false
+	}
+	return true
 }
 
 func (s *linearRef) domains() []string {

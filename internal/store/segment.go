@@ -292,6 +292,13 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// seqObs is one recovered row with its sequence number, as loaded from
+// a segment or the log tail.
+type seqObs struct {
+	seq uint64
+	obs Observation
+}
+
 // loadSegment streams one snapshot segment's (seq, observation) rows
 // into dst, tolerating a truncated tail: complete rows load, the first
 // broken row ends the segment, and the shortfall against the manifest's

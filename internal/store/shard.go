@@ -1,6 +1,9 @@
 package store
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // shardBits fixes the shard count. 16 shards keep lock contention
 // negligible for a 14-way vantage-point fan-out plus crawler parallelism
@@ -40,8 +43,8 @@ type keyGroup struct {
 }
 
 // gref addresses one observation: the group it lives in plus its
-// position there. Order lists of grefs give the shard its insertion
-// sequence without storing the dataset twice.
+// position there. Index lists of grefs give the shard its sequence
+// order without storing the dataset twice.
 type gref struct {
 	g   *keyGroup
 	pos int32
@@ -56,27 +59,34 @@ func (r gref) seq() uint64 { return r.g.seqs[r.pos] }
 
 // domainIndex is the posting state of one domain.
 type domainIndex struct {
-	// order lists the domain's observations in append order.
+	// order lists the domain's observations in sequence order.
 	order []gref
 	// skus is the domain's distinct product set.
 	skus map[string]struct{}
 }
 
 // shard is one independently-locked partition of the store.
+//
+// Every gref index list (order, domainIndex.order, bySource, byBucket)
+// is kept sorted by sequence number at add time (insertBySeq), so an
+// ordered read binary-searches its window start and merges shards
+// without sorting rows. Unlike keyGroup storage, the lists are not
+// append-only — an out-of-order insert shifts their tail — so they are
+// only ever read under mu.
 type shard struct {
 	mu sync.RWMutex
 	// ok counts successful extractions.
 	ok int
 	// groups is the primary storage, keyed by product.
 	groups map[Key]*keyGroup
-	// order lists every observation in append order — the shard's
+	// order lists every observation in sequence order — the shard's
 	// contribution to global insertion-order scans and serialization.
 	order []gref
 	// byDomain indexes each domain's observations and SKU set — the
 	// Filter{Domain} and Products fast paths.
 	byDomain map[string]*domainIndex
-	// bySource lists observations per campaign source in append order —
-	// the Filter{Source} fast path.
+	// bySource lists observations per campaign source in sequence
+	// order — the Filter{Source} fast path.
 	bySource map[string][]gref
 	// okBySource counts successful extractions per campaign source.
 	okBySource map[string]int
@@ -87,8 +97,8 @@ type shard struct {
 	byTenant   map[string]int
 	okByTenant map[string]int
 	// byBucket lists observations per time bucket (keyed by bucket
-	// start, unix seconds) in append order — the unit durable segments,
-	// retention and time-range pushdown partition by.
+	// start, unix seconds) in sequence order — the unit durable
+	// segments, retention and time-range pushdown partition by.
 	byBucket map[int64][]gref
 }
 
@@ -121,18 +131,18 @@ func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 	g.bySource[o.Source] = append(g.bySource[o.Source], pos)
 
 	r := gref{g: g, pos: pos}
-	sh.order = append(sh.order, r)
+	sh.order = insertBySeq(sh.order, r, seq)
 
 	di := sh.byDomain[o.Domain]
 	if di == nil {
 		di = &domainIndex{skus: make(map[string]struct{})}
 		sh.byDomain[o.Domain] = di
 	}
-	di.order = append(di.order, r)
+	di.order = insertBySeq(di.order, r, seq)
 	di.skus[o.SKU] = struct{}{}
 
-	sh.bySource[o.Source] = append(sh.bySource[o.Source], r)
-	sh.byBucket[bucket] = append(sh.byBucket[bucket], r)
+	sh.bySource[o.Source] = insertBySeq(sh.bySource[o.Source], r, seq)
+	sh.byBucket[bucket] = insertBySeq(sh.byBucket[bucket], r, seq)
 	sh.byVP[o.VP]++
 	if o.Tenant != "" {
 		sh.byTenant[o.Tenant]++
@@ -144,4 +154,28 @@ func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 			sh.okByTenant[o.Tenant]++
 		}
 	}
+}
+
+// insertBySeq adds r (whose sequence number is seq) to a seq-sorted
+// index list, keeping it sorted. Serial writers always append; only a
+// batch that reserved its sequences before a concurrent, later-reserved
+// batch took the shard lock lands below the tail, and then it moves back
+// past just the few rows that overtook it.
+func insertBySeq(list []gref, r gref, seq uint64) []gref {
+	list = append(list, r)
+	i := len(list) - 1
+	for i > 0 && list[i-1].seq() > seq {
+		i--
+	}
+	if i < len(list)-1 {
+		copy(list[i+1:], list[i:len(list)-1])
+		list[i] = r
+	}
+	return list
+}
+
+// searchSeq returns the index of the first entry of a seq-sorted list
+// whose sequence number is above after.
+func searchSeq(list []gref, after uint64) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].seq() > after })
 }

@@ -157,5 +157,25 @@ func TestConcurrentAdd(t *testing.T) {
 		if s.Len() != 1000 {
 			t.Fatalf("Len = %d", s.Len())
 		}
+		// Twenty writers on one shard apply their reservations out of
+		// order; every index list must still read back in sequence order.
+		switch st := s.(type) {
+		case *Store:
+			assertIndexesSorted(t, st)
+		case *Durable:
+			assertIndexesSorted(t, st.mem.Load())
+		}
+		for _, q := range []Query{{Round: -1}, {Domain: "c.com", Round: -1}, {Source: SourceCrawl, Round: -1}} {
+			n, prev := 0, uint64(0)
+			for seq := range s.ScanRange(q, 0, s.Watermark()) {
+				if seq <= prev {
+					t.Fatalf("%+v: seq %d after %d", q, seq, prev)
+				}
+				n, prev = n+1, seq
+			}
+			if n != 1000 {
+				t.Fatalf("%+v: %d rows, want 1000", q, n)
+			}
+		}
 	})
 }
