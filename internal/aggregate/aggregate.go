@@ -292,8 +292,8 @@ func (e *Engine) rebuild() {
 	}
 }
 
-// fold is the write observer: applied batches land here, after their
-// rows are visible to readers.
+// fold is the write observer: applied batches land here one at a time,
+// in sequence order, inside the writer's turn (see store.Observer).
 func (e *Engine) fold(batch []store.Observation) {
 	e.foldBatch(batch, nil)
 }
@@ -301,9 +301,10 @@ func (e *Engine) fold(batch []store.Observation) {
 // foldBatch folds one batch. When deferTouched is non-nil (rebuild),
 // detector recomputes and flag evaluation are deferred: touched products
 // are recorded there instead. Otherwise (live writes) each touched
-// product's verdict is recomputed immediately — inside the domain's
-// shard lock, reading the store, so concurrent folds of one domain
-// serialize and the last one reads every applied batch.
+// product's verdict is recomputed immediately from the store, which
+// inside the writer's turn holds exactly the rows up to this batch — so
+// the verdicts and the events they emit depend only on the sequence
+// order, never on how writers interleaved.
 func (e *Engine) foldBatch(batch []store.Observation, deferTouched map[string]map[string]struct{}) {
 	if len(batch) == 0 {
 		return

@@ -1,6 +1,8 @@
 package aggregate_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
@@ -300,6 +302,30 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 	}
 	if got, want := eng.Stats().ObservationsFolded, uint64(st.Len()); got != want {
 		t.Fatalf("ObservationsFolded=%d, want %d", got, want)
+	}
+	// Folds run in sequence order whatever the writer interleaving, so a
+	// follower fed the same batches in sequence order must emit the same
+	// event log, byte for byte.
+	if eng.Events().Len() == 0 {
+		t.Fatal("no events to compare")
+	}
+	fst := store.New()
+	feng := aggregate.New(fst, market, aggregate.Options{})
+	for seqs, batch := range st.ScanBatches(0, st.Watermark()) {
+		if err := fst.ApplyAt(seqs, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := json.Marshal(eng.Events().After(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(feng.Events().After(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("event logs differ under concurrent writers:\n primary  %.400s\n follower %.400s", got, want)
 	}
 	// Quiesced aggregates must equal full recomputation — the concurrency
 	// convergence contract.

@@ -49,8 +49,7 @@ const cursorPrefix = "v1:"
 // served — into an opaque cursor. Sequence numbers are assigned once
 // and never reused, and pages only read up to the store's applied
 // watermark, so a cursor resumes exactly after its page even while
-// concurrent batches append (and even when those batches become visible
-// out of reservation order).
+// concurrent batches append.
 func encodeCursor(seq uint64) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(cursorPrefix + strconv.FormatUint(seq, 10)))
 }

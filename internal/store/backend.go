@@ -26,8 +26,8 @@ type Reader interface {
 	// layer pages and streams on.
 	ScanRange(q Query, after, upto uint64) iter.Seq2[uint64, Observation]
 	// Watermark is the largest sequence with every observation at or
-	// below it applied; (cursor, Watermark] is the stable read window
-	// under concurrent appends.
+	// below it applied and folded; (cursor, Watermark] is the stable
+	// read window under concurrent appends.
 	Watermark() uint64
 	// Filter returns matching observations in insertion order.
 	Filter(q Query) []Observation
@@ -61,8 +61,10 @@ type Backend interface {
 	// AddAll appends a batch, preserving batch order.
 	AddAll(os []Observation)
 	// SetObserver installs the write-path observer: fn receives every
-	// applied batch after its rows are visible to readers. Install before
-	// concurrent writers start; nil removes it.
+	// applied batch in sequence order, inside the writer's turn — after
+	// its rows are visible to readers, before the watermark passes them.
+	// fn must not write to the store. Install before concurrent writers
+	// start; nil removes it.
 	SetObserver(fn Observer)
 }
 

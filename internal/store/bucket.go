@@ -118,10 +118,11 @@ func (s *Store) rebucket(secs int64) {
 // rebuildWithout builds a fresh store holding every row except those in
 // the dropped buckets, preserving each surviving row's original sequence
 // number — live cursors keep meaning the same rows, holes in the
-// sequence space are invisible to every read path. The sequence counter,
-// observer hook and scan counters carry over. The caller must exclude
-// writers (the durable engine holds its write gate); concurrent readers
-// of the old store are safe — it is never mutated.
+// sequence space are invisible to every read path. The sequence counter
+// (as the watermark too), observer hook and scan counters carry over.
+// The caller must exclude writers (the durable engine holds its write
+// gate); concurrent readers of the old store are safe — it is never
+// mutated.
 func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	ns := newBucketed(s.bucketSecs)
 	var prunedRows uint64
@@ -135,6 +136,7 @@ func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	})
 	_ = err // the emit above never fails
 	ns.seq.Store(s.seq.Load())
+	ns.applied.Store(s.seq.Load())
 	s.wmMu.Lock()
 	ns.batchEnds = append(ns.batchEnds, s.batchEnds...)
 	s.wmMu.Unlock()

@@ -513,6 +513,7 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 		maxSeq = order[n-1].seq
 	}
 	mem.seq.Store(maxSeq)
+	mem.applied.Store(maxSeq)
 	return mem, man, rep, nil
 }
 
@@ -831,9 +832,13 @@ func (d *Durable) SetPruneHook(fn func()) {
 // AddAll logs the batch shard by shard, then applies it to the memory
 // engine — identical sequence numbers on both sides, so recovery replays
 // the log into exactly the order live readers saw. Under FsyncAlways the
-// involved logs are fsynced before AddAll returns. Write errors (disk
-// full, closed store) do not panic mid-campaign: the batch stays visible
-// in memory, the failure is sticky and surfaces on Sync and Close.
+// involved logs are fsynced before AddAll returns. The log write and
+// fsync run before the batch waits for its turn to apply, so concurrent
+// batches still overlap their fsyncs; only the memory apply and the
+// observer's fold run one batch at a time, in sequence order. Write
+// errors (disk full, closed store) do not panic mid-campaign: the batch
+// stays visible in memory, the failure is sticky and surfaces on Sync
+// and Close.
 func (d *Durable) AddAll(os_ []Observation) {
 	if len(os_) == 0 {
 		return
@@ -891,7 +896,7 @@ func (d *Durable) AddAll(os_ []Observation) {
 		}
 	}
 
-	mem.addAllAt(os_, base)
+	mem.apply(os_, nil, base)
 
 	if t := d.opts.CompactWALBytes; t > 0 && d.walBytes.Load() >= t {
 		// The trigger upgrades to the exclusive gate on its own

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,7 +17,7 @@ type seqModel struct {
 }
 
 // put records a batch admitted under base (row i gets base+i+1). Call in
-// base order, whatever order the store applied the batches in.
+// base order.
 func (m *seqModel) put(base uint64, batch []Observation) {
 	for i, o := range batch {
 		m.add(o)
@@ -110,33 +111,42 @@ func sameShardDomain(t *testing.T, d string) string {
 	return ""
 }
 
-// TestReversedBatchesKeepSeqOrder applies reserved batches on one shard
-// in reverse reservation order — the interleaving concurrent writers
-// produce when a later-reserved batch takes the shard lock first — and
-// checks that the index lists stay seq-sorted and that every ordered
-// read path (ScanRange windows of each query shape, Scan, WriteJSONL,
-// and the same after a retention hole) still yields sequence order.
-func TestReversedBatchesKeepSeqOrder(t *testing.T) {
+// TestConcurrentBatchesKeepSeqOrder reserves batches on one shard and
+// applies them from concurrent goroutines started newest first — the
+// interleaving in which a later-reserved batch reaches the shard first —
+// and checks that the index lists stay seq-sorted and that every
+// ordered read path (ScanRange windows of each query shape, Scan,
+// WriteJSONL, and the same after a retention hole) yields sequence
+// order.
+func TestConcurrentBatchesKeepSeqOrder(t *testing.T) {
 	s := New()
 	m := &seqModel{}
-	serial := func(batch []Observation) {
-		base := s.reserve(len(batch))
-		s.addAllAt(batch, base)
-		m.put(base, batch)
-	}
-	reversed := func(a, b []Observation) {
-		baseA, baseB := s.reserve(len(a)), s.reserve(len(b))
-		s.addAllAt(b, baseB)
-		s.addAllAt(a, baseA)
-		m.put(baseA, a)
-		m.put(baseB, b)
+	// concurrent reserves the batches in order, then applies them on one
+	// goroutine each, the last-reserved started first.
+	concurrent := func(batches ...[]Observation) {
+		bases := make([]uint64, len(batches))
+		for i, b := range batches {
+			bases[i] = s.reserve(len(b))
+		}
+		var wg sync.WaitGroup
+		for i := len(batches) - 1; i >= 0; i-- {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s.apply(batches[i], nil, bases[i])
+			}(i)
+		}
+		wg.Wait()
+		for i, b := range batches {
+			m.put(bases[i], b)
+		}
 	}
 
 	const d = "www.shop03.example"
 	twin := sameShardDomain(t, d)
 	day := time.Date(2013, 2, 5, 9, 0, 0, 0, time.UTC)
-	// mk builds a batch sharing domain, source and time bucket, so an
-	// overtaken batch lands below the tail of all four index lists.
+	// mk builds a batch sharing domain, source and time bucket, so
+	// concurrent batches contend for the tail of all four index lists.
 	mk := func(domain, source string, skus ...string) []Observation {
 		out := make([]Observation, len(skus))
 		for i, sku := range skus {
@@ -150,21 +160,12 @@ func TestReversedBatchesKeepSeqOrder(t *testing.T) {
 	}
 
 	obs := seedObservations(7, 24)
-	serial(obs[:8])
-	reversed(mk(d, SourceCrowd, "P-1", "P-2", "P-1", "P-3"), mk(d, SourceCrowd, "P-1", "P-2", "P-4"))
-	serial(obs[8:16])
-	reversed(mk(d, SourceCrawl, "P-2", "P-1"), mk(twin, SourceCrawl, "P-9", "P-9", "P-8"))
-	// Three batches applied newest first: the oldest row moves back past
-	// two batches.
-	a, b, c := mk(d, SourceCrowd, "P-1"), mk(d, SourceCrowd, "P-1", "P-2"), mk(d, SourceCrawl, "P-1")
-	baseA, baseB, baseC := s.reserve(len(a)), s.reserve(len(b)), s.reserve(len(c))
-	s.addAllAt(c, baseC)
-	s.addAllAt(b, baseB)
-	s.addAllAt(a, baseA)
-	m.put(baseA, a)
-	m.put(baseB, b)
-	m.put(baseC, c)
-	serial(obs[16:])
+	concurrent(obs[:8])
+	concurrent(mk(d, SourceCrowd, "P-1", "P-2", "P-1", "P-3"), mk(d, SourceCrowd, "P-1", "P-2", "P-4"))
+	concurrent(obs[8:16])
+	concurrent(mk(d, SourceCrawl, "P-2", "P-1"), mk(twin, SourceCrawl, "P-9", "P-9", "P-8"))
+	concurrent(mk(d, SourceCrowd, "P-1"), mk(d, SourceCrowd, "P-1", "P-2"), mk(d, SourceCrawl, "P-1"))
+	concurrent(obs[16:])
 
 	since := time.Date(2013, 1, 25, 12, 30, 0, 0, time.UTC)
 	until := time.Date(2013, 3, 20, 6, 0, 0, 0, time.UTC)
@@ -201,7 +202,7 @@ func TestReversedBatchesKeepSeqOrder(t *testing.T) {
 		bucketOf(obs[18].Time, s.bucketSecs): {},
 	}
 	if _, hit := dropped[bucketOf(day, s.bucketSecs)]; hit {
-		t.Fatal("retention hole would drop the reversed batches")
+		t.Fatal("retention hole would drop the concurrent batches")
 	}
 	ns, pruned := s.rebuildWithout(dropped)
 	nm := m.without(dropped, s.bucketSecs)

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"cmp"
 	"iter"
-	"slices"
 	"sort"
 	"time"
 )
@@ -102,7 +100,6 @@ func (s *Store) collectRange(si int, q *Query, after, upto uint64, rr *refRuns) 
 		if g == nil {
 			return
 		}
-		start := len(rr.refs)
 		add := func(pos int) {
 			if seq := g.seqs[pos]; seq > after && seq <= upto && q.match(&g.obs[pos]) {
 				rr.refs = append(rr.refs, seqRef{seq: seq, obs: &g.obs[pos]})
@@ -117,9 +114,6 @@ func (s *Store) collectRange(si int, q *Query, after, upto uint64, rr *refRuns) 
 				add(pos)
 			}
 		}
-		// Group storage keeps append order, which concurrent batches can
-		// interleave; one product's refs are few enough to sort.
-		slices.SortFunc(rr.refs[start:], func(a, b seqRef) int { return cmp.Compare(a.seq, b.seq) })
 		rr.cut()
 	case q.Domain != "":
 		if di := sh.byDomain[q.Domain]; di != nil {
@@ -163,8 +157,8 @@ func (s *Store) Scan(q Query) iter.Seq[Observation] {
 // number. The HTTP layer pages and streams large datasets window by
 // window, so no single gather materializes more than one window of rows.
 // Pair upto with Watermark() to read only the stable prefix (every
-// sequence at or below the watermark is applied and can never be
-// reordered by an in-flight batch).
+// sequence at or below the watermark is applied, and no later row can
+// land below it).
 //
 // Domain-scoped queries walk a single shard's indexes; global queries
 // k-way merge the shards' seq-sorted runs. A window costs O(log n +
@@ -300,9 +294,6 @@ func yieldViews(views []groupView, gathered int, yield func(Key, []Observation) 
 			// collide with the store's next write.
 			group = group[:len(group):len(group)]
 		}
-		if !gv.inOrder() {
-			group = gv.sortedCopy(group)
-		}
 		if !yield(gv.k, group) {
 			return false
 		}
@@ -367,55 +358,6 @@ func (s *Store) DomainGroups(domain, source string) iter.Seq2[Key, []Observation
 		sh.mu.RUnlock()
 		yieldViews(views, gathered, yield)
 	}
-}
-
-// inOrder reports whether the view's selected observations already
-// follow global sequence order — always true for serial writers; only
-// concurrent batch interleavings on one product can break it.
-func (gv groupView) inOrder() bool {
-	if gv.posts != nil {
-		for j := 1; j < len(gv.posts); j++ {
-			if gv.seqs[gv.posts[j-1]] > gv.seqs[gv.posts[j]] {
-				return false
-			}
-		}
-		return true
-	}
-	for j := 1; j < len(gv.seqs); j++ {
-		if gv.seqs[j-1] > gv.seqs[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedCopy re-sorts the selected group into sequence order (copying
-// first when the group was a zero-copy view).
-func (gv groupView) sortedCopy(group []Observation) []Observation {
-	seqs := make([]uint64, len(group))
-	if gv.posts != nil {
-		for j, pos := range gv.posts {
-			seqs[j] = gv.seqs[pos]
-		}
-	} else {
-		group = append([]Observation(nil), group...)
-		copy(seqs, gv.seqs)
-	}
-	sort.Sort(&bySeq{seqs: seqs, obs: group})
-	return group
-}
-
-// bySeq sorts a group and its sequence numbers together.
-type bySeq struct {
-	seqs []uint64
-	obs  []Observation
-}
-
-func (b *bySeq) Len() int           { return len(b.seqs) }
-func (b *bySeq) Less(i, j int) bool { return b.seqs[i] < b.seqs[j] }
-func (b *bySeq) Swap(i, j int) {
-	b.seqs[i], b.seqs[j] = b.seqs[j], b.seqs[i]
-	b.obs[i], b.obs[j] = b.obs[j], b.obs[i]
 }
 
 // GroupByProduct partitions observations of one source by product key.

@@ -119,11 +119,11 @@ func NewReplicationEpoch() uint64 {
 // ApplyAt appends a replicated batch under the primary's sequence
 // numbers: seqs must be strictly increasing and entirely above this
 // store's current sequence counter (gaps are fine — retention on the
-// primary leaves holes). It is the follower-side counterpart of AddAll:
-// rows become visible under the same watermark discipline, and the
-// observer (the incremental analysis fold) fires after the batch is
-// visible. A store has exactly one applier — ApplyAt must not run
-// concurrently with itself or with AddAll.
+// primary leaves holes). It is the follower-side counterpart of AddAll
+// and applies through the same path: rows become visible, the observer
+// (the incremental analysis fold) runs, and only then does the watermark
+// move to the batch's last sequence. A store has exactly one applier —
+// ApplyAt must not run concurrently with itself or with AddAll.
 func (s *Store) ApplyAt(seqs []uint64, obs []Observation) error {
 	if len(seqs) == 0 {
 		return nil
@@ -136,52 +136,19 @@ func (s *Store) ApplyAt(seqs []uint64, obs []Observation) error {
 			return fmt.Errorf("store: ApplyAt: sequence numbers not strictly increasing (%d after %d)", seqs[i], seqs[i-1])
 		}
 	}
+	// Reserve the batch's whole range: the counter jumps to the batch
+	// end, and the batch applies in the turn after cur.
+	last := seqs[len(seqs)-1]
+	s.wmMu.Lock()
 	cur := s.seq.Load()
 	if seqs[0] <= cur {
+		s.wmMu.Unlock()
 		return fmt.Errorf("store: ApplyAt: sequence %d not above the applied counter %d", seqs[0], cur)
 	}
-	last := seqs[len(seqs)-1]
-	// Reserve the batch's whole range: the counter jumps to the batch
-	// end, and the in-flight marker at cur holds the watermark below the
-	// batch until every row is visible.
-	s.wmMu.Lock()
-	s.inflight[cur] = struct{}{}
 	s.seq.Store(last)
 	s.batchEnds = append(s.batchEnds, last)
 	s.wmMu.Unlock()
-
-	newest := noObservations
-	for i := range obs {
-		if u := obs[i].Time.Unix(); u > newest {
-			newest = u
-		}
-	}
-	groups, single := groupByShard(obs)
-	if single >= 0 {
-		sh := &s.shards[single]
-		sh.mu.Lock()
-		for i := range obs {
-			sh.add(obs[i], seqs[i], bucketOf(obs[i].Time, s.bucketSecs))
-		}
-		sh.mu.Unlock()
-	} else {
-		for si := range groups {
-			if len(groups[si]) == 0 {
-				continue
-			}
-			sh := &s.shards[si]
-			sh.mu.Lock()
-			for _, i := range groups[si] {
-				sh.add(obs[i], seqs[i], bucketOf(obs[i].Time, s.bucketSecs))
-			}
-			sh.mu.Unlock()
-		}
-	}
-	maxUnixUpdate(&s.maxUnix, newest)
-	s.applied(cur)
-	if fn := s.observer; fn != nil {
-		fn(obs)
-	}
+	s.apply(obs, seqs, cur)
 	return nil
 }
 

@@ -34,7 +34,7 @@ func shardIdx(domain string) uint32 {
 // shard's read lock stays valid forever.
 type keyGroup struct {
 	// obs and seqs hold the group's observations and their global
-	// sequence numbers, in append order.
+	// sequence numbers, in append order, which is sequence order.
 	obs  []Observation
 	seqs []uint64
 	// bySource posts group-local observation positions per campaign
@@ -67,12 +67,11 @@ type domainIndex struct {
 
 // shard is one independently-locked partition of the store.
 //
-// Every gref index list (order, domainIndex.order, bySource, byBucket)
-// is kept sorted by sequence number at add time (insertBySeq), so an
-// ordered read binary-searches its window start and merges shards
-// without sorting rows. Unlike keyGroup storage, the lists are not
-// append-only — an out-of-order insert shifts their tail — so they are
-// only ever read under mu.
+// Rows arrive in sequence order (batches apply in reservation order, see
+// Store.apply), so every gref index list (order, domainIndex.order,
+// bySource, byBucket) and every keyGroup is seq-sorted by appending
+// alone: an ordered read binary-searches its window start and merges
+// shards without sorting rows.
 type shard struct {
 	mu sync.RWMutex
 	// ok counts successful extractions.
@@ -115,9 +114,10 @@ func (sh *shard) init() {
 }
 
 // add appends one observation and updates every index; bucket is the
-// observation's time bucket start. Caller holds mu. Groups address
-// observations with int32 positions; at ~2 billion observations per
-// product the store must grow a wider posting type.
+// observation's time bucket start. Caller holds mu and adds rows in
+// increasing sequence order, which keeps every list sorted. Groups
+// address observations with int32 positions; at ~2 billion observations
+// per product the store must grow a wider posting type.
 func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 	k := Key{Domain: o.Domain, SKU: o.SKU}
 	g := sh.groups[k]
@@ -131,18 +131,18 @@ func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 	g.bySource[o.Source] = append(g.bySource[o.Source], pos)
 
 	r := gref{g: g, pos: pos}
-	sh.order = insertBySeq(sh.order, r, seq)
+	sh.order = append(sh.order, r)
 
 	di := sh.byDomain[o.Domain]
 	if di == nil {
 		di = &domainIndex{skus: make(map[string]struct{})}
 		sh.byDomain[o.Domain] = di
 	}
-	di.order = insertBySeq(di.order, r, seq)
+	di.order = append(di.order, r)
 	di.skus[o.SKU] = struct{}{}
 
-	sh.bySource[o.Source] = insertBySeq(sh.bySource[o.Source], r, seq)
-	sh.byBucket[bucket] = insertBySeq(sh.byBucket[bucket], r, seq)
+	sh.bySource[o.Source] = append(sh.bySource[o.Source], r)
+	sh.byBucket[bucket] = append(sh.byBucket[bucket], r)
 	sh.byVP[o.VP]++
 	if o.Tenant != "" {
 		sh.byTenant[o.Tenant]++
@@ -154,24 +154,6 @@ func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 			sh.okByTenant[o.Tenant]++
 		}
 	}
-}
-
-// insertBySeq adds r (whose sequence number is seq) to a seq-sorted
-// index list, keeping it sorted. Serial writers always append; only a
-// batch that reserved its sequences before a concurrent, later-reserved
-// batch took the shard lock lands below the tail, and then it moves back
-// past just the few rows that overtook it.
-func insertBySeq(list []gref, r gref, seq uint64) []gref {
-	list = append(list, r)
-	i := len(list) - 1
-	for i > 0 && list[i-1].seq() > seq {
-		i--
-	}
-	if i < len(list)-1 {
-		copy(list[i+1:], list[i:len(list)-1])
-		list[i] = r
-	}
-	return list
 }
 
 // searchSeq returns the index of the first entry of a seq-sorted list

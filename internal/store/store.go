@@ -19,8 +19,9 @@
 // adapters over them.
 //
 // Ordering: every observation receives a global sequence number when it
-// is admitted, and all query and serialization paths yield observations
-// in sequence order. For any serial sequence of Add/AddAll calls this is
+// is admitted, batches apply in sequence order even under concurrent
+// writers, and all query and serialization paths yield observations in
+// sequence order. For any serial sequence of Add/AddAll calls this is
 // exactly insertion order, so WriteJSONL emits byte-identical output to
 // the historical single-slice engine.
 package store
@@ -124,14 +125,19 @@ type Store struct {
 	segScanned atomic.Uint64
 	segSkipped atomic.Uint64
 
-	// wmMu guards inflight: the bases of batches whose sequence numbers
-	// are reserved but not yet fully applied to the shards. The applied
-	// watermark (Watermark) is the largest sequence below every in-flight
-	// reservation — everything at or below it is visible, so cursor
-	// pagination can promise a stable prefix even while concurrent
-	// batches apply out of reservation order.
-	wmMu     sync.Mutex
-	inflight map[uint64]struct{}
+	// wmMu guards the write order. Batches apply strictly in reservation
+	// order: applied is the last sequence of the newest applied batch,
+	// and a batch applies only once applied reaches its base. A writer
+	// whose batch is not next parks it in waiting, keyed by base; the
+	// writer that publishes the sequence just below a parked batch
+	// applies that batch too, so the turn passes along the queue without
+	// waiting for a goroutine to be scheduled. Every index list thus
+	// grows by appending in sequence order, and applied is the
+	// watermark: everything at or below it is visible and folded, and no
+	// row below it can still appear.
+	wmMu    sync.Mutex
+	waiting map[uint64]queued
+	applied atomic.Uint64
 	// batchEnds records, strictly increasing, the last sequence number of
 	// every admitted batch (guarded by wmMu, appended at reservation
 	// time). Replication ships the WAL batch-at-a-time, and derived state
@@ -148,10 +154,16 @@ type Store struct {
 // observation time, including zero time.Time values.
 const noObservations = int64(-1 << 62)
 
-// Observer receives each applied batch on the writer's goroutine, after
-// the batch's rows are visible to readers and its reservation released —
-// the write-path fold hook the incremental analysis engine hangs off.
-// The slice is the caller's; treat it as read-only and do not retain it.
+// Observer receives each applied batch inside the batch's turn: after
+// its rows are visible to readers and before the watermark moves past
+// them or any later batch applies — the write-path fold hook the
+// incremental analysis engine hangs off. It runs on the goroutine of
+// the writer holding the turn, which may be a writer whose own batch
+// applied just before this one. An observer may read the store, which
+// holds exactly the rows up to its batch, but must not write to it (the
+// write would wait for the turn the observer holds) and must not panic
+// (later writers would wait for a turn that never ends). The slice is
+// the caller's; treat it as read-only and do not retain it.
 type Observer func(batch []Observation)
 
 // New returns an empty store with the default (daily) bucket width.
@@ -165,7 +177,7 @@ func newBucketed(bucketSecs int64) *Store {
 	if bucketSecs <= 0 {
 		bucketSecs = DefaultBucketSeconds
 	}
-	s := &Store{bucketSecs: bucketSecs, inflight: make(map[uint64]struct{})}
+	s := &Store{bucketSecs: bucketSecs, waiting: make(map[uint64]queued)}
 	s.maxUnix.Store(noObservations)
 	for i := range s.shards {
 		s.shards[i].init()
@@ -173,10 +185,11 @@ func newBucketed(bucketSecs int64) *Store {
 	return s
 }
 
-// SetObserver installs the write-path observer (nil removes it). Install
-// before concurrent writers start — typically right after construction or
-// recovery — and fold the store's existing contents first: batches applied
-// while no observer is set are not replayed.
+// SetObserver installs the write-path observer (nil removes it; see
+// Observer for where it runs). Install before concurrent writers start —
+// typically right after construction or recovery — and fold the store's
+// existing contents first: batches applied while no observer is set are
+// not replayed.
 func (s *Store) SetObserver(fn Observer) { s.observer = fn }
 
 // Add appends one observation. It routes through AddAll so the write
@@ -188,59 +201,92 @@ func (s *Store) Add(o Observation) {
 // AddAll appends a batch, preserving batch order in the store's global
 // sequence (a backend check's 14 per-VP observations or a crawler
 // product-round land with one reservation and, when they share a domain,
-// one lock acquisition).
+// one lock acquisition). Concurrent calls apply in reservation order.
 func (s *Store) AddAll(os []Observation) {
 	if len(os) == 0 {
 		return
 	}
-	s.addAllAt(os, s.reserve(len(os)))
+	s.apply(os, nil, s.reserve(len(os)))
 }
 
 // reserve claims n consecutive sequence numbers and returns the base: the
 // i-th observation of the batch gets sequence base+i+1. The durable
 // engine reserves before logging so WAL records carry the same sequence
-// numbers the memory engine assigns. The reservation is tracked as
-// in-flight (holding the watermark below it) until the matching
-// applied(base) — addAllAt releases it.
+// numbers the memory engine assigns. The batch must then be applied
+// (apply with this base): every later batch waits for it.
 func (s *Store) reserve(n int) uint64 {
 	s.wmMu.Lock()
 	base := s.seq.Add(uint64(n)) - uint64(n)
-	s.inflight[base] = struct{}{}
 	s.batchEnds = append(s.batchEnds, base+uint64(n))
 	s.wmMu.Unlock()
 	return base
 }
 
-// applied releases a reservation once its batch is fully visible.
-func (s *Store) applied(base uint64) {
-	s.wmMu.Lock()
-	delete(s.inflight, base)
-	s.wmMu.Unlock()
-}
-
 // Watermark returns the largest sequence number S such that every
-// observation with sequence <= S has been fully applied: reservations
-// hand out sequence numbers before batches take shard locks, so a batch
-// with higher sequences can become visible before an earlier one — below
-// the watermark that can no longer happen, which is what makes
-// seq-based pagination cursors stable under concurrent appends.
-func (s *Store) Watermark() uint64 {
-	s.wmMu.Lock()
-	defer s.wmMu.Unlock()
-	w := s.seq.Load()
-	for base := range s.inflight {
-		if base < w {
-			w = base
-		}
-	}
-	return w
+// observation with sequence <= S has been applied and folded into the
+// observer. Batches apply in reservation order, so no row at or below
+// the watermark can still appear — which is what makes seq-based
+// pagination cursors stable under concurrent appends.
+func (s *Store) Watermark() uint64 { return s.applied.Load() }
+
+// queued is a batch parked until its turn: its rows, their explicit
+// sequences (nil on the primary) and the channel closed once it applied.
+type queued struct {
+	os   []Observation
+	seqs []uint64
+	done chan struct{}
 }
 
-// addAllAt appends a batch under an already-reserved sequence base,
-// releases the reservation, then hands the batch to the observer (if
-// any) — outside every shard lock, so an observer may freely read the
-// store.
-func (s *Store) addAllAt(os []Observation, base uint64) {
+// rowSeq is row i's sequence number in a batch: seqs[i] when the batch
+// carries explicit sequences, base+i+1 otherwise.
+func rowSeq(seqs []uint64, base uint64, i int) uint64 {
+	if seqs != nil {
+		return seqs[i]
+	}
+	return base + uint64(i) + 1
+}
+
+// apply appends a batch reserved above base in its turn and returns once
+// it is applied. The primary passes nil seqs; a follower passes the
+// primary's. If an earlier reservation has not applied yet, the batch is
+// parked for the writer ahead of it to apply. Otherwise this writer
+// applies it — and then every batch parked behind it, in order — each
+// one through applyRows, then publishing the watermark at its last
+// sequence.
+func (s *Store) apply(os []Observation, seqs []uint64, base uint64) {
+	s.wmMu.Lock()
+	if s.applied.Load() != base {
+		done := make(chan struct{})
+		s.waiting[base] = queued{os: os, seqs: seqs, done: done}
+		s.wmMu.Unlock()
+		<-done
+		return
+	}
+	s.wmMu.Unlock()
+	q := queued{os: os, seqs: seqs}
+	for {
+		s.applyRows(q.os, q.seqs, base)
+		upto := rowSeq(q.seqs, base, len(q.os)-1)
+		s.wmMu.Lock()
+		s.applied.Store(upto)
+		next, ok := s.waiting[upto]
+		delete(s.waiting, upto)
+		s.wmMu.Unlock()
+		if q.done != nil {
+			close(q.done)
+		}
+		if !ok {
+			return
+		}
+		q, base = next, upto
+	}
+}
+
+// applyRows adds row i of a batch under rowSeq(seqs, base, i), then
+// hands the batch to the observer (if any) — outside every shard lock,
+// so an observer may read the store. Only apply calls it, in the
+// batch's turn.
+func (s *Store) applyRows(os []Observation, seqs []uint64, base uint64) {
 	newest := noObservations
 	for i := range os {
 		if u := os[i].Time.Unix(); u > newest {
@@ -254,7 +300,7 @@ func (s *Store) addAllAt(os []Observation, base uint64) {
 		sh := &s.shards[single]
 		sh.mu.Lock()
 		for i := range os {
-			sh.add(os[i], base+uint64(i)+1, bucketOf(os[i].Time, s.bucketSecs))
+			sh.add(os[i], rowSeq(seqs, base, i), bucketOf(os[i].Time, s.bucketSecs))
 		}
 		sh.mu.Unlock()
 	} else {
@@ -265,13 +311,12 @@ func (s *Store) addAllAt(os []Observation, base uint64) {
 			sh := &s.shards[si]
 			sh.mu.Lock()
 			for _, i := range groups[si] {
-				sh.add(os[i], base+uint64(i)+1, bucketOf(os[i].Time, s.bucketSecs))
+				sh.add(os[i], rowSeq(seqs, base, int(i)), bucketOf(os[i].Time, s.bucketSecs))
 			}
 			sh.mu.Unlock()
 		}
 	}
 	maxUnixUpdate(&s.maxUnix, newest)
-	s.applied(base)
 	if obs := s.observer; obs != nil {
 		obs(os)
 	}

@@ -2,6 +2,9 @@ package store
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -13,51 +16,75 @@ func wmObs(domain, sku string, n int) []Observation {
 	return out
 }
 
-// TestWatermarkHoldsForInflightBatch drives the exact interleaving that
-// breaks naive offset cursors: batch A reserves sequences first, batch
-// B reserves after but applies first. Until A applies, B's rows are
-// visible to Scan while A's are not — so the applied watermark must
-// stay below A's sequences, and a ScanRange capped at the watermark
-// must serve neither batch.
-func TestWatermarkHoldsForInflightBatch(t *testing.T) {
+// TestLaterBatchWaitsItsTurn drives the interleaving that would reorder
+// the store: batch A reserves sequences first, then batch B reserves
+// after and tries to apply while A has not. B must wait its turn —
+// invisible to Scan, unseen by the observer, the watermark held below A
+// — and apply only after A, so the observer folds A before B.
+func TestLaterBatchWaitsItsTurn(t *testing.T) {
 	s := New()
+	var mu sync.Mutex
+	var folded []string // the domain of each batch the observer saw
+	s.SetObserver(func(batch []Observation) {
+		mu.Lock()
+		folded = append(folded, batch[0].Domain)
+		mu.Unlock()
+	})
+	seen := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), folded...)
+	}
+
 	s.AddAll(wmObs("pre.example.com", "P", 5)) // seqs 1..5, applied
 	if got := s.Watermark(); got != 5 {
 		t.Fatalf("watermark = %d, want 5", got)
 	}
 
 	// Batch A reserves 6..8 but has not applied yet (a writer between
-	// reserve and the shard lock).
+	// reserve and its apply).
 	a := wmObs("a.example.com", "A", 3)
 	baseA := s.reserve(len(a))
 
-	// Batch B reserves 9..11 and applies immediately — visible to Scan
-	// before A.
-	s.AddAll(wmObs("b.example.com", "B", 3))
-	if got := s.Len(); got != 8 {
-		t.Fatalf("len = %d (B should be visible)", got)
+	// Batch B reserves 9..11 on another goroutine and tries to apply.
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		s.AddAll(wmObs("b.example.com", "B", 3))
+	}()
+	// Wait until B is parked behind A (or, wrongly, applied).
+	for parked := false; !parked; runtime.Gosched() {
+		select {
+		case <-bDone:
+			t.Fatal("batch B applied before batch A, which reserved first")
+		default:
+		}
+		s.wmMu.Lock()
+		_, parked = s.waiting[baseA+uint64(len(a))]
+		s.wmMu.Unlock()
+	}
+	if got := s.Len(); got != 5 {
+		t.Fatalf("len = %d before A applied, want 5 (B must wait)", got)
+	}
+	if got := seen(); !reflect.DeepEqual(got, []string{"pre.example.com"}) {
+		t.Fatalf("observer saw %v before A applied, want only the first batch", got)
+	}
+	if got := s.Watermark(); got != 5 {
+		t.Fatalf("watermark = %d with batch A unapplied, want 5", got)
 	}
 
-	// The watermark must not move past A's reservation: serving seqs
-	// 9..11 now and seqs 6..8 later would make a seq cursor skip A.
-	if got := s.Watermark(); got != 5 {
-		t.Fatalf("watermark = %d with batch A in flight, want 5", got)
+	// A applies; B follows in its turn. The watermark covers everything,
+	// the observer folded in sequence order, and the full range reads 11
+	// rows in sequence order.
+	s.apply(a, nil, baseA)
+	<-bDone
+	if got := s.Watermark(); got != 11 {
+		t.Fatalf("watermark = %d after both applied, want 11", got)
+	}
+	if got, want := seen(), []string{"pre.example.com", "a.example.com", "b.example.com"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("observer order %v, want %v", got, want)
 	}
 	var served []uint64
-	for seq := range s.ScanRange(Query{Round: -1}, 0, s.Watermark()) {
-		served = append(served, seq)
-	}
-	if len(served) != 5 {
-		t.Fatalf("stable window served %d rows, want only the 5 applied pre-A: %v", len(served), served)
-	}
-
-	// A applies; the watermark covers everything and the full range
-	// reads 11 rows in sequence order.
-	s.addAllAt(a, baseA)
-	if got := s.Watermark(); got != 11 {
-		t.Fatalf("watermark = %d after A applied, want 11", got)
-	}
-	served = served[:0]
 	for seq := range s.ScanRange(Query{Round: -1}, 0, s.Watermark()) {
 		served = append(served, seq)
 	}

@@ -33,18 +33,27 @@ type clusterPair struct {
 // replication stream.
 func newClusterPair(t *testing.T, cfg sheriff.ShopConfig) *clusterPair {
 	t.Helper()
-	discard := log.New(io.Discard, "", 0)
-	w := sheriff.NewWorld(sheriff.WorldOptions{
+	opts := sheriff.WorldOptions{
 		Seed:             5,
 		Configs:          []sheriff.ShopConfig{cfg},
 		FetchFailureRate: -1,
-	})
+	}
+	w := sheriff.NewWorld(opts)
 	if err := w.EnsureAnchors(w.Crawled); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.RunCrawl(sheriff.CrawlOptions{MaxProducts: 8, Rounds: 7}); err != nil {
 		t.Fatal(err)
 	}
+	return follow(t, w, opts)
+}
+
+// follow serves w as the primary and brings a follower world built from
+// the same options (over an empty store) up to date over the replication
+// stream.
+func follow(t *testing.T, w *sheriff.World, opts sheriff.WorldOptions) *clusterPair {
+	t.Helper()
+	discard := log.New(io.Discard, "", 0)
 	primary := httptest.NewServer(sheriff.NewAPIWithOptions(w, sheriff.APIOptions{Logger: discard}))
 	t.Cleanup(primary.Close)
 
@@ -52,12 +61,8 @@ func newClusterPair(t *testing.T, cfg sheriff.ShopConfig) *clusterPair {
 	// engine observes every applied batch — that fold, batch for batch,
 	// is what makes the event history identical.
 	fst := sheriff.NewStore()
-	fw := sheriff.NewWorld(sheriff.WorldOptions{
-		Seed:             5,
-		Configs:          []sheriff.ShopConfig{cfg},
-		FetchFailureRate: -1,
-		Store:            fst,
-	})
+	opts.Store = fst
+	fw := sheriff.NewWorld(opts)
 	fol := sheriff.NewFollower(primary.URL, fst, sheriff.FollowerOptions{})
 	if err := fol.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
@@ -162,6 +167,25 @@ func TestReplicationByteIdenticalScenarioMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplicationEventsUnderConcurrentLoad: concurrent crowd users write
+// the primary in interleaved batches, and the primary folds them in
+// sequence order inside each writer's turn — so a follower folding the
+// same batches ends with a byte-identical event history, not merely the
+// same event count.
+func TestReplicationEventsUnderConcurrentLoad(t *testing.T) {
+	opts := sheriff.WorldOptions{Seed: 3, LongTail: 6}
+	w := sheriff.NewWorld(opts)
+	if _, err := w.RunLoad(sheriff.LoadOptions{Users: 8, Requests: 160, Rounds: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Analysis.Events().Len() == 0 {
+		t.Fatal("crowd load emitted no events to compare")
+	}
+	p := follow(t, w, opts)
+	assertSameBody(t, p, "/api/v1/events", "", "events")
+	assertSameBody(t, p, "/api/v1/observations", "application/x-ndjson", "ndjson")
 }
 
 // TestReplicationLiveTail drives the serving mode end to end: a follower
