@@ -87,7 +87,7 @@ func (aw *ablationWorld) crawl(t *testing.T, rounds int, unsync bool) {
 // survives the currency filter — per-round variation, before the
 // persistence defence.
 func (aw *ablationWorld) rawVariationGroups() (varied, total int) {
-	for _, obs := range aw.st.GroupByProduct(store.SourceCrawl) {
+	for _, obs := range aw.st.Groups(store.SourceCrawl) {
 		byRound := map[int][]store.Observation{}
 		for _, o := range obs {
 			byRound[o.Round] = append(byRound[o.Round], o)
@@ -195,7 +195,7 @@ func TestCurrencyFilterAblation(t *testing.T) {
 	aw.crawl(t, 2, false)
 
 	nominalFPs, filteredFPs, total := 0, 0, 0
-	for _, obs := range aw.st.GroupByProduct(store.SourceCrawl) {
+	for _, obs := range aw.st.Groups(store.SourceCrawl) {
 		byRound := map[int][]store.Observation{}
 		for _, o := range obs {
 			byRound[o.Round] = append(byRound[o.Round], o)

@@ -480,22 +480,6 @@ func BenchmarkStoreFilterDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGroupByProduct measures the analysis layer's partition
-// query on the indexed engine (posting lists, no full-dataset scan).
-func BenchmarkStoreGroupByProduct(b *testing.B) {
-	for _, size := range storeBenchSizes {
-		st := store.New()
-		st.AddAll(benchObservations(size.n))
-		b.Run(size.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if g := st.GroupByProduct(store.SourceCrawl); len(g) == 0 {
-					b.Fatal("empty grouping")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreGroupsStream measures the zero-materialization streaming
 // path the figures actually run on.
 func BenchmarkStoreGroupsStream(b *testing.B) {

@@ -112,7 +112,7 @@ func TestClientEndToEnd(t *testing.T) {
 
 	// Observations: pagination helper and NDJSON stream must agree with
 	// the store, row for row.
-	want := w.Store.All()
+	want := w.Store.Filter(store.Query{Round: -1})
 	var paged []sheriff.Observation
 	for o, err := range cl.Observations(ctx, client.ObservationsQuery{PageSize: 5}) {
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"sheriff/internal/aggregate"
 	"sheriff/internal/analysis"
 	"sheriff/internal/api"
-	"sheriff/internal/events"
 	"sheriff/internal/store"
 )
 
@@ -49,25 +48,24 @@ func assertEquivalent(t *testing.T, label string, eng *aggregate.Engine, st sher
 	}
 }
 
-// variationEvents counts TypeVariation events — the count that must be
-// stable across crash-recovery rebuilds (the folded ratio is monotone,
-// so each product group crosses the threshold exactly once no matter how
-// its rows are batched or replayed).
-func variationEvents(log *sheriff.EventLog) int {
-	n := 0
-	for _, e := range log.After(0, 0) {
-		if e.Type == events.TypeVariation {
-			n++
-		}
+// eventBytes marshals an engine's whole event log: the byte-level form
+// of "the same events", which restarts and re-batching must preserve.
+func eventBytes(t *testing.T, log *sheriff.EventLog) []byte {
+	t.Helper()
+	b, err := json.Marshal(log.After(0, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	return b
 }
 
 // TestIncrementalEquivalenceScenarioMatrix sweeps all scenario worlds.
 // Each runs its crawl on a durable backend (the live write path folds
 // through the WAL'd store), then the same dataset is checked three ways:
-// the live durable-backed engine, a fresh in-memory store fed by batch
-// copy, and a read-only crash recovery of the data directory.
+// the live durable-backed engine, a fresh in-memory store fed the whole
+// log as one AddAll, and a read-only crash recovery of the data
+// directory. All three must also emit byte-identical event logs: events
+// are a function of the sequence-ordered log, not of its batching.
 func TestIncrementalEquivalenceScenarioMatrix(t *testing.T) {
 	cfgs := sheriff.ScenarioConfigs(5)
 	if len(cfgs) == 0 {
@@ -123,15 +121,15 @@ func TestIncrementalEquivalenceScenarioMatrix(t *testing.T) {
 				}
 			}
 
-			// 2. Memory engine over a batch copy of the same rows.
+			// 2. Memory engine folding the same rows as one batch.
 			mem := sheriff.NewStore()
-			var batch []sheriff.Observation
-			for o := range w.Store.Scan(sheriff.Query{Round: -1}) {
-				batch = append(batch, o)
-			}
-			mem.AddAll(batch)
 			memEng := sheriff.NewAnalysisEngine(mem, w.Market, sheriff.AnalysisOptions{})
+			mem.AddAll(w.Store.Filter(sheriff.Query{Round: -1}))
 			assertEquivalent(t, "memory", memEng, mem, w.Market, domain)
+			live := eventBytes(t, w.Analysis.Events())
+			if got := eventBytes(t, memEng.Events()); string(got) != string(live) {
+				t.Errorf("one-batch copy events differ from the live fold's\n live %.600s\n copy %.600s", live, got)
+			}
 
 			// 3. Crash recovery: reopen the data dir without closing the
 			// live owner (kill -9 semantics) and rebuild aggregates on it.
@@ -145,10 +143,8 @@ func TestIncrementalEquivalenceScenarioMatrix(t *testing.T) {
 			recEng := sheriff.NewAnalysisReader(recovered, w.Market, sheriff.AnalysisOptions{})
 			assertEquivalent(t, "crash recovery", recEng, recovered, w.Market, domain)
 
-			// The monotone-crossing invariant: the rebuilt engine sees the
-			// same variation events the live fold emitted.
-			if live, rec := variationEvents(w.Analysis.Events()), variationEvents(recEng.Events()); live != rec {
-				t.Errorf("variation events: live %d, recovered %d", live, rec)
+			if got := eventBytes(t, recEng.Events()); string(got) != string(live) {
+				t.Errorf("crash-recovered events differ from the live fold's\n live      %.600s\n recovered %.600s", live, got)
 			}
 
 			if err := d.Close(); err != nil {

@@ -5,10 +5,11 @@
 //
 // The engine installs itself as the store's write observer (see
 // store.Observer): every applied batch is folded — counters, per-product
-// currency-filter state, per-family detector evidence — under a
-// per-domain-shard lock. On open it first rebuilds from whatever the
-// store already holds (the durable engine's recovery path), so the
-// aggregates always equal a full recomputation:
+// currency-filter state, per-family detector evidence — row by row in
+// sequence order, under a per-domain-shard lock. On open it first
+// rebuilds from whatever the store already holds (the durable engine's
+// recovery path) by running the same fold over the log cut into
+// store.Chunks, so the aggregates always equal a full recomputation:
 //
 //   - Counters (observations, OK prices, per-source splits) are sums —
 //     exact under any batching or interleaving.
@@ -18,18 +19,24 @@
 //     two operands, so the folded ratio is BIT-IDENTICAL to the full
 //     path's GroupRatio, not merely close. It is also monotone
 //     non-decreasing in the observations, which makes the variation
-//     threshold crossing fire exactly once per product group — the
-//     event count is stable across crash-recovery rebuilds.
-//   - Per-family detector evidence is per-product: a batch touching a
-//     product's crawl rows recomputes that one product's verdict through
-//     the same analysis.Detector the full path runs (reading the store
-//     inside the domain's aggregate lock, so concurrent writers
-//     converge: the last fold to hold the lock reads every applied
-//     batch), and diffs it into the domain's tallies.
+//     threshold crossing fire exactly once per product group, at the
+//     row that crosses it.
+//   - Per-family detector evidence is per-product: each crawled product
+//     keeps an analysis.ProductState, the same round-by-round fold the
+//     full path's Detector.Product runs. Where a crawl product-round
+//     ends (store.SameProductRound), the round is absorbed, the
+//     product's verdict is diffed into the domain's tallies and the
+//     domain's flags are re-evaluated. A round that does not follow the
+//     absorbed ones (written out of order, or one product-round split
+//     over two batches) rebuilds the product's state from the store, so
+//     the verdict stays exact.
 //
 // Threshold crossings and verdict flips are emitted into an append-only
 // events.Log, served by GET /api/v1/events as replayable history and a
-// live tail.
+// live tail. Since both fire only at rows and product-round ends, the
+// event log is a function of the sequence-ordered log under any batching
+// that keeps product-rounds whole: live writes, a restart's rebuild and
+// a follower's replicated chunks all emit the same events.
 package aggregate
 
 import (
@@ -135,9 +142,11 @@ type groupAgg struct {
 	// crossed marks the variation event as fired (the folded ratio is
 	// monotone, so once true it stays true).
 	crossed bool
-	// crawl counts the group's crawl-source observations; the detector
-	// verdict below only exists when > 0.
+	// crawl counts the group's folded crawl-source observations, state
+	// holds the detector evidence absorbed from them and verdict its
+	// latest Verdict; both exist only when crawl > 0.
 	crawl   int
+	state   *analysis.ProductState
 	verdict analysis.ProductVerdict
 }
 
@@ -257,87 +266,38 @@ func (e *Engine) Events() *events.Log { return e.log }
 // history but wake nobody).
 func (e *Engine) Close() { e.log.Close() }
 
-// rebuild folds the store's current contents, batching the scan and
-// deferring detector recomputes so each touched product is judged once
-// at the end instead of once per batch.
+// rebuild folds the store's current contents: the live fold, run over
+// the sequence-ordered log cut into store.Chunks. Chunks never split a
+// product-round, so the rebuilt aggregates — and the events a rebuild
+// emits — are the ones the live fold produced from the same log.
 func (e *Engine) rebuild() {
-	const batchSize = 1024
-	touched := make(map[string]map[string]struct{}) // domain → SKUs with crawl rows
-	batch := make([]store.Observation, 0, batchSize)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		e.foldBatch(batch, touched)
-		batch = batch[:0]
-	}
-	for o := range e.st.Scan(store.Query{Round: -1}) {
-		batch = append(batch, o)
-		if len(batch) == batchSize {
-			flush()
-		}
-	}
-	flush()
-	// Deferred verdicts: one detector pass per touched product, then one
-	// flag evaluation per touched domain.
-	for domain, skus := range touched {
-		sh := &e.shards[shardIdx(domain)]
-		sh.mu.Lock()
-		d := sh.domains[domain]
-		for sku := range skus {
-			e.recomputeProduct(d, domain, sku)
-		}
-		e.evalFlags(d, domain)
-		sh.mu.Unlock()
+	for _, batch := range store.Chunks(e.st.ScanRange(store.Query{Round: -1}, 0, e.st.Watermark())) {
+		e.fold(batch)
 	}
 }
 
 // fold is the write observer: applied batches land here one at a time,
-// in sequence order, inside the writer's turn (see store.Observer).
+// in sequence order, inside the writer's turn (see store.Observer). It
+// walks the batch in order, one same-domain run at a time.
 func (e *Engine) fold(batch []store.Observation) {
-	e.foldBatch(batch, nil)
-}
-
-// foldBatch folds one batch. When deferTouched is non-nil (rebuild),
-// detector recomputes and flag evaluation are deferred: touched products
-// are recorded there instead. Otherwise (live writes) each touched
-// product's verdict is recomputed immediately from the store, which
-// inside the writer's turn holds exactly the rows up to this batch — so
-// the verdicts and the events they emit depend only on the sequence
-// order, never on how writers interleaved.
-func (e *Engine) foldBatch(batch []store.Observation, deferTouched map[string]map[string]struct{}) {
-	if len(batch) == 0 {
-		return
-	}
 	e.folded.Add(uint64(len(batch)))
-	// Group the batch by domain, preserving order. Single-domain batches
-	// (a check's fan-out, a crawler product-round) take the fast path.
-	single := true
-	for i := 1; i < len(batch); i++ {
-		if batch[i].Domain != batch[0].Domain {
-			single = false
-			break
+	for i := 0; i < len(batch); {
+		j := i + 1
+		for j < len(batch) && batch[j].Domain == batch[i].Domain {
+			j++
 		}
-	}
-	if single {
-		e.foldDomain(batch[0].Domain, batch, deferTouched)
-		return
-	}
-	byDomain := make(map[string][]store.Observation)
-	order := make([]string, 0, 4)
-	for _, o := range batch {
-		if _, seen := byDomain[o.Domain]; !seen {
-			order = append(order, o.Domain)
-		}
-		byDomain[o.Domain] = append(byDomain[o.Domain], o)
-	}
-	for _, domain := range order {
-		e.foldDomain(domain, byDomain[domain], deferTouched)
+		e.foldDomain(batch[i].Domain, batch[i:j])
+		i = j
 	}
 }
 
-// foldDomain folds one domain's slice of a batch under its shard lock.
-func (e *Engine) foldDomain(domain string, obs []store.Observation, deferTouched map[string]map[string]struct{}) {
+// foldDomain folds one domain's run of a batch under its shard lock,
+// row by row. Where a crawl product-round ends (see
+// store.SameProductRound), the product is re-judged and the domain's
+// flags re-evaluated — the only points where strategy events fire, so
+// the events depend only on the sequence-ordered log, never on how it
+// was cut into batches around whole product-rounds.
+func (e *Engine) foldDomain(domain string, obs []store.Observation) {
 	sh := &e.shards[shardIdx(domain)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -354,7 +314,7 @@ func (e *Engine) foldDomain(domain string, obs []store.Observation, deferTouched
 	}
 	d.cache = nil
 
-	var touched map[string]struct{} // SKUs whose crawl rows grew
+	start := 0 // first row of the current product-round
 	for i := range obs {
 		o := &obs[i]
 		d.observations++
@@ -413,33 +373,19 @@ func (e *Engine) foldDomain(domain string, obs []store.Observation, deferTouched
 				}
 			}
 		}
-		if o.Source == store.SourceCrawl {
-			g.crawl++
-			if touched == nil {
-				touched = make(map[string]struct{}, 4)
-			}
-			touched[o.SKU] = struct{}{}
+		if o.Source != store.SourceCrawl {
+			continue
 		}
-	}
-
-	if touched == nil {
-		return
-	}
-	if deferTouched != nil {
-		set := deferTouched[domain]
-		if set == nil {
-			set = make(map[string]struct{})
-			deferTouched[domain] = set
+		g.crawl++
+		if i == 0 || !store.SameProductRound(&obs[i-1], o) {
+			start = i
 		}
-		for sku := range touched {
-			set[sku] = struct{}{}
+		if i+1 < len(obs) && store.SameProductRound(o, &obs[i+1]) {
+			continue
 		}
-		return
+		e.judge(d, domain, g, obs[start:i+1])
+		e.evalFlags(d, domain)
 	}
-	for sku := range touched {
-		e.recomputeProduct(d, domain, sku)
-	}
-	e.evalFlags(d, domain)
 }
 
 // famIdx returns a family's position in analysis.DetectableFamilies.
@@ -452,13 +398,22 @@ func famIdx(f shop.StrategyFamily) int {
 	return -1
 }
 
-// recomputeProduct re-judges one product from its crawl rows (read from
-// the store, under the caller-held shard lock) and diffs the verdict
-// into the domain's family tallies.
-func (e *Engine) recomputeProduct(d *domainAgg, domain, sku string) {
-	g := d.groups[sku]
-	rows := e.st.Filter(store.Query{Domain: domain, SKU: sku, Source: store.SourceCrawl, Round: -1})
-	newV := e.det.Product(rows)
+// judge absorbs one product-round into its product's detector state and
+// diffs the new verdict into the domain's family tallies. A round that
+// does not follow the absorbed ones — written out of order, or a
+// product-round split across batches — rebuilds the state from the
+// product's first g.crawl crawl rows in the store instead: exactly the
+// rows folded so far, since the store holds everything up to this batch
+// and the fold walks it in sequence order. Caller holds the shard lock.
+func (e *Engine) judge(d *domainAgg, domain string, g *groupAgg, round []store.Observation) {
+	if g.state == nil {
+		g.state = e.det.NewProductState(nil)
+	}
+	if !g.state.Absorb(round) {
+		rows := e.st.Filter(store.Query{Domain: domain, SKU: round[0].SKU, Source: store.SourceCrawl, Round: -1})
+		g.state = e.det.NewProductState(rows[:g.crawl])
+	}
+	newV := g.state.Verdict()
 	oldV := g.verdict
 	for i, f := range analysis.DetectableFamilies {
 		o, n := oldV.Of(f), newV.Of(f)

@@ -304,14 +304,14 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 		t.Fatalf("ObservationsFolded=%d, want %d", got, want)
 	}
 	// Folds run in sequence order whatever the writer interleaving, so a
-	// follower fed the same batches in sequence order must emit the same
-	// event log, byte for byte.
+	// follower fed the same log in chunks must emit the same event log,
+	// byte for byte.
 	if eng.Events().Len() == 0 {
 		t.Fatal("no events to compare")
 	}
 	fst := store.New()
 	feng := aggregate.New(fst, market, aggregate.Options{})
-	for seqs, batch := range st.ScanBatches(0, st.Watermark()) {
+	for seqs, batch := range store.Chunks(st.ScanRange(store.Query{Round: -1}, 0, st.Watermark())) {
 		if err := fst.ApplyAt(seqs, batch); err != nil {
 			t.Fatal(err)
 		}

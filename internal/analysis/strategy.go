@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -192,10 +193,10 @@ func (v ProductVerdict) Of(f shop.StrategyFamily) FamilyContribution {
 // Detector is the per-product strategy detector with its controls
 // resolved once: the vantage-point metadata, the pair filters and the
 // thresholds. DetectStrategies wraps it for whole-domain full
-// recomputation; the incremental engine (internal/aggregate) calls
-// Product per touched product and sums contributions itself — both paths
-// run the identical verdict code, which is what the equivalence contract
-// rests on.
+// recomputation; the incremental engine (internal/aggregate) keeps a
+// ProductState per crawled product, absorbs each product-round as it is
+// folded and sums the Verdicts' contributions itself — both paths run
+// the identical fold, which is what the equivalence contract rests on.
 type Detector struct {
 	market *fx.Market
 	opts   DetectOptions
@@ -223,117 +224,160 @@ func (d *Detector) acceptFingerprint(a, b string) bool {
 	return ma.fingerprint != mb.fingerprint && ma.location == mb.location
 }
 
-// Product judges one product from its crawl observations (any order;
-// rounds are partitioned internally). Observations of other sources must
-// not be passed.
-func (d *Detector) Product(obs []store.Observation) ProductVerdict {
-	meta, market := d.meta, d.market
+// ProductState is one product's detector evidence folded round by
+// round: the per-round geo and fingerprint votes, the consensus series
+// and the per-vantage-point success and failure tallies. Absorbing a
+// product's rounds in ascending order and then asking for the Verdict is
+// exactly Product over the same rows — Product is that fold — so the
+// incremental engine can judge a product after each crawled round at
+// the cost of that round's rows instead of re-reading every round so far.
+type ProductState struct {
+	d    *Detector
+	last int // newest absorbed round; math.MinInt while empty
+
+	geoElig, geoHits int
+	geoSides         map[string]*pairVote
+	fpElig, fpHits   int
+	fpSides          map[string]*pairVote
+	consensus        []consensusPoint // per-round same-fingerprint USD consensus
+	okRounds         map[string]int
+	failRounds       map[string]int // persistent extraction failures
+}
+
+// NewProductState returns the state of one product after absorbing its
+// crawl observations (any order; rounds are partitioned and absorbed in
+// ascending order). Observations of other sources must not be passed;
+// nil yields an empty state.
+func (d *Detector) NewProductState(obs []store.Observation) *ProductState {
+	s := &ProductState{
+		d:          d,
+		last:       math.MinInt,
+		geoSides:   map[string]*pairVote{},
+		fpSides:    map[string]*pairVote{},
+		okRounds:   map[string]int{},
+		failRounds: map[string]int{},
+	}
 	rounds := byRound(obs)
 	keys := make([]int, 0, len(rounds))
 	for r := range rounds {
 		keys = append(keys, r)
 	}
 	sort.Ints(keys)
-
-	var (
-		geoElig, geoHits int
-		geoSides         = map[string]*pairVote{}
-		fpElig, fpHits   int
-		fpSides          = map[string]*pairVote{}
-		consensus        []consensusPoint // per-round same-fingerprint USD consensus
-		okRounds         = map[string]int{}
-		failRounds       = map[string]int{} // persistent extraction failures
-	)
-
 	for _, rk := range keys {
-		group := rounds[rk]
-		byFP := map[string][]store.Observation{}  // fingerprint → OK obs
-		byLoc := map[string][]store.Observation{} // location → OK obs
-		var roundTime time.Time                   // earliest observation time of the round
-		for _, o := range group {
-			m, known := meta[o.VP]
-			if !known {
-				continue
-			}
-			if roundTime.IsZero() || o.Time.Before(roundTime) {
-				roundTime = o.Time
-			}
-			if o.OK {
-				okRounds[o.VP]++
-				byFP[m.fingerprint] = append(byFP[m.fingerprint], o)
-				byLoc[m.location] = append(byLoc[m.location], o)
-			} else if strings.Contains(o.Err, "no price") {
-				failRounds[o.VP]++
-			}
-		}
+		s.Absorb(rounds[rk])
+	}
+	return s
+}
 
-		// Geo: same fingerprint, multiple locations, currency filter.
-		geoEligible, geoVaries := false, false
-		for _, g := range byFP {
-			if spanLocations(g, meta) < 2 {
-				continue
-			}
-			geoEligible = true
-			if _, real := market.RealVariation(quotesOf(g)); real {
-				geoVaries = true
-				tallyPairVotes(market, g, geoSides, d.acceptGeo)
-			}
-		}
-		if geoEligible {
-			geoElig++
-			if geoVaries {
-				geoHits++
-			}
-		}
+// Product judges one product from its crawl observations (any order;
+// rounds are partitioned internally). Observations of other sources must
+// not be passed.
+func (d *Detector) Product(obs []store.Observation) ProductVerdict {
+	return d.NewProductState(obs).Verdict()
+}
 
-		// Fingerprint: same location, multiple fingerprints. Same
-		// location means same display currency, so differing minor
-		// units are a real price difference, no filter needed.
-		fpEligible, fpVaries := false, false
-		for _, g := range byLoc {
-			if spanFingerprints(g, meta) < 2 {
-				continue
-			}
-			fpEligible = true
-			if unitsDiffer(g) {
-				fpVaries = true
-				tallyPairVotes(market, g, fpSides, d.acceptFingerprint)
-			}
-		}
-		if fpEligible {
-			fpElig++
-			if fpVaries {
-				fpHits++
-			}
-		}
+// Absorb folds one round — group holds every crawl observation of the
+// product for that round, all sharing it — and reports true. A round
+// that does not follow the absorbed ones (it is at or below the newest
+// absorbed round) leaves the state untouched and reports false.
+func (s *ProductState) Absorb(group []store.Observation) bool {
+	rk := group[0].Round
+	if rk <= s.last {
+		return false
+	}
+	s.last = rk
+	meta, market := s.d.meta, s.d.market
 
-		// Temporal/market: consensus of the largest same-fingerprint
-		// group of USD vantage points, recorded only when internally
-		// uniform — a moving consensus is a global price change, whose
-		// shape the classifier below attributes to calendar pricing,
-		// market dynamics, or residual temporal effects.
-		if units, ok := usdConsensus(byFP, meta); ok {
-			consensus = append(consensus, consensusPoint{
-				round: rk, units: units, weekday: roundTime.UTC().Weekday(),
-			})
+	byFP := map[string][]store.Observation{}  // fingerprint → OK obs
+	byLoc := map[string][]store.Observation{} // location → OK obs
+	var roundTime time.Time                   // earliest observation time of the round
+	for _, o := range group {
+		m, known := meta[o.VP]
+		if !known {
+			continue
+		}
+		if roundTime.IsZero() || o.Time.Before(roundTime) {
+			roundTime = o.Time
+		}
+		if o.OK {
+			s.okRounds[o.VP]++
+			byFP[m.fingerprint] = append(byFP[m.fingerprint], o)
+			byLoc[m.location] = append(byLoc[m.location], o)
+		} else if strings.Contains(o.Err, "no price") {
+			s.failRounds[o.VP]++
 		}
 	}
 
+	// Geo: same fingerprint, multiple locations, currency filter.
+	geoEligible, geoVaries := false, false
+	for _, g := range byFP {
+		if spanLocations(g, meta) < 2 {
+			continue
+		}
+		geoEligible = true
+		if _, real := market.RealVariation(quotesOf(g)); real {
+			geoVaries = true
+			tallyPairVotes(market, g, s.geoSides, s.d.acceptGeo)
+		}
+	}
+	if geoEligible {
+		s.geoElig++
+		if geoVaries {
+			s.geoHits++
+		}
+	}
+
+	// Fingerprint: same location, multiple fingerprints. Same location
+	// means same display currency, so differing minor units are a real
+	// price difference, no filter needed.
+	fpEligible, fpVaries := false, false
+	for _, g := range byLoc {
+		if spanFingerprints(g, meta) < 2 {
+			continue
+		}
+		fpEligible = true
+		if unitsDiffer(g) {
+			fpVaries = true
+			tallyPairVotes(market, g, s.fpSides, s.d.acceptFingerprint)
+		}
+	}
+	if fpEligible {
+		s.fpElig++
+		if fpVaries {
+			s.fpHits++
+		}
+	}
+
+	// Temporal/market: consensus of the largest same-fingerprint group
+	// of USD vantage points, recorded only when internally uniform — a
+	// moving consensus is a global price change, whose shape the
+	// classifier in Verdict attributes to calendar pricing, market
+	// dynamics, or residual temporal effects.
+	if units, ok := usdConsensus(byFP, meta); ok {
+		s.consensus = append(s.consensus, consensusPoint{
+			round: rk, units: units, weekday: roundTime.UTC().Weekday(),
+		})
+	}
+	return true
+}
+
+// Verdict judges the product on the rounds absorbed so far.
+func (s *ProductState) Verdict() ProductVerdict {
 	var v ProductVerdict
-	if geoElig >= 3 {
+	if s.geoElig >= 3 {
 		v.Geo.Eligible = true
-		v.Geo.Affected = geoHits*2 > geoElig && sidesConsistent(geoSides)
+		v.Geo.Affected = s.geoHits*2 > s.geoElig && sidesConsistent(s.geoSides)
 	}
-	if fpElig >= 3 {
+	if s.fpElig >= 3 {
 		v.Fingerprint.Eligible = true
-		v.Fingerprint.Affected = fpHits*2 > fpElig && sidesConsistent(fpSides)
+		v.Fingerprint.Affected = s.fpHits*2 > s.fpElig && sidesConsistent(s.fpSides)
 	}
-	shape := classifyConsensus(consensus)
-	if len(consensus) >= 3 {
+	shape := classifyConsensus(s.consensus)
+	if len(s.consensus) >= 3 {
 		v.Temporal.Eligible = true
 		v.Temporal.Affected = shape == shapeCalendar || shape == shapeOther
 	}
-	if marketJudgeable(consensus) {
+	if marketJudgeable(s.consensus) {
 		v.Competitive.Eligible = true
 		v.Competitive.Affected = shape == shapeCompetitive
 		v.Demand.Eligible = true
@@ -343,15 +387,15 @@ func (d *Detector) Product(obs []store.Observation) ProductVerdict {
 	// rounds and never succeeded, while another VP succeeded at least
 	// as often. Transient 503s re-roll per day and cannot sustain this.
 	maxOK := 0
-	for _, n := range okRounds {
+	for _, n := range s.okRounds {
 		if n > maxOK {
 			maxOK = n
 		}
 	}
-	if maxOK >= d.opts.MinFailRounds {
+	if maxOK >= s.d.opts.MinFailRounds {
 		v.Disclosure.Eligible = true
-		for vp, fails := range failRounds {
-			if fails >= d.opts.MinFailRounds && okRounds[vp] == 0 {
+		for vp, fails := range s.failRounds {
+			if fails >= s.d.opts.MinFailRounds && s.okRounds[vp] == 0 {
 				v.Disclosure.Affected = true
 				break
 			}

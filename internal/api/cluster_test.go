@@ -32,11 +32,12 @@ func memStore(t *testing.T, w *sheriff.World) *store.Store {
 	return st
 }
 
-// pumpStores applies every primary batch in (follower's watermark, upto]
-// into the follower — a test-local stand-in for the HTTP stream.
+// pumpStores applies every primary row in (follower's watermark, upto]
+// into the follower, chunk by chunk — a test-local stand-in for the HTTP
+// stream.
 func pumpStores(t *testing.T, primary, follower *store.Store, upto uint64) {
 	t.Helper()
-	for seqs, obs := range primary.ScanBatches(follower.Watermark(), upto) {
+	for seqs, obs := range store.Chunks(primary.ScanRange(store.Query{Round: -1}, follower.Watermark(), upto)) {
 		if err := follower.ApplyAt(seqs, obs); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestV1ReplicationWALStream(t *testing.T) {
 	if err := fol.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want, got := primary.All(), fst.All()
+	want, got := primary.Filter(store.Query{Round: -1}), fst.Filter(store.Query{Round: -1})
 	if len(got) != len(want) {
 		t.Fatalf("follower has %d rows, want %d", len(got), len(want))
 	}

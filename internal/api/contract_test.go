@@ -300,7 +300,7 @@ func TestV1ObservationsContract(t *testing.T) {
 				t.Fatal("cursor never terminated")
 			}
 		}
-		want := ts.w.Store.All()
+		want := ts.w.Store.Filter(store.Query{Round: -1})
 		if len(got) != len(want) {
 			t.Fatalf("walked %d rows, want %d", len(got), len(want))
 		}

@@ -6,7 +6,6 @@ package api
 // §11 for the protocol.
 
 import (
-	"iter"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,14 +13,6 @@ import (
 	"sheriff/internal/replica"
 	"sheriff/internal/store"
 )
-
-// replicationSource is the store-side contract the stream serves from;
-// both engines (and therefore followers themselves, which makes chained
-// replication work) satisfy it.
-type replicationSource interface {
-	ScanBatches(after, upto uint64) iter.Seq2[[]uint64, []store.Observation]
-	Watermark() uint64
-}
 
 // Stream cadence: how often the tailing loop polls the watermark for new
 // batches, and how often an idle stream emits a heartbeat frame so the
@@ -48,18 +39,14 @@ func (s *Server) replicationEpoch() uint64 {
 }
 
 // handleReplicationWAL serves GET /api/v1/replication/wal?after=N: every
-// admitted batch with last sequence > after, as CRC-framed WAL records,
-// cut at the original batch boundaries. With follow=true the stream
+// row with sequence > after, as CRC-framed WAL records cut by
+// store.Chunks. Any backend serves it, followers included, which makes
+// chained replication work. With follow=true the stream
 // tails live writes (heartbeats while idle) until the client leaves or
 // the server stops; without it the stream closes at the watermark — a
 // resumable, coordination-free catch-up either way.
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.backend.Store().(replicationSource)
-	if !ok {
-		writeError(w, s.opts.Logger, errf(http.StatusNotFound, CodeNotFound,
-			"this backend does not serve replication"))
-		return
-	}
+	src := s.backend.Store()
 	cursor := uint64(0)
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -80,14 +67,14 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 
 	var buf []byte
-	// writeFrames ships every batch in (cursor, upto], stamped with upto
-	// as the watermark, and advances the cursor. A false return means the
+	// writeFrames ships every row in (cursor, upto], stamped with upto as
+	// the watermark, and advances the cursor. A false return means the
 	// client is gone (or encoding failed) and the handler must end.
 	writeFrames := func(upto uint64) bool {
 		if upto <= cursor {
 			return true
 		}
-		for seqs, obs := range src.ScanBatches(cursor, upto) {
+		for seqs, obs := range store.Chunks(src.ScanRange(store.Query{Round: -1}, cursor, upto)) {
 			frame, err := store.EncodeWALFrame(buf[:0], store.WALFrame{Seqs: seqs, Obs: obs, Watermark: upto})
 			if err != nil {
 				logf(s.opts.Logger, "api: encode replication frame: %v", err)

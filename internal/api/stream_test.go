@@ -131,7 +131,7 @@ func TestCursorStableUnderConcurrentAppends(t *testing.T) {
 	ts := newTestServer(t, sheriff.APIOptions{})
 	initial := synthObservations(2_000, 8, "base")
 	ts.w.Store.AddAll(initial)
-	before := ts.w.Store.All()
+	before := ts.w.Store.Filter(store.Query{Round: -1})
 
 	// Concurrent writers append bounded batches while the walk pages
 	// through (bounded, so the store cannot outgrow the walker and the

@@ -192,7 +192,7 @@ func TestCheckSynchronizedTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := w.st.All()
+	obs := w.st.Filter(store.Query{Round: -1})
 	for _, o := range obs[1:] {
 		if !o.Time.Equal(obs[0].Time) {
 			t.Fatal("fan-out not synchronized")

@@ -168,7 +168,7 @@ func TestMarketWorldUnderCrowdLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs := w.Store.All()
+		obs := w.Store.Filter(store.Query{Round: -1})
 		sort.Slice(obs, func(i, j int) bool { return key(obs[i]) < key(obs[j]) })
 		return rep, obs
 	}

@@ -132,7 +132,7 @@ func TestRunRoundsAdvanceSimulatedDays(t *testing.T) {
 		t.Fatalf("clock advanced %v, want 6 days for 7 rounds", elapsed)
 	}
 	days := map[string]bool{}
-	for _, o := range w.st.All() {
+	for _, o := range w.st.Filter(store.Query{Round: -1}) {
 		days[o.Time.UTC().Format("2006-01-02")] = true
 	}
 	if len(days) != 7 {
@@ -147,7 +147,7 @@ func TestRunSynchronizedWithinRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	byRound := map[int]time.Time{}
-	for _, o := range w.st.All() {
+	for _, o := range w.st.Filter(store.Query{Round: -1}) {
 		if prev, ok := byRound[o.Round]; ok {
 			if !prev.Equal(o.Time) {
 				t.Fatal("observations within a round are not synchronized")
@@ -168,7 +168,7 @@ func TestRunUnsynchronizedStaggersVPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := map[time.Time]bool{}
-	for _, o := range w.st.All() {
+	for _, o := range w.st.Filter(store.Query{Round: -1}) {
 		times[o.Time] = true
 	}
 	if len(times) < 10 {

@@ -121,7 +121,7 @@ func TestCampaignSkewTowardPopularDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	perDomain := map[string]int{}
-	for _, o := range w.st.All() {
+	for _, o := range w.st.Filter(store.Query{Round: -1}) {
 		perDomain[o.Domain]++
 	}
 	if perDomain["big1.example.com"] <= perDomain["www.bluemart000.com"] {
@@ -154,8 +154,7 @@ func TestVariationOnlyOnVaryingDomains(t *testing.T) {
 	// Recompute variation per check group off the store: big3 (flat) and
 	// the long tail must never show real variation.
 	market := fx.NewMarket(1)
-	byProduct := w.st.GroupByProduct(store.SourceCrowd)
-	for key, obs := range byProduct {
+	for key, obs := range w.st.Groups(store.SourceCrowd) {
 		if key.Domain == "big1.example.com" || key.Domain == "big2.example.com" {
 			continue
 		}

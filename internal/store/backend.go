@@ -31,8 +31,6 @@ type Reader interface {
 	Watermark() uint64
 	// Filter returns matching observations in insertion order.
 	Filter(q Query) []Observation
-	// All returns every observation in insertion order.
-	All() []Observation
 	// Domains returns the distinct domains observed, sorted.
 	Domains() []string
 	// Products returns a domain's distinct product keys, sorted by SKU.
@@ -42,8 +40,6 @@ type Reader interface {
 	Groups(source string) iter.Seq2[Key, []Observation]
 	// DomainGroups streams one domain's product groups.
 	DomainGroups(domain, source string) iter.Seq2[Key, []Observation]
-	// GroupByProduct materializes Groups into a map.
-	GroupByProduct(source string) map[Key][]Observation
 	// WriteJSONL serializes the dataset as JSON Lines in insertion order.
 	WriteJSONL(w io.Writer) error
 }
@@ -58,7 +54,10 @@ type Backend interface {
 	Reader
 	// Add appends one observation.
 	Add(o Observation)
-	// AddAll appends a batch, preserving batch order.
+	// AddAll appends a batch, preserving batch order. Append a crawl
+	// product-round (see SameProductRound) in one AddAll: the analysis
+	// fold judges strategy verdicts where a product-round ends, so a
+	// split one is still folded exactly but judged at the split too.
 	AddAll(os []Observation)
 	// SetObserver installs the write-path observer: fn receives every
 	// applied batch in sequence order, inside the writer's turn — after

@@ -137,9 +137,6 @@ func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	_ = err // the emit above never fails
 	ns.seq.Store(s.seq.Load())
 	ns.applied.Store(s.seq.Load())
-	s.wmMu.Lock()
-	ns.batchEnds = append(ns.batchEnds, s.batchEnds...)
-	s.wmMu.Unlock()
 	ns.observer = s.observer
 	ns.segScanned.Store(s.segScanned.Load())
 	ns.segSkipped.Store(s.segSkipped.Load())

@@ -78,7 +78,7 @@ func testConcurrentAddAndQuery(t *testing.T, newBackend newBackendFunc) {
 					}
 					st.LenSource(SourceCrawl)
 				case 2:
-					for _, g := range st.GroupByProduct(SourceCrawl) {
+					for _, g := range st.Groups(SourceCrawl) {
 						_ = len(g)
 					}
 					st.Domains()

@@ -494,19 +494,9 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 	}
 	order := replayOrder(pending)
 	// Replay under the original sequence numbers (recovery runs
-	// single-threaded, so addDirect is safe). Batch boundaries — the cut
-	// points replication frames on — are reconstructed at sequence gaps
-	// (a retention hole or a lost record always breaks contiguity) and at
-	// readBatch rows otherwise, the same chunking bulk loads use.
-	run := 0
-	for k, key := range order {
+	// single-threaded, so addDirect is safe).
+	for _, key := range order {
 		mem.addDirect(pending[key.i].obs, key.seq)
-		run++
-		if run < readBatch && k+1 < len(order) && order[k+1].seq == key.seq+1 {
-			continue
-		}
-		mem.batchEnds = append(mem.batchEnds, key.seq)
-		run = 0
 	}
 	maxSeq := man.MaxSeq
 	if n := len(order); n > 0 && order[n-1].seq > maxSeq {
@@ -1156,12 +1146,8 @@ func (d *Durable) ScanRange(q Query, after, upto uint64) iter.Seq2[uint64, Obser
 }
 func (d *Durable) Watermark() uint64            { return d.mem.Load().Watermark() }
 func (d *Durable) Filter(q Query) []Observation { return d.mem.Load().Filter(q) }
-func (d *Durable) All() []Observation           { return d.mem.Load().All() }
 func (d *Durable) Domains() []string            { return d.mem.Load().Domains() }
 func (d *Durable) Products(domain string) []Key { return d.mem.Load().Products(domain) }
-func (d *Durable) GroupByProduct(source string) map[Key][]Observation {
-	return d.mem.Load().GroupByProduct(source)
-}
 func (d *Durable) Groups(source string) iter.Seq2[Key, []Observation] {
 	return d.mem.Load().Groups(source)
 }

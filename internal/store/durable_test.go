@@ -199,7 +199,7 @@ func TestDurableTornWALTail(t *testing.T) {
 			if tear.name == "record-truncated" && wantBatches != 19 {
 				t.Fatalf("truncation must cost exactly the last record: %d/20 batches", wantBatches)
 			}
-			rows := back.All()
+			rows := back.Filter(Query{Round: -1})
 			for i, o := range rows {
 				want := batches[i/5][i%5]
 				o.Time, want.Time = want.Time, o.Time // JSONL time equality checked elsewhere
@@ -284,7 +284,7 @@ func TestDurableTruncatedSegment(t *testing.T) {
 	oracle := New()
 	oracle.AddAll(obs)
 	oracle.AddAll(extra)
-	all, ref := back.All(), oracle.All()
+	all, ref := back.Filter(Query{Round: -1}), oracle.Filter(Query{Round: -1})
 	j := 0
 	matched := 0
 	for i := range all {

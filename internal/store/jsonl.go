@@ -32,9 +32,10 @@ func (s *Store) WriteJSONL(w io.Writer) error {
 // shardOrder picks a shard's whole order list for dumpOrdered.
 func shardOrder(sh *shard) []gref { return sh.order }
 
-// readBatch is the AddAll chunk size for JSONL loads: large enough to
-// amortize sequence reservation and shard locking, small enough to keep
-// peak decode memory flat.
+// readBatch is the AddAll chunk size for JSONL loads and the row floor
+// of a Chunks batch: large enough to amortize sequence reservation,
+// shard locking and frame overhead, small enough to keep peak memory
+// flat.
 const readBatch = 1024
 
 // ReadJSONL loads a store previously written with WriteJSONL, batching

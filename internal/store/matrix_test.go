@@ -13,7 +13,7 @@ type newBackendFunc func(t *testing.T) Backend
 // runBackends runs a test body once per Backend implementation: the
 // in-memory engine, the durable engine on a temp data directory, and a
 // replicated pair whose reads come from a follower synced through the
-// ScanBatches/ApplyAt replication path. The durable run closes the store
+// Chunks/ApplyAt replication path. The durable run closes the store
 // at cleanup and fails the test on any sticky write error, so every
 // matrixed test doubles as a durability smoke test; the replica run
 // makes every matrixed test assert that a caught-up follower answers
@@ -45,7 +45,7 @@ func runBackends(t *testing.T, fn func(t *testing.T, newBackend newBackendFunc))
 
 // replicaBackend is a primary/follower pair behind the Backend contract:
 // writes land on the primary, each write synchronously pumps the new
-// batches to the follower over the replication path, and every read is
+// rows to the follower over the replication path, and every read is
 // answered by the follower. The pump serializes on mu — the follower has
 // one applier, matching the real stream's single connection.
 type replicaBackend struct {
@@ -62,7 +62,7 @@ func (rb *replicaBackend) AddAll(os []Observation) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	upto := rb.primary.Watermark()
-	for seqs, obs := range rb.primary.ScanBatches(rb.cursor, upto) {
+	for seqs, obs := range Chunks(rb.primary.ScanRange(Query{Round: -1}, rb.cursor, upto)) {
 		if err := rb.follower.ApplyAt(seqs, obs); err != nil {
 			panic("replicaBackend: " + err.Error())
 		}
@@ -84,12 +84,8 @@ func (rb *replicaBackend) ScanRange(q Query, after, upto uint64) iter.Seq2[uint6
 }
 func (rb *replicaBackend) Watermark() uint64            { return rb.follower.Watermark() }
 func (rb *replicaBackend) Filter(q Query) []Observation { return rb.follower.Filter(q) }
-func (rb *replicaBackend) All() []Observation           { return rb.follower.All() }
 func (rb *replicaBackend) Domains() []string            { return rb.follower.Domains() }
 func (rb *replicaBackend) Products(domain string) []Key { return rb.follower.Products(domain) }
-func (rb *replicaBackend) GroupByProduct(source string) map[Key][]Observation {
-	return rb.follower.GroupByProduct(source)
-}
 func (rb *replicaBackend) Groups(source string) iter.Seq2[Key, []Observation] {
 	return rb.follower.Groups(source)
 }

@@ -193,12 +193,6 @@ func (s *Store) Filter(q Query) []Observation {
 	return out
 }
 
-// All returns every observation. The paper's analysis scripts iterate the
-// whole dataset; so do ours. Prefer Scan(Query{Round: -1}) to stream.
-func (s *Store) All() []Observation {
-	return s.Filter(Query{Round: -1})
-}
-
 // Domains returns the distinct domains observed, sorted. O(domains), off
 // the per-shard domain indexes.
 func (s *Store) Domains() []string {
@@ -303,9 +297,8 @@ func yieldViews(views []groupView, gathered int, yield func(Key, []Observation) 
 
 // Groups streams one product at a time: the product key plus its
 // observations (restricted to one source when source != "") in insertion
-// order. This is the streaming face of GroupByProduct: the analysis
-// figures fold each group as it arrives instead of materializing the
-// whole partition, and a group whose observations all match is yielded
+// order. The analysis figures fold each group as it arrives instead of
+// materializing the whole partition, and a group whose observations all match is yielded
 // as a zero-copy view of the store's own memory. Treat yielded slices as
 // read-only and do not append to them. Group iteration order is
 // unspecified, as map iteration was before.
@@ -358,15 +351,4 @@ func (s *Store) DomainGroups(domain, source string) iter.Seq2[Key, []Observation
 		sh.mu.RUnlock()
 		yieldViews(views, gathered, yield)
 	}
-}
-
-// GroupByProduct partitions observations of one source by product key.
-// It is a materializing adapter over Groups; the yielded slices may be
-// zero-copy views — treat them as read-only.
-func (s *Store) GroupByProduct(source string) map[Key][]Observation {
-	out := make(map[Key][]Observation)
-	for k, g := range s.Groups(source) {
-		out[k] = g
-	}
-	return out
 }

@@ -1,20 +1,19 @@
 package store
 
 // Replication ships the write-ahead log over HTTP: a primary streams its
-// admitted batches — the same CRC-framed records the durable log uses,
-// cut at the same batch boundaries — and a follower applies them into
-// its own memory engine under the primary's sequence numbers. Keeping
-// the original batching matters beyond efficiency: derived state that
-// folds per batch (the incremental analysis engine's strategy events)
-// is batching-dependent, so identical frames are what make a caught-up
-// follower byte-identical to its primary.
+// rows in sequence order — the same CRC-framed records the durable log
+// uses, cut into Chunks — and a follower applies them into its own
+// memory engine under the primary's sequence numbers. Derived state is a
+// function of the sequence-ordered log under any cut that keeps crawl
+// product-rounds whole (see SameProductRound), so a caught-up follower
+// is byte-identical to its primary whatever the primary's batching was.
 //
 // The wire unit is a WALFrame: the walRecord framing from wal.go (uint32
 // length + CRC-32C + JSON payload) with the sender's applied watermark
 // riding along for lag accounting. An empty frame carrying only the
 // watermark is a heartbeat. Resume is by sequence number — a follower
 // reconnects with ?after=<last applied seq> and the primary replays
-// every batch above it — so a follower may die and restart at any point
+// every row above it — so a follower may die and restart at any point
 // without coordination.
 
 import (
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sort"
 )
 
 // HTTP surface of the replication stream.
@@ -45,7 +43,7 @@ const (
 // the follower reconnects and resumes from its last applied sequence.
 var ErrTornFrame = errors.New("store: torn replication frame")
 
-// WALFrame is one replication stream unit: an admitted batch with its
+// WALFrame is one replication stream unit: a chunk of rows with their
 // original sequence numbers, plus the sender's applied watermark. A
 // frame with no rows is a heartbeat (watermark only).
 type WALFrame struct {
@@ -146,74 +144,47 @@ func (s *Store) ApplyAt(seqs []uint64, obs []Observation) error {
 		return fmt.Errorf("store: ApplyAt: sequence %d not above the applied counter %d", seqs[0], cur)
 	}
 	s.seq.Store(last)
-	s.batchEnds = append(s.batchEnds, last)
 	s.wmMu.Unlock()
 	s.apply(obs, seqs, cur)
 	return nil
 }
 
-// batchScanWindow bounds how many sequence numbers one ScanBatches
-// gather materializes at a time (it extends to cover a single oversized
-// batch).
-const batchScanWindow = 8192
-
-// ScanBatches streams the store's admitted batches whose last sequence
-// number falls in (after, upto], each with its rows' sequence numbers,
-// in admission order — the replication source. Batch boundaries are the
-// original AddAll cuts; rows retention has since pruned are simply
-// absent (a fully pruned batch yields nothing), and the follower's
-// ApplyAt jumps the hole. Pair upto with Watermark() so no in-flight
-// batch can straddle the cut.
-func (s *Store) ScanBatches(after, upto uint64) iter.Seq2[[]uint64, []Observation] {
-	return func(yield func([]uint64, []Observation) bool) {
-		if after >= upto {
-			return
-		}
-		s.wmMu.Lock()
-		lo := sort.Search(len(s.batchEnds), func(i int) bool { return s.batchEnds[i] > after })
-		hi := sort.Search(len(s.batchEnds), func(i int) bool { return s.batchEnds[i] > upto })
-		ends := append([]uint64(nil), s.batchEnds[lo:hi]...)
-		s.wmMu.Unlock()
-
-		start := after
-		for i := 0; i < len(ends); {
-			// One gather covers every batch ending within the window; a
-			// batch bigger than the window gets a window of its own.
-			winEnd := start + batchScanWindow
-			j := i
-			for j < len(ends) && ends[j] <= winEnd {
-				j++
-			}
-			if j == i {
-				j = i + 1
-			}
-			winEnd = ends[j-1]
-			var seqs []uint64
-			var obs []Observation
-			for seq, o := range s.ScanRange(Query{Round: -1}, start, winEnd) {
-				seqs = append(seqs, seq)
-				obs = append(obs, o)
-			}
-			k := 0
-			for _, end := range ends[i:j] {
-				m := k
-				for m < len(seqs) && seqs[m] <= end {
-					m++
-				}
-				if m > k && !yield(seqs[k:m], obs[k:m]) {
-					return
-				}
-				k = m
-			}
-			start, i = winEnd, j
-		}
-	}
+// SameProductRound reports whether two adjacent rows belong to one crawl
+// product-round: one crawled product's rows for one round, which the
+// crawler appends as a single AddAll. The incremental analysis engine
+// judges strategy verdicts only where a product-round ends, so any cut
+// of the log that never separates two such rows yields the same events.
+func SameProductRound(a, b *Observation) bool {
+	return a.Source == SourceCrawl && b.Source == SourceCrawl &&
+		a.Round == b.Round && a.SKU == b.SKU && a.Domain == b.Domain
 }
 
-// ScanBatches delegates to the memory engine (see Store.ScanBatches) —
-// the durable primary serves the replication stream off its read path.
-func (d *Durable) ScanBatches(after, upto uint64) iter.Seq2[[]uint64, []Observation] {
-	return d.mem.Load().ScanBatches(after, upto)
+// Chunks groups a sequence-ordered row stream (a ScanRange) into
+// batches of at least readBatch rows — the last may be shorter — cut
+// only between product-rounds, each with its rows' sequence numbers.
+// Every yielded pair is a fresh slice the consumer may keep. Both the
+// replication stream and the analysis rebuild fold through it; sequence
+// holes retention left are simply absent, and a follower's ApplyAt jumps
+// them.
+func Chunks(rows iter.Seq2[uint64, Observation]) iter.Seq2[[]uint64, []Observation] {
+	return func(yield func([]uint64, []Observation) bool) {
+		var seqs []uint64
+		var obs []Observation
+		for seq, o := range rows {
+			if n := len(obs); n >= readBatch && !SameProductRound(&obs[n-1], &o) {
+				if !yield(seqs, obs) {
+					return
+				}
+				// The next chunk is most likely as long as this one.
+				seqs, obs = make([]uint64, 0, n), make([]Observation, 0, n)
+			}
+			seqs = append(seqs, seq)
+			obs = append(obs, o)
+		}
+		if len(obs) > 0 {
+			yield(seqs, obs)
+		}
+	}
 }
 
 // Epoch returns the directory's replication identity.

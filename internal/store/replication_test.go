@@ -2,27 +2,36 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
-	"iter"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 )
 
-// pump replicates primary's batches in (last, watermark] into follower
-// through the public ScanBatches/ApplyAt pair and returns the new
-// cursor — the in-process skeleton of what the HTTP stream does.
-func pump(t *testing.T, primary interface {
-	ScanBatches(after, upto uint64) iter.Seq2[[]uint64, []Observation]
-	Watermark() uint64
-}, follower *Store, last uint64) uint64 {
+// pump replicates primary's rows in (last, watermark] into follower
+// through the public Chunks/ApplyAt pair and returns the new cursor —
+// the in-process skeleton of what the HTTP stream does.
+func pump(t *testing.T, primary Reader, follower *Store, last uint64) uint64 {
 	t.Helper()
 	upto := primary.Watermark()
-	for seqs, obs := range primary.ScanBatches(last, upto) {
+	applyChunks(t, primary, follower, last, upto)
+	return upto
+}
+
+// applyChunks applies primary's rows in (after, upto] to follower chunk
+// by chunk and returns the chunk end sequences.
+func applyChunks(t *testing.T, primary Reader, follower *Store, after, upto uint64) []uint64 {
+	t.Helper()
+	var ends []uint64
+	for seqs, obs := range Chunks(primary.ScanRange(Query{Round: -1}, after, upto)) {
 		if err := follower.ApplyAt(seqs, obs); err != nil {
 			t.Fatalf("ApplyAt: %v", err)
 		}
+		ends = append(ends, seqs[len(seqs)-1])
 	}
-	return upto
+	return ends
 }
 
 // addVariedBatches feeds obs to the store in deterministic, varied batch
@@ -42,55 +51,100 @@ func addVariedBatches(b Backend, obs []Observation, seed int64) []int {
 	return sizes
 }
 
-func TestScanBatchesPreservesBatchBoundaries(t *testing.T) {
-	primary := New()
-	obs := seedObservations(7, 900)
-	sizes := addVariedBatches(primary, obs, 7)
-
-	var got []int
-	prevEnd := uint64(0)
-	for seqs, rows := range primary.ScanBatches(0, primary.Watermark()) {
-		if len(seqs) != len(rows) {
-			t.Fatalf("frame carries %d seqs for %d rows", len(seqs), len(rows))
+// addProductRounds appends about n rows the way campaigns write them:
+// whole crawl product-rounds (up to 14 vantage points of one product in
+// one round, one AddAll each) mixed with single crowd rows, spread over
+// 30 simulated days so retention has buckets to prune.
+func addProductRounds(b Backend, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	base := time.Date(2013, 1, 10, 8, 0, 0, 0, time.UTC)
+	for rows := 0; rows < n; {
+		day := rng.Intn(30)
+		o := Observation{
+			Domain: fmt.Sprintf("www.shop%02d.example", rng.Intn(9)),
+			SKU:    fmt.Sprintf("P-%d", rng.Intn(12)),
+			Time:   base.Add(time.Duration(day) * 24 * time.Hour),
+			Round:  -1, Source: SourceCrowd,
+			PriceUnits: int64(1000 + rng.Intn(500)), Currency: "USD", OK: true,
 		}
-		if seqs[0] <= prevEnd {
-			t.Fatalf("frame start %d does not advance past previous end %d", seqs[0], prevEnd)
+		if rng.Intn(4) == 0 {
+			o.VP = "user"
+			b.AddAll([]Observation{o})
+			rows++
+			continue
 		}
-		prevEnd = seqs[len(seqs)-1]
-		got = append(got, len(seqs))
-	}
-	if len(got) != len(sizes) {
-		t.Fatalf("ScanBatches yielded %d batches, admitted %d", len(got), len(sizes))
-	}
-	for i := range got {
-		if got[i] != sizes[i] {
-			t.Fatalf("batch %d: %d rows, admitted %d", i, got[i], sizes[i])
+		o.Source, o.Round = SourceCrawl, day
+		batch := make([]Observation, 1+rng.Intn(14))
+		for i := range batch {
+			batch[i] = o
+			batch[i].VP = fmt.Sprintf("vp-%02d", i)
 		}
+		b.AddAll(batch)
+		rows += len(batch)
 	}
 }
 
-func TestScanBatchesResumesMidStream(t *testing.T) {
+func TestChunksKeepProductRoundsWhole(t *testing.T) {
 	primary := New()
-	addVariedBatches(primary, seedObservations(11, 600), 11)
+	addProductRounds(primary, 5, 6000)
 
-	// Full pass, then a resumed pass cut at an arbitrary batch boundary:
-	// both must replay the identical tail.
-	var ends []uint64
-	for seqs := range primary.ScanBatches(0, primary.Watermark()) {
-		ends = append(ends, seqs[len(seqs)-1])
-	}
-	cut := ends[len(ends)/2]
-	follower := New()
-	for seqs, obs := range primary.ScanBatches(cut, primary.Watermark()) {
-		if seqs[0] <= cut {
-			t.Fatalf("resumed stream replayed sequence %d at or below the cursor %d", seqs[0], cut)
+	var chunks [][]Observation
+	var seqs []uint64
+	for cs, obs := range Chunks(primary.ScanRange(Query{Round: -1}, 0, primary.Watermark())) {
+		if len(cs) != len(obs) {
+			t.Fatalf("chunk carries %d seqs for %d rows", len(cs), len(obs))
 		}
-		if err := follower.ApplyAt(seqs, obs); err != nil {
-			t.Fatal(err)
+		chunks = append(chunks, obs)
+		seqs = append(seqs, cs...)
+	}
+	if len(chunks) < 4 {
+		t.Fatalf("%d chunks; the test needs several", len(chunks))
+	}
+	for i, c := range chunks {
+		if i < len(chunks)-1 && len(c) < readBatch {
+			t.Fatalf("chunk %d holds %d rows, below the %d-row floor", i, len(c), readBatch)
+		}
+		if i > 0 && SameProductRound(&chunks[i-1][len(chunks[i-1])-1], &c[0]) {
+			t.Fatalf("chunk %d starts inside the product-round chunk %d ends", i, i-1)
 		}
 	}
-	if got, want := follower.Watermark(), primary.Watermark(); got != want {
-		t.Fatalf("resumed follower watermark = %d, want %d", got, want)
+	// Every row once, in sequence order — and the kept chunks are fresh
+	// slices: nothing later overwrote them.
+	var all []Observation
+	for _, c := range chunks {
+		all = append(all, c...)
+	}
+	if want := primary.Filter(Query{Round: -1}); !reflect.DeepEqual(all, want) {
+		t.Fatalf("chunks carry %d rows that differ from the %d-row scan", len(all), len(want))
+	}
+	if want := scanSeqs(primary); !reflect.DeepEqual(seqs, want) {
+		t.Fatal("chunk sequences differ from the scan's")
+	}
+}
+
+func TestChunksResumesMidStream(t *testing.T) {
+	primary := New()
+	addProductRounds(primary, 11, 5000)
+	wm := primary.Watermark()
+	ends := applyChunks(t, primary, New(), 0, wm)
+	if len(ends) < 4 {
+		t.Fatalf("%d chunks; the test needs several", len(ends))
+	}
+	// A follower cut at any chunk end resumes with the identical tail:
+	// the same chunks, nothing at or below the cursor, the same rows.
+	for i, cut := range ends[:len(ends)-1] {
+		follower := New()
+		applyChunks(t, primary, follower, 0, cut)
+		resumed := applyChunks(t, primary, follower, cut, wm)
+		if !reflect.DeepEqual(resumed, ends[i+1:]) {
+			t.Fatalf("resumed at %d: chunk ends %v, want %v", cut, resumed, ends[i+1:])
+		}
+		if got := follower.Watermark(); got != wm {
+			t.Fatalf("resumed follower watermark = %d, want %d", got, wm)
+		}
+		if !bytes.Equal(jsonlBytes(t, follower), jsonlBytes(t, primary)) {
+			t.Fatalf("follower resumed at %d differs from the primary", cut)
+		}
 	}
 }
 
@@ -280,22 +334,18 @@ func scanSeqs(r Reader) []uint64 {
 	return out
 }
 
-func TestScanBatchesSkipsPrunedBatches(t *testing.T) {
+func TestChunksStreamAcrossRetentionHoles(t *testing.T) {
 	// Retention leaves sequence holes: a store rebuilt without old
-	// buckets still streams its surviving batches, and a follower applies
-	// them across the gap.
+	// buckets still streams its surviving rows in chunks that run across
+	// the holes, and a follower applies them.
 	s := New()
-	obs := seedObservations(21, 400)
-	addVariedBatches(s, obs, 21)
-	// Drop roughly the older half of the dataset by bucket.
-	counts := s.bucketRows()
-	active, _ := s.activeBucket()
+	addProductRounds(s, 21, 6000)
+	// Drop every other bucket, so holes fall inside chunks.
 	victims := make(map[int64]struct{})
-	dropped := 0
-	for b, n := range counts {
-		if b != active && dropped+n <= len(obs)/2 {
+	active, _ := s.activeBucket()
+	for b := range s.bucketRows() {
+		if b != active && (b/s.bucketSecs)%2 == 0 {
 			victims[b] = struct{}{}
-			dropped += n
 		}
 	}
 	if len(victims) == 0 {
@@ -304,12 +354,21 @@ func TestScanBatchesSkipsPrunedBatches(t *testing.T) {
 	pruned, _ := s.rebuildWithout(victims)
 
 	follower := New()
-	rows := 0
-	for seqs, o := range pruned.ScanBatches(0, pruned.Watermark()) {
+	rows, chunks, holes := 0, 0, 0
+	for seqs, o := range Chunks(pruned.ScanRange(Query{Round: -1}, 0, pruned.Watermark())) {
 		rows += len(seqs)
+		chunks++
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] != seqs[i-1]+1 {
+				holes++
+			}
+		}
 		if err := follower.ApplyAt(seqs, o); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if chunks < 2 || holes == 0 {
+		t.Fatalf("%d chunks spanning %d holes; the test needs several of each", chunks, holes)
 	}
 	if rows != pruned.Len() {
 		t.Fatalf("streamed %d rows, pruned store holds %d", rows, pruned.Len())

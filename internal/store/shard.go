@@ -27,7 +27,7 @@ func shardIdx(domain string) uint32 {
 
 // keyGroup is the primary storage unit: one product's observations,
 // contiguous in memory and in append order. Keeping the dataset grouped
-// by key at ingest is what makes GroupByProduct — the analysis layer's
+// by key at ingest is what makes Groups — the analysis layer's
 // dominant query — an index walk over cache-local runs instead of a
 // full-dataset scan-and-partition. All slices are append-only; elements
 // are never mutated once published, so a slice header captured under the

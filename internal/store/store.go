@@ -11,7 +11,7 @@
 // contend on one mutex, and every shard maintains incremental indexes at
 // Add time (per-product posting lists, per-source posting lists, per-VP
 // counters, domain/SKU sets). Queries that used to be O(dataset) linear
-// scans — Products, Domains, LenOK, GroupByProduct, domain-scoped
+// scans — Products, Domains, LenOK, Groups, domain-scoped
 // Filters — are O(result) index walks. Readers iterate through Scan and
 // Groups, which snapshot only a query's matching rows (never rescanning
 // or copying the rest of the dataset) and hold no lock while the
@@ -138,13 +138,6 @@ type Store struct {
 	wmMu    sync.Mutex
 	waiting map[uint64]queued
 	applied atomic.Uint64
-	// batchEnds records, strictly increasing, the last sequence number of
-	// every admitted batch (guarded by wmMu, appended at reservation
-	// time). Replication ships the WAL batch-at-a-time, and derived state
-	// that folds per batch (the incremental engine's strategy events) is
-	// batching-dependent — so a follower must cut its frames at exactly
-	// these boundaries to reproduce the primary byte-for-byte.
-	batchEnds []uint64
 
 	// observer, when set, receives every applied batch (see SetObserver).
 	observer Observer
@@ -163,7 +156,11 @@ const noObservations = int64(-1 << 62)
 // holds exactly the rows up to its batch, but must not write to it (the
 // write would wait for the turn the observer holds) and must not panic
 // (later writers would wait for a turn that never ends). The slice is
-// the caller's; treat it as read-only and do not retain it.
+// the caller's; treat it as read-only and do not retain it. A writer
+// should append each crawl product-round (see SameProductRound) as one
+// batch: the analysis observer judges strategy verdicts where a
+// product-round ends, so a split one is folded exactly but judged at
+// the split too.
 type Observer func(batch []Observation)
 
 // New returns an empty store with the default (daily) bucket width.
@@ -202,6 +199,7 @@ func (s *Store) Add(o Observation) {
 // sequence (a backend check's 14 per-VP observations or a crawler
 // product-round land with one reservation and, when they share a domain,
 // one lock acquisition). Concurrent calls apply in reservation order.
+// Append a crawl product-round in one call (see Observer).
 func (s *Store) AddAll(os []Observation) {
 	if len(os) == 0 {
 		return
@@ -217,7 +215,6 @@ func (s *Store) AddAll(os []Observation) {
 func (s *Store) reserve(n int) uint64 {
 	s.wmMu.Lock()
 	base := s.seq.Add(uint64(n)) - uint64(n)
-	s.batchEnds = append(s.batchEnds, base+uint64(n))
 	s.wmMu.Unlock()
 	return base
 }

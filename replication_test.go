@@ -172,8 +172,8 @@ func TestReplicationByteIdenticalScenarioMatrix(t *testing.T) {
 // TestReplicationEventsUnderConcurrentLoad: concurrent crowd users write
 // the primary in interleaved batches, and the primary folds them in
 // sequence order inside each writer's turn — so a follower folding the
-// same batches ends with a byte-identical event history, not merely the
-// same event count.
+// same log in replicated chunks ends with a byte-identical event
+// history, not merely the same event count.
 func TestReplicationEventsUnderConcurrentLoad(t *testing.T) {
 	opts := sheriff.WorldOptions{Seed: 3, LongTail: 6}
 	w := sheriff.NewWorld(opts)

@@ -23,10 +23,9 @@
 # own, resume from its last applied sequence (a nonzero cursor this
 # time — its state survived), apply the post-restart load, and converge
 # to equality once more. The replication epoch persists in the
-# primary's manifest, so the follower keeps trusting the stream. Only
-# the datasets are compared here: a restarted primary recovers its rows
-# in new batch boundaries and refolds them, so its event history is not
-# the live one's.
+# primary's manifest, so the follower keeps trusting the stream. The
+# restarted primary rebuilds its event history from the recovered log,
+# and that history must match the follower's live one byte for byte.
 #
 # Run from the repository root: ./scripts/replication_smoke.sh
 # On failure, set SMOKE_ARTIFACT_DIR to keep the data dir + both logs.
@@ -216,6 +215,7 @@ grep -q "reconnecting" "$f_log" || {
   exit 1
 }
 assert_identical
+assert_events_identical
 say "follower resumed from seq $pre_restart_applied and reached $post_restart_applied across the primary restart"
 
 say "phase 3: clean shutdown of both nodes"

@@ -36,7 +36,7 @@ func worldDataset(t *testing.T) *sheriff.World {
 func TestWorldIndexedQueriesMatchLinearScans(t *testing.T) {
 	w := worldDataset(t)
 	st := w.Store
-	all := st.All()
+	all := st.Filter(store.Query{Round: -1})
 	if len(all) == 0 {
 		t.Fatal("empty campaign dataset")
 	}
@@ -92,7 +92,7 @@ func TestWorldIndexedQueriesMatchLinearScans(t *testing.T) {
 		}
 	}
 
-	// GroupByProduct vs linear grouping.
+	// Groups vs linear grouping.
 	for _, src := range []string{store.SourceCrowd, store.SourceCrawl} {
 		want := map[sheriff.ProductKey][]sheriff.Observation{}
 		for _, o := range all {
@@ -102,13 +102,16 @@ func TestWorldIndexedQueriesMatchLinearScans(t *testing.T) {
 			k := sheriff.ProductKey{Domain: o.Domain, SKU: o.SKU}
 			want[k] = append(want[k], o)
 		}
-		got := st.GroupByProduct(src)
+		got := map[sheriff.ProductKey][]sheriff.Observation{}
+		for k, g := range st.Groups(src) {
+			got[k] = g
+		}
 		if len(got) != len(want) {
-			t.Fatalf("GroupByProduct(%s): %d keys, want %d", src, len(got), len(want))
+			t.Fatalf("Groups(%s): %d keys, want %d", src, len(got), len(want))
 		}
 		for k, g := range want {
 			if !reflect.DeepEqual(got[k], g) {
-				t.Fatalf("GroupByProduct(%s) key %v diverged", src, k)
+				t.Fatalf("Groups(%s) key %v diverged", src, k)
 			}
 		}
 	}
