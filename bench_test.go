@@ -435,7 +435,7 @@ func BenchmarkStoreAdd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := store.New()
 				for _, o := range obs {
-					st.Add(o)
+					st.AddAll([]store.Observation{o})
 				}
 			}
 		})
@@ -527,11 +527,11 @@ func BenchmarkStoreAppendAndQuery(b *testing.B) {
 	day := time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Add(store.Observation{
+		st.AddAll([]store.Observation{{
 			Domain: "bench.example.com", SKU: "B-1", VP: "us-bos",
 			PriceUnits: int64(i), Currency: "USD", Time: day,
 			Round: i % 7, Source: store.SourceCrawl, OK: true,
-		})
+		}})
 		if i%1024 == 0 {
 			st.Filter(store.Query{Domain: "bench.example.com", Round: i % 7, OnlyOK: true})
 		}

@@ -17,12 +17,12 @@ var (
 // addCheck writes a synthetic crowd check (one obs per listed VP/price).
 func addCheck(st *store.Store, domain, sku string, at time.Time, pricesUSD map[string]int64) {
 	for vp, units := range pricesUSD {
-		st.Add(store.Observation{
+		st.AddAll([]store.Observation{{
 			Domain: domain, SKU: sku, VP: vp, VPLabel: vp,
 			Country: "US", City: "Boston",
 			PriceUnits: units, Currency: "USD",
 			Time: at, Round: -1, Source: store.SourceCrowd, OK: true,
-		})
+		}})
 	}
 }
 
@@ -41,12 +41,12 @@ func addCrawlRound(st *store.Store, domain, sku string, round int, at time.Time,
 		if cur == "" {
 			cur = "USD"
 		}
-		st.Add(store.Observation{
+		st.AddAll([]store.Observation{{
 			Domain: domain, SKU: sku, VP: vp, VPLabel: vp,
 			Country: p.country, City: p.city,
 			PriceUnits: p.units, Currency: cur,
 			Time: at, Round: round, Source: store.SourceCrawl, OK: true,
-		})
+		}})
 	}
 }
 
@@ -248,12 +248,12 @@ func TestFig10SeriesAndDiffering(t *testing.T) {
 	}
 	for acc, series := range prices {
 		for i, sku := range skus {
-			st.Add(store.Observation{
+			st.AddAll([]store.Observation{{
 				Domain: "amazon.sim", SKU: sku, VP: "us-bos", VPLabel: "USA - Boston",
 				Country: "US", PriceUnits: series[i], Currency: "USD",
 				Time: t0, Round: -1, Source: store.SourceLogin,
 				Account: acc, OK: true,
-			})
+			}})
 		}
 	}
 	fig := Fig10(st, market)

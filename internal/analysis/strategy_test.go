@@ -20,20 +20,20 @@ import (
 
 // crawlObs emits one OK crawl observation.
 func crawlObs(st *store.Store, domain, sku, vp string, round int, at time.Time, units int64, cur string) {
-	st.Add(store.Observation{
+	st.AddAll([]store.Observation{{
 		Domain: domain, SKU: sku, VP: vp, VPLabel: vp,
 		PriceUnits: units, Currency: cur,
 		Time: at, Round: round, Source: store.SourceCrawl, OK: true,
-	})
+	}})
 }
 
 // crawlFail emits one failed-extraction crawl observation.
 func crawlFail(st *store.Store, domain, sku, vp string, round int, at time.Time) {
-	st.Add(store.Observation{
+	st.AddAll([]store.Observation{{
 		Domain: domain, SKU: sku, VP: vp, VPLabel: vp,
 		Time: at, Round: round, Source: store.SourceCrawl,
 		OK: false, Err: "extract: no price found",
-	})
+	}})
 }
 
 // eurUnits converts USD minor units into the EUR display units a localized

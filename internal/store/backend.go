@@ -52,8 +52,6 @@ type Reader interface {
 // JSONL bytes for the same sequence of adds.
 type Backend interface {
 	Reader
-	// Add appends one observation.
-	Add(o Observation)
 	// AddAll appends a batch, preserving batch order. Append a crawl
 	// product-round (see SameProductRound) in one AddAll: the analysis
 	// fold judges strategy verdicts where a product-round ends, so a

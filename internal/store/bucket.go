@@ -80,18 +80,28 @@ func (s *Store) activeBucket() (int64, bool) {
 	return b * s.bucketSecs, true
 }
 
-// bucketRows counts rows per bucket across every shard.
-func (s *Store) bucketRows() map[int64]int {
-	counts := make(map[int64]int)
+// bucketStat is one bucket's row count and newest sequence number.
+type bucketStat struct {
+	rows   int
+	maxSeq uint64
+}
+
+// bucketStats summarizes every bucket across the shards. Each shard's
+// bucket list is seq-sorted, so its last ref is the shard's newest row.
+func (s *Store) bucketStats() map[int64]bucketStat {
+	stats := make(map[int64]bucketStat)
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.RLock()
 		for b, refs := range sh.byBucket {
-			counts[b] += len(refs)
+			st := stats[b]
+			st.rows += len(refs)
+			st.maxSeq = max(st.maxSeq, refs[len(refs)-1].seq())
+			stats[b] = st
 		}
 		sh.mu.RUnlock()
 	}
-	return counts
+	return stats
 }
 
 // dumpBucket feeds one bucket's observations to emit in global sequence

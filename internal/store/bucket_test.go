@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -298,5 +302,339 @@ func TestSweepRemovesOrphans(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("temp file %s survived", e.Name())
 		}
+	}
+}
+
+// segState is one segment file as a test saw it on disk.
+type segState struct {
+	size  int64
+	mtime time.Time
+}
+
+// coldSegments maps each committed cold segment's name to its on-disk
+// size and mtime.
+func coldSegments(t *testing.T, dir string) map[string]segState {
+	t.Helper()
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]segState)
+	for _, b := range man.Buckets {
+		if !b.Compressed {
+			continue
+		}
+		for _, seg := range b.Segments {
+			fi, err := os.Stat(filepath.Join(dir, seg.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[seg.Name] = segState{size: fi.Size(), mtime: fi.ModTime()}
+		}
+	}
+	return out
+}
+
+// assertSegmentsKept fails unless every segment in want is still named
+// by the manifest and unchanged on disk (name, size, mtime).
+func assertSegmentsKept(t *testing.T, dir string, want map[string]segState) {
+	t.Helper()
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make(map[string]bool)
+	for _, b := range man.Buckets {
+		for _, seg := range b.Segments {
+			named[seg.Name] = true
+		}
+	}
+	for name, st := range want {
+		if !named[name] {
+			t.Fatalf("unchanged cold segment %s dropped from the manifest (rewritten)", name)
+		}
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != st.size || !fi.ModTime().Equal(st.mtime) {
+			t.Fatalf("unchanged cold segment %s touched: %d bytes @ %v, was %d @ %v",
+				name, fi.Size(), fi.ModTime(), st.size, st.mtime)
+		}
+	}
+}
+
+// TestDirtyOpenCarriesColdSegments pins the checkpoint's carry rule on
+// the common restart: a WAL tail that lands only in the active bucket
+// must not rewrite a single cold segment, while the active bucket and
+// the dataset absorb the tail. A later day then turns that active bucket
+// cold, and the next checkpoint must compress it.
+func TestDirtyOpenCarriesColdSegments(t *testing.T) {
+	const days, perDay, tailRows = 4, 40, 25
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1, BucketDuration: 24 * time.Hour}
+	oracle := New()
+	d, _ := openDurable(t, dir, opts)
+	for day := 0; day < days; day++ {
+		d.AddAll(dayBatch(day, perDay))
+		oracle.AddAll(dayBatch(day, perDay))
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	tail := dayBatch(days-1, tailRows) // the active bucket only
+	d.AddAll(tail)
+	oracle.AddAll(tail)
+	if err := d.Close(); err != nil { // leaves the tail in the logs
+		t.Fatal(err)
+	}
+	cold := coldSegments(t, dir)
+	if len(cold) != days-1 {
+		t.Fatalf("want %d cold segments, got %d", days-1, len(cold))
+	}
+
+	d2, rep := openDurable(t, dir, opts)
+	if rep.WALRows != tailRows {
+		t.Fatalf("dirty open replayed %d tail rows, want %d", rep.WALRows, tailRows)
+	}
+	assertSegmentsKept(t, dir, cold)
+	st := d2.Stats()
+	if st.SnapshotRows != days*perDay+tailRows || st.SnapshotBuckets != days || st.CompressedBuckets != days-1 {
+		t.Fatalf("dirty open committed %+v", st)
+	}
+	next := dayBatch(days, perDay)
+	d2.AddAll(next)
+	oracle.AddAll(next)
+	if err := d2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	assertSegmentsKept(t, dir, cold)
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := man.Buckets[len(man.Buckets)-1].Start
+	for _, b := range man.Buckets {
+		if cold := b.Start != newest; b.Compressed != cold || strings.HasSuffix(b.Segments[0].Name, ".gz") != cold {
+			t.Fatalf("bucket %d: compressed=%v segment %s, want cold=%v", b.Start, b.Compressed, b.Segments[0].Name, cold)
+		}
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, rep2, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.WALRows != 0 || rep2.SegmentRowsLost != 0 {
+		t.Fatalf("tail not checkpointed: %+v", rep2)
+	}
+	if !bytes.Equal(jsonlBytes(t, back), jsonlBytes(t, oracle)) {
+		t.Fatal("dataset after the dirty open differs from the oracle")
+	}
+}
+
+// TestTruncatedColdSegmentRewritten pins the other half of the carry
+// rule: a cold segment that lost k rows is rewritten, and so is one
+// whose bucket also gained k rows from the WAL tail — it matches its
+// committed row count yet holds different rows. Carrying it would
+// commit the damaged file and drop the tail rows with the emptied logs.
+func TestTruncatedColdSegmentRewritten(t *testing.T) {
+	const k = 6
+	// With no tail rows the bucket simply lost rows; with 2k it gained
+	// more than it lost.
+	for _, tailRows := range []int{0, k, 2 * k} {
+		t.Run(fmt.Sprintf("tail=%d", tailRows), func(t *testing.T) { truncatedColdSegment(t, k, tailRows) })
+	}
+}
+
+// truncatedColdSegment cuts k rows from a cold segment whose bucket also
+// gets tailRows rows from the WAL tail, and checks one writable open.
+func truncatedColdSegment(t *testing.T, k, tailRows int) {
+	const days, perDay = 4, 40
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1, BucketDuration: 24 * time.Hour}
+	var all []Observation
+	d, _ := openDurable(t, dir, opts)
+	for day := 0; day < days; day++ {
+		batch := dayBatch(day, perDay)
+		d.AddAll(batch)
+		all = append(all, batch...)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// Late rows for day 1, a cold bucket, later in the day than any
+	// committed row there.
+	tail := dayBatch(1, perDay+tailRows)[perDay:]
+	d.AddAll(tail)
+	all = append(all, tail...)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	victimStart := bucketOf(bucketBase.Add(24*time.Hour), 86400)
+	victim, dropped := cutColdRows(t, dir, victimStart, k)
+	if victim.Rows != perDay {
+		t.Fatalf("day 1 bucket: %+v", victim)
+	}
+	others := coldSegments(t, dir)
+	delete(others, victim.Segments[0].Name)
+
+	// The oracle: every row in admission order (sequence i+1 is all[i])
+	// except the k cut ones.
+	oracle := New()
+	for i, o := range all {
+		if !dropped[uint64(i+1)] {
+			oracle.AddAll([]Observation{o})
+		}
+	}
+
+	d2, rep := openDurable(t, dir, opts)
+	if rep.SegmentRowsLost != k || rep.WALRows != tailRows {
+		t.Fatalf("open over the cut segment: %+v", rep)
+	}
+	assertSegmentsKept(t, dir, others)
+	man2, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range man2.Buckets {
+		if b.Start == victimStart && b.Segments[0].Name == victim.Segments[0].Name {
+			t.Fatal("the cut segment was carried forward instead of rewritten")
+		}
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, rep2, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.SegmentRowsLost != 0 || rep2.WALRows != 0 || back.Len() != days*perDay-k+tailRows {
+		t.Fatalf("reopened %d rows: %+v", back.Len(), rep2)
+	}
+	if !bytes.Equal(jsonlBytes(t, back), jsonlBytes(t, oracle)) {
+		t.Fatal("reopened dataset differs from the oracle")
+	}
+}
+
+// cutColdRows cuts the last k rows out of the one gzipped segment of
+// the cold bucket starting at start, leaving the manifest's row count as
+// it was. It returns the bucket as committed and the cut rows' sequence
+// numbers.
+func cutColdRows(t *testing.T, dir string, start int64, k int) (bucketInfo, map[uint64]bool) {
+	t.Helper()
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim bucketInfo
+	for _, b := range man.Buckets {
+		if b.Start == start {
+			victim = b
+		}
+	}
+	if !victim.Compressed || len(victim.Segments) != 1 {
+		t.Fatalf("bucket %d is not one gzipped segment: %+v", start, victim)
+	}
+	path := filepath.Join(dir, victim.Segments[0].Name)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty split after the last newline
+	dropped := make(map[uint64]bool)
+	for _, line := range lines[len(lines)-k:] {
+		var row segRow
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatal(err)
+		}
+		dropped[row.Seq] = true
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(bytes.Join(lines[:len(lines)-k], nil))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return victim, dropped
+}
+
+// TestWidthChangeRewritesEveryBucket pins why a checkpoint carries
+// nothing across a bucket-width change. Widening 24h to 48h merges day
+// 1 (which lost k rows to a cut) with day 2 (k rows): the merged bucket
+// starts where day 1 did and holds day 1's committed row count, all
+// below the committed sequence counter, in the same cold state — yet
+// carrying day 1's segment would lose day 2.
+func TestWidthChangeRewritesEveryBucket(t *testing.T) {
+	const perDay, k = 40, 5
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1, BucketDuration: 24 * time.Hour}
+	// Day 1 starts on a 48h boundary (bucketBase itself does not).
+	day1 := bucketOf(bucketBase.Add(24*time.Hour), 2*86400)
+	if day1 != bucketOf(bucketBase.Add(24*time.Hour), 86400) {
+		t.Fatal("fixture: day 1 must start a 48h bucket")
+	}
+	var all []Observation
+	d, _ := openDurable(t, dir, opts)
+	for day, n := range []int{perDay, perDay, k, perDay, perDay} {
+		batch := dayBatch(day, n)
+		d.AddAll(batch)
+		all = append(all, batch...)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, dropped := cutColdRows(t, dir, day1, k)
+	oracle := New()
+	for i, o := range all {
+		if !dropped[uint64(i+1)] {
+			oracle.AddAll([]Observation{o})
+		}
+	}
+
+	opts.BucketDuration = 48 * time.Hour
+	d2, rep := openDurable(t, dir, opts)
+	if rep.SegmentRowsLost != k {
+		t.Fatalf("open over the cut segment: %+v", rep)
+	}
+	gen := d2.Stats().Generation
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range man.Buckets {
+		for _, seg := range b.Segments {
+			if !strings.HasPrefix(seg.Name, fmt.Sprintf("seg-%08d-", gen)) {
+				t.Fatalf("segment %s carried across the width change (generation %d)", seg.Name, gen)
+			}
+		}
+	}
+	back, rep2, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.SegmentRowsLost != 0 || !bytes.Equal(jsonlBytes(t, back), jsonlBytes(t, oracle)) {
+		t.Fatalf("dataset after the width change differs from the oracle (%d rows, %+v)", back.Len(), rep2)
 	}
 }

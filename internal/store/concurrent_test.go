@@ -48,7 +48,7 @@ func testConcurrentAddAndQuery(t *testing.T, newBackend newBackendFunc) {
 					st.AddAll(batch)
 				} else {
 					for _, o := range batch {
-						st.Add(o)
+						st.AddAll([]Observation{o})
 					}
 				}
 			}
@@ -157,7 +157,7 @@ func TestScanEarlyStop(t *testing.T) {
 
 func testScanEarlyStop(t *testing.T, st Backend) {
 	for i := 0; i < 100; i++ {
-		st.Add(Observation{Domain: "a.com", SKU: fmt.Sprintf("S-%d", i), Round: -1, Source: SourceCrawl, OK: true})
+		st.AddAll([]Observation{{Domain: "a.com", SKU: fmt.Sprintf("S-%d", i), Round: -1, Source: SourceCrawl, OK: true}})
 	}
 	n := 0
 	for range st.Scan(Query{Round: -1}) {
@@ -192,14 +192,14 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func testSnapshotIsolation(t *testing.T, st Backend) {
 	for i := 0; i < 10; i++ {
-		st.Add(Observation{Domain: "a.com", SKU: "S", Round: -1, Source: SourceCrawl, OK: true})
+		st.AddAll([]Observation{{Domain: "a.com", SKU: "S", Round: -1, Source: SourceCrawl, OK: true}})
 	}
 	seq := st.Scan(Query{Round: -1})
 	n := 0
 	for range seq {
 		if n == 0 {
 			// Mutate mid-iteration; the running scan must not see it.
-			st.Add(Observation{Domain: "a.com", SKU: "S", Round: -1, Source: SourceCrawl, OK: true})
+			st.AddAll([]Observation{{Domain: "a.com", SKU: "S", Round: -1, Source: SourceCrawl, OK: true}})
 		}
 		n++
 	}

@@ -43,11 +43,12 @@ import (
 // Opening a directory recovers it: the manifest's bucket segments load
 // first, then the logs' complete records; both carry their original
 // sequence numbers, so one sort of compact (sequence, position) keys
-// re-merges them into exact admission order. If replay folded anything in (or anything was torn,
-// lost, or due for retention/compression), the recovered state is
-// committed as a fresh generation; a clean restart reuses the committed
-// generation and skips the O(dataset) rewrite. Torn log tails and
-// truncated segments are tolerated and reported, never fatal.
+// re-merges them into exact admission order. Every writable open then
+// commits the recovered state as a fresh generation, and every commit
+// carries an unchanged bucket's segments forward instead of rewriting
+// them, so a clean restart writes a manifest and empty logs and nothing
+// else. Torn log tails and truncated segments are tolerated and
+// reported, never fatal.
 type Durable struct {
 	// mem is the read path. It is swapped wholesale when retention prunes
 	// buckets (under the exclusive writeGate), so readers load it once per
@@ -66,15 +67,13 @@ type Durable struct {
 	// epoch is the directory's replication identity (see manifest.Epoch):
 	// minted on first open, committed with every checkpoint, constant for
 	// the directory's lifetime.
-	epoch    uint64
-	snapRows uint64
-	// snapBuckets/snapCompressed/snapBytes describe the committed
-	// snapshot's bucket layout; bucketBytes maps bucket start to its
-	// committed on-disk size (how age-pruned buckets get byte-accounted).
-	snapBuckets    int
-	snapCompressed int
-	snapBytes      int64
-	bucketBytes    map[int64]int64
+	epoch uint64
+	// committed maps bucket start to the last commit's bucketInfo, and
+	// committedSeq is that commit's sequence counter (manifest MaxSeq):
+	// what the next checkpoint may carry forward unwritten, what stats
+	// report, and how age-pruned buckets get byte-accounted.
+	committed    map[int64]bucketInfo
+	committedSeq uint64
 	// pruned accumulates retention's work, mirrored to the manifest.
 	pruned PruneTotals
 	// pruneHook, when set, runs under the exclusive gate after a
@@ -280,6 +279,8 @@ func (r RecoveryReport) String() string {
 // OpenDurable opens (creating if needed) a data directory as a writable
 // durable backend: recover, then commit the recovered state as a fresh
 // generation so the engine starts on a clean snapshot and empty logs.
+// The commit also applies the storage lifecycle (compression, retention)
+// and rewrites only the buckets recovery changed.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryReport, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -301,42 +302,17 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryReport, err
 	if mem.bucketSecs != width {
 		mem.rebucket(width)
 	}
-	d := &Durable{dir: dir, opts: opts, gen: man.Generation, lock: lock}
+	d := &Durable{dir: dir, opts: opts, gen: man.Generation, epoch: man.Epoch, pruned: man.Pruned, lock: lock}
 	d.mem.Store(mem)
-	d.pruned = man.Pruned
-	d.epoch = man.Epoch
+	if man.BucketSeconds == width {
+		// At another width every bucket is new: nothing carries forward.
+		d.committed = bucketsByStart(man.Buckets)
+		d.committedSeq = man.MaxSeq
+	}
 	if d.epoch == 0 {
 		d.epoch = NewReplicationEpoch()
-		if man.Generation == 0 && len(man.Buckets) == 0 && rep.Rows() == 0 && rep.WALBytesDiscarded == 0 {
-			// Fresh directory: commit the minted identity alone, at
-			// generation 0 — there is no data to rewrite, and the
-			// generation counter must not advance on an empty open.
-			man.Epoch = d.epoch
-			man.BucketSeconds = width
-			if err := commitManifest(dir, man); err != nil {
-				lock.Close()
-				return nil, rep, err
-			}
-		}
 	}
-	// When recovery folded nothing in — no log records, no torn bytes,
-	// no lost rows — and the committed snapshot needs no lifecycle work
-	// (same bucket width, cold buckets compressed, no retention due),
-	// that snapshot already IS the recovered state, and rewriting it
-	// would put an O(dataset) segment dump on every clean restart's boot
-	// path. Reuse the generation instead; anything else checkpoints. A
-	// manifest without an epoch forces one checkpoint so the freshly
-	// minted identity is committed, not re-minted per restart.
-	clean := rep.WALRecords == 0 && rep.WALBytesDiscarded == 0 && rep.SegmentRowsLost == 0 &&
-		(man.BucketSeconds == 0 || man.BucketSeconds == width) &&
-		man.Epoch != 0 &&
-		!d.lifecycleDue(man, mem)
-	if clean {
-		err = d.reuseGenerationLocked(man)
-	} else {
-		err = d.checkpointLocked()
-	}
-	if err != nil {
+	if err := d.checkpointLocked(); err != nil {
 		lock.Close()
 		return nil, rep, err
 	}
@@ -351,39 +327,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryReport, err
 		go d.syncLoop()
 	}
 	return d, rep, nil
-}
-
-// lifecycleDue reports whether the committed snapshot needs a checkpoint
-// for lifecycle reasons alone: a cold bucket left uncompressed, a bucket
-// past the retention age, or a snapshot over the disk budget.
-func (d *Durable) lifecycleDue(man *manifest, mem *Store) bool {
-	active, hasData := mem.activeBucket()
-	if !hasData {
-		return false
-	}
-	for _, b := range man.Buckets {
-		if b.Start != active && !b.Compressed && b.Rows > 0 {
-			return true
-		}
-	}
-	if d.opts.RetainAge > 0 {
-		cutoff := mem.maxUnix.Load() - int64(d.opts.RetainAge/time.Second)
-		for _, b := range man.Buckets {
-			if b.Start != active && b.Start+man.BucketSeconds <= cutoff {
-				return true
-			}
-		}
-	}
-	if d.opts.RetainBytes > 0 && len(man.Buckets) > 1 {
-		var total int64
-		for _, b := range man.Buckets {
-			total += b.Bytes
-		}
-		if total > d.opts.RetainBytes {
-			return true
-		}
-	}
-	return false
 }
 
 // OpenReadOnly recovers a data directory into a plain in-memory store
@@ -540,11 +483,13 @@ func replayOrder(pending []seqObs) []seqKey {
 
 // checkpointLocked commits the memory engine's current state as a new
 // generation — bucket segments, manifest, fresh empty logs — applying
-// the storage lifecycle as it goes: every live bucket rewrites under the
-// new generation (no file ever carries over, which keeps the sweep
-// trivially safe), cold buckets compress, age-expired buckets are
-// skipped outright, and the disk budget evicts oldest-first. The caller
-// holds writeGate exclusively, or is still single-threaded in
+// the storage lifecycle as it goes: cold buckets compress, age-expired
+// buckets are skipped outright, and the disk budget evicts oldest-first.
+// A bucket the last commit already holds exactly (see carries) keeps its
+// segment files, under their old names; every other live bucket is
+// written under the new generation. The work, and with it the writers'
+// pause, is proportional to the changed buckets, not the dataset. The
+// caller holds writeGate exclusively, or is still single-threaded in
 // OpenDurable.
 //
 // The manifest rename is the commit point, and the in-memory generation
@@ -584,10 +529,10 @@ func (d *Durable) checkpointLocked() error {
 	// Bucket plan: live buckets oldest-first, age-expired ones pruned
 	// before a byte is written (their last committed size is what the
 	// byte accounting can know).
-	counts := mem.bucketRows()
+	stats := mem.bucketStats()
 	active, hasData := mem.activeBucket()
-	starts := make([]int64, 0, len(counts))
-	for b := range counts {
+	starts := make([]int64, 0, len(stats))
+	for b := range stats {
 		starts = append(starts, b)
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
@@ -600,8 +545,8 @@ func (d *Durable) checkpointLocked() error {
 			if b != active && b+mem.bucketSecs <= cutoff {
 				victims[b] = struct{}{}
 				pruned.Buckets++
-				pruned.Rows += uint64(counts[b])
-				pruned.Bytes += uint64(d.bucketBytes[b])
+				pruned.Rows += uint64(stats[b].rows)
+				pruned.Bytes += uint64(d.committed[b].Bytes)
 			}
 		}
 	}
@@ -612,17 +557,21 @@ func (d *Durable) checkpointLocked() error {
 		if _, dead := victims[b]; dead {
 			continue
 		}
-		info, err := writeBucket(d.dir, newGen, mem, b, b != active, d.opts.SegmentBytes)
-		if err != nil {
-			return abort(err)
+		cold := b != active
+		info := d.committed[b]
+		if !d.carries(info, stats[b], cold) {
+			var err error
+			if info, err = writeBucket(d.dir, newGen, mem, b, cold, d.opts.SegmentBytes); err != nil {
+				return abort(err)
+			}
 		}
 		infos = append(infos, info)
 		rows += uint64(info.Rows)
 	}
 
 	// Disk budget: evict oldest-first until the snapshot fits; the
-	// active bucket survives regardless. Evicted buckets were already
-	// written — their files are uncommitted orphans the sweep removes.
+	// active bucket survives regardless. An evicted bucket's files, new
+	// or carried, go unnamed in the manifest, so the sweep removes them.
 	if d.opts.RetainBytes > 0 {
 		var total int64
 		for _, info := range infos {
@@ -665,18 +614,8 @@ func (d *Durable) checkpointLocked() error {
 		d.wals[shard].poisoned = false
 	}
 	d.gen = newGen
-	d.snapRows = rows
-	d.snapBuckets = len(infos)
-	d.snapCompressed = 0
-	d.snapBytes = 0
-	d.bucketBytes = make(map[int64]int64, len(infos))
-	for _, info := range infos {
-		if info.Compressed {
-			d.snapCompressed++
-		}
-		d.snapBytes += info.Bytes
-		d.bucketBytes[info.Start] = info.Bytes
-	}
+	d.committed = bucketsByStart(infos)
+	d.committedSeq = man.MaxSeq
 	d.pruned = pruned
 	d.walBytes.Store(0)
 
@@ -717,52 +656,26 @@ func (d *Durable) checkpointLocked() error {
 	return nil
 }
 
-// reuseGenerationLocked adopts the committed generation as-is: recovery
-// loaded exactly the snapshot (every log was empty or absent) and no
-// lifecycle work is due, so the only work is opening the generation's
-// logs for appending and sweeping other generations' orphans. Only
-// called from OpenDurable, still single-threaded.
-func (d *Durable) reuseGenerationLocked(man *manifest) error {
-	for shard := range d.wals {
-		f, err := os.OpenFile(filepath.Join(d.dir, walFile(man.Generation, shard)),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			for si := 0; si < shard; si++ {
-				d.wals[si].f.Close()
-			}
-			return fmt.Errorf("store: create wal: %w", err)
-		}
-		d.wals[shard].f = f
+// carries reports whether the last commit's bucket still holds exactly
+// the store's rows for that bucket in the wanted compression state, so
+// the next commit can name its segments again instead of rewriting
+// them. Every row logged after that commit has a sequence number above
+// committedSeq, so a bucket whose newest row is at or below it gained
+// nothing; an equal row count then means it lost nothing either (a
+// truncated segment, a missing file). A cold bucket that was the active
+// one at the last commit is uncompressed and gets rewritten, and a bucket
+// the last commit lacks has the zero info, whose 0 rows never match.
+func (d *Durable) carries(info bucketInfo, st bucketStat, cold bool) bool {
+	return info.Rows == st.rows && st.maxSeq <= d.committedSeq && info.Compressed == cold
+}
+
+// bucketsByStart indexes a commit's buckets by their start.
+func bucketsByStart(infos []bucketInfo) map[int64]bucketInfo {
+	m := make(map[int64]bucketInfo, len(infos))
+	for _, info := range infos {
+		m[info.Start] = info
 	}
-	// Make the directory entries durable: on a first-ever open this is
-	// the only point that fsyncs the directory (no manifest commit runs),
-	// and fsync=always is hollow if power loss can drop the log files
-	// themselves.
-	if err := syncDir(d.dir); err != nil {
-		for si := range d.wals {
-			d.wals[si].f.Close()
-		}
-		return err
-	}
-	d.gen = man.Generation
-	d.snapRows = man.Rows
-	d.snapBuckets = len(man.Buckets)
-	d.snapCompressed = 0
-	d.snapBytes = 0
-	d.bucketBytes = make(map[int64]int64, len(man.Buckets))
-	for _, b := range man.Buckets {
-		if b.Compressed {
-			d.snapCompressed++
-		}
-		d.snapBytes += b.Bytes
-		d.bucketBytes[b.Start] = b.Bytes
-	}
-	d.pruned = man.Pruned
-	d.synced.Store(d.mem.Load().seq.Load())
-	if err := d.sweepExcept(man.Generation, man); err != nil {
-		d.fail(err)
-	}
-	return nil
+	return m
 }
 
 // sweepExcept removes segment files the manifest does not name (other
@@ -798,9 +711,6 @@ func (d *Durable) sweepExcept(keep uint64, man *manifest) error {
 	}
 	return nil
 }
-
-// Add appends one observation durably.
-func (d *Durable) Add(o Observation) { d.AddAll([]Observation{o}) }
 
 // SetObserver installs the write-path observer on the underlying memory
 // engine — every durable AddAll applies through it, so one hook covers
@@ -890,9 +800,9 @@ func (d *Durable) AddAll(os_ []Observation) {
 
 	if t := d.opts.CompactWALBytes; t > 0 && d.walBytes.Load() >= t {
 		// The trigger upgrades to the exclusive gate on its own
-		// goroutine, outside this AddAll's shared hold — but the pass
-		// itself pauses every writer for the O(dataset) segment rewrite
-		// (see Compact). Size CompactWALBytes accordingly.
+		// goroutine, outside this AddAll's shared hold. The pass pauses
+		// every writer while it rewrites the buckets changed since the
+		// last commit (see Compact); unchanged ones carry forward.
 		go d.tryCompact()
 	} else if d.opts.retentionOn() {
 		// Retention is evaluated at checkpoints, so a batch that rolls
@@ -997,7 +907,8 @@ func (d *Durable) syncAllLocked() {
 
 // Compact commits the current state as a fresh snapshot generation —
 // applying retention and cold-bucket compression — and empties the logs.
-// Writers pause for the duration.
+// Writers pause for the duration, which is the rewrite of the buckets
+// changed since the last commit: unchanged buckets carry forward.
 func (d *Durable) Compact() error {
 	d.writeGate.Lock()
 	defer d.writeGate.Unlock()
@@ -1106,28 +1017,28 @@ type DurableStats struct {
 
 // Stats snapshots the durability counters.
 func (d *Durable) Stats() DurableStats {
-	d.writeGate.RLock()
-	gen, rows := d.gen, d.snapRows
-	buckets, compressed, bytes := d.snapBuckets, d.snapCompressed, d.snapBytes
-	pruned := d.pruned
-	d.writeGate.RUnlock()
-	return DurableStats{
-		Dir:               d.dir,
-		Fsync:             d.opts.Fsync.String(),
-		Generation:        gen,
-		SnapshotRows:      rows,
-		SnapshotBuckets:   buckets,
-		CompressedBuckets: compressed,
-		SnapshotBytes:     bytes,
-		BucketSeconds:     d.mem.Load().BucketSeconds(),
-		RetainAgeSeconds:  int64(d.opts.RetainAge / time.Second),
-		RetainBytes:       d.opts.RetainBytes,
-		PrunedBuckets:     pruned.Buckets,
-		PrunedRows:        pruned.Rows,
-		PrunedBytes:       pruned.Bytes,
-		WALBytes:          d.walBytes.Load(),
-		SyncedSeq:         d.synced.Load(),
+	st := DurableStats{
+		Dir:              d.dir,
+		Fsync:            d.opts.Fsync.String(),
+		BucketSeconds:    d.mem.Load().BucketSeconds(),
+		RetainAgeSeconds: int64(d.opts.RetainAge / time.Second),
+		RetainBytes:      d.opts.RetainBytes,
+		WALBytes:         d.walBytes.Load(),
+		SyncedSeq:        d.synced.Load(),
 	}
+	d.writeGate.RLock()
+	defer d.writeGate.RUnlock()
+	st.Generation = d.gen
+	st.SnapshotBuckets = len(d.committed)
+	for _, info := range d.committed {
+		st.SnapshotRows += uint64(info.Rows)
+		st.SnapshotBytes += info.Bytes
+		if info.Compressed {
+			st.CompressedBuckets++
+		}
+	}
+	st.PrunedBuckets, st.PrunedRows, st.PrunedBytes = d.pruned.Buckets, d.pruned.Rows, d.pruned.Bytes
+	return st
 }
 
 // The Reader surface delegates to the memory engine — the durable store's

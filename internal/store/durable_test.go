@@ -119,7 +119,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if !bytes.Equal(jsonlBytes(t, d2), want) {
 		t.Fatal("writable reopen dataset diverged")
 	}
-	d2.Add(obs[0])
+	d2.AddAll(obs[:1])
 	if d2.Len() != len(obs)+1 {
 		t.Fatalf("post-recovery write lost: Len = %d", d2.Len())
 	}
@@ -304,8 +304,8 @@ func TestDurableTruncatedSegment(t *testing.T) {
 }
 
 // TestDurableCompactionCycle walks the generation lifecycle: snapshots
-// commit, logs empty, stale generations sweep away, and the dataset's
-// bytes never change across any of it.
+// commit, logs empty, files the manifest no longer names sweep away, and
+// the dataset's bytes never change across any of it.
 func TestDurableCompactionCycle(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1})
@@ -323,24 +323,37 @@ func TestDurableCompactionCycle(t *testing.T) {
 	}
 	want = jsonlBytes(t, d)
 	stats := d.Stats()
-	// A fresh dir opens at generation 0 (nothing to commit yet); the
-	// three compactions each advance it.
-	if stats.Generation != 3 {
-		t.Fatalf("generation = %d, want 3", stats.Generation)
+	// Opening a fresh dir commits generation 1; the three compactions
+	// each advance it.
+	if stats.Generation != 4 {
+		t.Fatalf("generation = %d, want 4", stats.Generation)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Exactly one generation's files remain.
+	// Only manifest-named segments and the current generation's logs
+	// remain (an unchanged bucket keeps its older segment files).
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make(map[string]bool)
+	for _, b := range man.Buckets {
+		for _, seg := range b.Segments {
+			named[seg.Name] = true
+		}
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		n := e.Name()
-		if (strings.HasPrefix(n, "seg-") || strings.HasPrefix(n, "wal-")) &&
-			!strings.Contains(n, fmt.Sprintf("-%08d-", stats.Generation)) {
-			t.Fatalf("stale generation file survived sweep: %s", n)
+		if strings.HasPrefix(n, "seg-") && !named[n] {
+			t.Fatalf("segment the manifest does not name survived sweep: %s", n)
+		}
+		if strings.HasPrefix(n, "wal-") && !strings.HasPrefix(n, fmt.Sprintf("wal-%08d-", stats.Generation)) {
+			t.Fatalf("stale generation log survived sweep: %s", n)
 		}
 	}
 	back, rep, err := OpenReadOnly(dir)
@@ -356,17 +369,18 @@ func TestDurableCompactionCycle(t *testing.T) {
 }
 
 // TestDurableCleanReopenSkipsRewrite pins the clean-restart fast path: a
-// reopen that recovered nothing from the logs reuses the committed
-// generation instead of rewriting the whole dataset — a multi-GB clean
-// restart must not pay an O(dataset) boot tax.
+// reopen that recovered nothing from the logs commits a new generation
+// that carries every segment forward instead of rewriting the whole
+// dataset — a multi-GB clean restart must not pay an O(dataset) boot tax.
 func TestDurableCleanReopenSkipsRewrite(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1})
 	d.AddAll(seedObservations(19, 400))
-	if err := d.Compact(); err != nil { // commit generation 1, empty logs
+	if err := d.Compact(); err != nil { // commit the rows, empty logs
 		t.Fatal(err)
 	}
 	want := jsonlBytes(t, d)
+	gen := d.Stats().Generation
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +400,8 @@ func TestDurableCleanReopenSkipsRewrite(t *testing.T) {
 	if rep.SnapshotRows != 400 || rep.WALRows != 0 {
 		t.Fatalf("clean reopen recovery: %+v", rep)
 	}
-	if got := d2.Stats().Generation; got != 1 {
-		t.Fatalf("clean reopen advanced the generation to %d", got)
+	if got := d2.Stats().Generation; got != gen+1 {
+		t.Fatalf("clean reopen moved the generation from %d to %d, want %d", gen, got, gen+1)
 	}
 	after, err := os.Stat(seg)
 	if err != nil {
@@ -399,7 +413,7 @@ func TestDurableCleanReopenSkipsRewrite(t *testing.T) {
 	if !bytes.Equal(jsonlBytes(t, d2), want) {
 		t.Fatal("clean reopen changed the dataset")
 	}
-	// And the reused generation still accepts and recovers new writes.
+	// And the new generation still accepts and recovers new writes.
 	d2.AddAll(seedObservations(23, 50))
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
@@ -418,6 +432,7 @@ func TestDurableCleanReopenSkipsRewrite(t *testing.T) {
 func TestDurableAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever, CompactWALBytes: 16 << 10})
+	opened := d.Stats().Generation
 	obs := seedObservations(17, 3000)
 	for i := 0; i < len(obs); i += 100 {
 		d.AddAll(obs[i : i+100])
@@ -425,13 +440,13 @@ func TestDurableAutoCompaction(t *testing.T) {
 	// The trigger runs on its own goroutine; give it its window before
 	// closing (Close waits out an in-flight pass via the gate).
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().Generation < 1 && time.Now().Before(deadline) {
+	for d.Stats().Generation <= opened && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().Generation < 1 {
+	if d.Stats().Generation <= opened {
 		t.Fatalf("auto compaction never fired: %+v", d.Stats())
 	}
 	back, rep, err := OpenReadOnly(dir)
@@ -482,7 +497,7 @@ func TestDurableWriteAfterClose(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d.Add(obs("a.com", "A-1", "x", 1, -1, SourceCrawl, true))
+	d.AddAll([]Observation{obs("a.com", "A-1", "x", 1, -1, SourceCrawl, true)})
 	if d.Err() == nil {
 		t.Fatal("write after close went unrecorded")
 	}

@@ -70,7 +70,7 @@ func fillBoth(t *testing.T, st Backend, obs []Observation) *linearRef {
 			ref.addAll(obs[i:end])
 			i = end
 		} else {
-			st.Add(obs[i])
+			st.AddAll([]Observation{obs[i]})
 			ref.add(obs[i])
 			i++
 		}

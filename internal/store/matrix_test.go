@@ -55,8 +55,6 @@ type replicaBackend struct {
 	cursor   uint64
 }
 
-func (rb *replicaBackend) Add(o Observation) { rb.AddAll([]Observation{o}) }
-
 func (rb *replicaBackend) AddAll(os []Observation) {
 	rb.primary.AddAll(os)
 	rb.mu.Lock()

@@ -343,7 +343,7 @@ func TestChunksStreamAcrossRetentionHoles(t *testing.T) {
 	// Drop every other bucket, so holes fall inside chunks.
 	victims := make(map[int64]struct{})
 	active, _ := s.activeBucket()
-	for b := range s.bucketRows() {
+	for b := range s.bucketStats() {
 		if b != active && (b/s.bucketSecs)%2 == 0 {
 			victims[b] = struct{}{}
 		}

@@ -24,6 +24,9 @@ import (
 // exact admission order, which keeps the recovered dataset byte-
 // identical to what live readers saw.
 //
+// Segment files are immutable: a commit either names a bucket's files
+// from the previous commit again, unchanged, or writes the bucket anew.
+//
 // The manifest is the commit record: a snapshot exists only once
 // MANIFEST.json names its buckets and segments, and the manifest is
 // replaced atomically (write temp, fsync, rename, fsync directory), so
@@ -40,9 +43,11 @@ const manifestName = "MANIFEST.json"
 type manifest struct {
 	// Version guards the on-disk format.
 	Version int `json:"version"`
-	// Generation increments with every committed snapshot; segment and
-	// WAL file names embed it, so stale files of other generations are
-	// recognizable orphans.
+	// Generation increments with every committed snapshot; WAL file
+	// names embed it, so other generations' logs are recognizable
+	// orphans. A segment's name embeds the generation that wrote it,
+	// which is older than this one when its bucket carried forward
+	// unchanged: a segment is live exactly when the manifest names it.
 	Generation uint64 `json:"generation"`
 	// Rows is the snapshot's total observation count across buckets.
 	Rows uint64 `json:"rows"`
@@ -249,9 +254,10 @@ func writeBucket(dir string, gen uint64, src *Store, bucket int64, compressed bo
 			// gzip layer, when present, sits between it and the counter.
 			counted := io.Writer(&countingWriter{w: f, n: &cur.Bytes})
 			if compressed {
-				// BestSpeed: the dump already costs O(dataset); the cold
-				// data is mostly-redundant JSON, which compresses well at
-				// any level.
+				// BestSpeed: a bucket compresses inside the writers'
+				// pause of the checkpoint that turns it cold, and the
+				// cold data is mostly-redundant JSON, which compresses
+				// well at any level.
 				gz, _ = gzip.NewWriterLevel(counted, gzip.BestSpeed)
 				bw = bufio.NewWriter(gz)
 			} else {

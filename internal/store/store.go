@@ -9,7 +9,7 @@
 // partitioned by hash(Domain) into independently-locked shards, so the
 // backend's 14-way check fan-outs and concurrent crawler rounds never
 // contend on one mutex, and every shard maintains incremental indexes at
-// Add time (per-product posting lists, per-source posting lists, per-VP
+// append time (per-product posting lists, per-source posting lists, per-VP
 // counters, domain/SKU sets). Queries that used to be O(dataset) linear
 // scans — Products, Domains, LenOK, Groups, domain-scoped
 // Filters — are O(result) index walks. Readers iterate through Scan and
@@ -21,7 +21,7 @@
 // Ordering: every observation receives a global sequence number when it
 // is admitted, batches apply in sequence order even under concurrent
 // writers, and all query and serialization paths yield observations in
-// sequence order. For any serial sequence of Add/AddAll calls this is
+// sequence order. For any serial sequence of AddAll calls this is
 // exactly insertion order, so WriteJSONL emits byte-identical output to
 // the historical single-slice engine.
 package store
@@ -188,12 +188,6 @@ func newBucketed(bucketSecs int64) *Store {
 // existing contents first: batches applied while no observer is set are
 // not replayed.
 func (s *Store) SetObserver(fn Observer) { s.observer = fn }
-
-// Add appends one observation. It routes through AddAll so the write
-// path — observer included — is one code path.
-func (s *Store) Add(o Observation) {
-	s.AddAll([]Observation{o})
-}
 
 // AddAll appends a batch, preserving batch order in the store's global
 // sequence (a backend check's 14 per-VP observations or a crawler

@@ -21,10 +21,10 @@ func obs(domain, sku, vp string, units int64, round int, src string, ok bool) Ob
 func TestAddFilterAndLen(t *testing.T) {
 	runBackends(t, func(t *testing.T, newBackend newBackendFunc) {
 		s := newBackend(t)
-		s.Add(obs("a.com", "A-1", "us-bos", 100, 0, SourceCrawl, true))
-		s.Add(obs("a.com", "A-1", "fi-tam", 120, 0, SourceCrawl, true))
-		s.Add(obs("a.com", "A-2", "us-bos", 200, 1, SourceCrawl, false))
-		s.Add(obs("b.com", "B-1", "us-bos", 300, -1, SourceCrowd, true))
+		s.AddAll([]Observation{obs("a.com", "A-1", "us-bos", 100, 0, SourceCrawl, true)})
+		s.AddAll([]Observation{obs("a.com", "A-1", "fi-tam", 120, 0, SourceCrawl, true)})
+		s.AddAll([]Observation{obs("a.com", "A-2", "us-bos", 200, 1, SourceCrawl, false)})
+		s.AddAll([]Observation{obs("b.com", "B-1", "us-bos", 300, -1, SourceCrowd, true)})
 
 		if s.Len() != 4 || s.LenOK() != 3 {
 			t.Fatalf("Len=%d LenOK=%d", s.Len(), s.LenOK())
@@ -53,10 +53,10 @@ func TestAddFilterAndLen(t *testing.T) {
 func TestDomainsAndProducts(t *testing.T) {
 	runBackends(t, func(t *testing.T, newBackend newBackendFunc) {
 		s := newBackend(t)
-		s.Add(obs("b.com", "B-2", "x", 1, -1, SourceCrawl, true))
-		s.Add(obs("a.com", "A-1", "x", 1, -1, SourceCrawl, true))
-		s.Add(obs("b.com", "B-1", "x", 1, -1, SourceCrawl, true))
-		s.Add(obs("b.com", "B-1", "y", 2, -1, SourceCrawl, true))
+		s.AddAll([]Observation{obs("b.com", "B-2", "x", 1, -1, SourceCrawl, true)})
+		s.AddAll([]Observation{obs("a.com", "A-1", "x", 1, -1, SourceCrawl, true)})
+		s.AddAll([]Observation{obs("b.com", "B-1", "x", 1, -1, SourceCrawl, true)})
+		s.AddAll([]Observation{obs("b.com", "B-1", "y", 2, -1, SourceCrawl, true)})
 
 		if got := s.Domains(); len(got) != 2 || got[0] != "a.com" || got[1] != "b.com" {
 			t.Fatalf("Domains = %v", got)
@@ -81,10 +81,10 @@ func TestGroupByProduct(t *testing.T) {
 	runBackends(t, func(t *testing.T, newBackend newBackendFunc) {
 		s := newBackend(t)
 		for round := 0; round < 3; round++ {
-			s.Add(obs("a.com", "A-1", "us-bos", 100, round, SourceCrawl, true))
-			s.Add(obs("a.com", "A-1", "fi-tam", 130, round, SourceCrawl, true))
+			s.AddAll([]Observation{obs("a.com", "A-1", "us-bos", 100, round, SourceCrawl, true)})
+			s.AddAll([]Observation{obs("a.com", "A-1", "fi-tam", 130, round, SourceCrawl, true)})
 		}
-		s.Add(obs("a.com", "A-1", "user", 99, -1, SourceCrowd, true))
+		s.AddAll([]Observation{obs("a.com", "A-1", "user", 99, -1, SourceCrowd, true)})
 		g := groupMap(s, SourceCrawl)[Key{Domain: "a.com", SKU: "A-1"}]
 		if len(g) != 6 {
 			t.Fatalf("group size = %d, want 6 (crowd obs excluded)", len(g))
@@ -112,7 +112,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			if i%5 == 0 {
 				o.Err = "extract: no price found"
 			}
-			s.Add(o)
+			s.AddAll([]Observation{o})
 		}
 		var buf bytes.Buffer
 		if err := s.WriteJSONL(&buf); err != nil {
@@ -157,7 +157,7 @@ func TestConcurrentAdd(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				for j := 0; j < 50; j++ {
-					s.Add(obs("c.com", fmt.Sprintf("C-%d-%d", i, j), "x", 1, -1, SourceCrawl, true))
+					s.AddAll([]Observation{obs("c.com", fmt.Sprintf("C-%d-%d", i, j), "x", 1, -1, SourceCrawl, true)})
 				}
 			}(i)
 		}

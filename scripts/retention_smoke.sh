@@ -8,8 +8,10 @@
 # buckets; every bucket rollover compacts, compresses the cold buckets
 # and prunes oldest-first to the budget. Assert from the committed
 # manifest: pruning happened, the live snapshot fits the budget, every
-# cold bucket is gzip-compressed, and the directory holds exactly the
-# files the manifest names.
+# cold bucket is gzip-compressed, cold buckets compressed by earlier
+# rollovers were carried forward since (with two or more cold buckets,
+# some segment names an older generation than the manifest), and the
+# directory holds exactly the files the manifest names.
 #
 # Phase B (serve the survivors): boot sheriffd on the pruned dir and
 # assert the API agrees with the manifest — pruned rows are gone from
@@ -20,7 +22,11 @@
 # (segments_skipped moves, the result set is empty).
 #
 # Phase C (restart): SIGTERM and boot again — recovery must replay only
-# live buckets and refold to the same counts.
+# live buckets and refold to the same counts, and the clean restart's
+# checkpoint must carry every segment forward: each one the manifest
+# named before the restart (cold .gz and active alike; phase B's boot
+# may have evicted every cold bucket to fit the budget) is still named
+# after it, with identical bytes.
 #
 # Run from the repository root: ./scripts/retention_smoke.sh
 # On failure, set SMOKE_ARTIFACT_DIR to keep the data dir + server log.
@@ -85,16 +91,26 @@ assert live <= budget, "live snapshot %dB over the %dB budget" % (live, budget)
 
 newest = max(b["start"] for b in buckets)
 named = set()
+colds = carried = 0
 for b in buckets:
     cold = b["start"] != newest
+    colds += cold
     assert b.get("compressed", False) == cold, \
         "bucket %d: compressed=%s but cold=%s" % (b["start"], b.get("compressed"), cold)
     for s in b["segments"]:
         assert s["name"].endswith(".gz") == cold, "segment %s misnamed" % s["name"]
+        if cold and int(s["name"].split("-")[1]) < man["generation"]:
+            carried += 1
         named.add(s["name"])
         ondisk = os.path.getsize(os.path.join(datadir, s["name"]))
         assert ondisk == s["bytes"], \
             "segment %s: %dB on disk, manifest says %d" % (s["name"], ondisk, s["bytes"])
+
+# Each rollover compresses the bucket it turns cold; later checkpoints
+# carry that segment forward instead of rewriting it. (How many buckets
+# the budget leaves depends on when the rollovers' checkpoints ran.)
+assert colds < 2 or carried > 0, \
+    "the last checkpoint rewrote all %d cold buckets" % colds
 
 for f in os.listdir(datadir):
     assert not f.endswith(".tmp"), "orphaned temp file %s" % f
@@ -104,8 +120,8 @@ for f in os.listdir(datadir):
         assert f.startswith("wal-%08d-" % man["generation"]), \
             "stale-generation WAL %s (generation %d)" % (f, man["generation"])
 
-print("== lifecycle-smoke: manifest ok: %d live buckets (%dB <= %dB), pruned %d buckets / %d rows"
-      % (len(buckets), live, budget, man["pruned"]["buckets"], man["pruned"]["rows"]))
+print("== lifecycle-smoke: manifest ok: %d live buckets (%dB <= %dB), %d cold, %d cold segments carried, pruned %d buckets / %d rows"
+      % (len(buckets), live, budget, colds, carried, man["pruned"]["buckets"], man["pruned"]["rows"]))
 EOF
 
 start_server() {
@@ -180,8 +196,33 @@ say "pushdown ok (empty pre-epoch window skipped every bucket)"
 
 say "phase C: restart and re-check"
 stop_server
+# segments prints "name size sha256" for each segment the manifest
+# names, sorted by name.
+segments() {
+  python3 - "$datadir" <<'EOF' | sort
+import hashlib, json, os, sys
+datadir = sys.argv[1]
+man = json.load(open(os.path.join(datadir, "MANIFEST.json")))
+for b in man["buckets"]:
+    for s in b["segments"]:
+        data = open(os.path.join(datadir, s["name"]), "rb").read()
+        print(s["name"], len(data), hashlib.sha256(data).hexdigest())
+EOF
+}
+before="$(segments)"
+[ -n "$before" ] || {
+  say "FAIL: the manifest names no segment before the restart"
+  exit 1
+}
 start_server
 check_lifecycle
+missing="$(comm -23 <(echo "$before") <(segments))"
+if [ -n "$missing" ]; then
+  say "FAIL: the restart rewrote or dropped segments (name size sha256):"
+  echo "$missing"
+  exit 1
+fi
+say "restart carried all $(echo "$before" | wc -l) segments ($(echo "$before" | grep -c '\.gz ' || true) cold) forward byte for byte"
 stop_server
 
 grep -q "data dir flushed" "$logfile" || {
