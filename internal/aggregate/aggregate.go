@@ -37,6 +37,12 @@
 // event log is a function of the sequence-ordered log under any batching
 // that keeps product-rounds whole: live writes, a restart's rebuild and
 // a follower's replicated chunks all emit the same events.
+//
+// Folds never unfold, so when retention prunes rows the engine Restarts:
+// it drops every aggregate and its log and rebuilds over the surviving
+// rows into a fresh log under a new events epoch — the rebuild a process
+// reopening the pruned directory runs. Within an epoch, then, the event
+// log is the fold of the live rows on every node.
 package aggregate
 
 import (
@@ -84,51 +90,66 @@ type Options struct {
 	// event fires (default DefaultVariationThreshold; values <= 1 fire
 	// on any real variation).
 	VariationThreshold float64
-	// Log is the event sink; nil builds a fresh one.
+	// Log is the first event sink; nil builds a fresh one under epoch 0.
+	// A recovered durable store passes a log under its epoch (see
+	// Restart).
 	Log *events.Log
 }
 
-// SourceCount splits one source's observations into total and OK —
-// mirrors the API report's shape.
+// SourceCount splits one source's observations into total and OK.
 type SourceCount struct {
-	Total, OK int
+	Total int `json:"total"`
+	OK    int `json:"ok"`
 }
 
-// VariationSummary is the folded variation picture of one domain,
-// mirroring the full report path's fields.
+// VariationSummary is the price-variation picture of one domain: how
+// many products vary after the currency filter, and by how much.
 type VariationSummary struct {
-	Products    int
-	Varied      int
-	Extent      float64
-	MaxRatio    float64
-	MedianRatio float64
+	// Products judged (product groups with at least one observation).
+	Products int `json:"products"`
+	// Varied is how many survive the conservative currency filter.
+	Varied int `json:"varied"`
+	// Extent is Varied/Products — the paper's Fig. 3 metric.
+	Extent float64 `json:"extent"`
+	// MaxRatio and MedianRatio summarize the varied products' max/min
+	// USD ratios (zero when nothing varies).
+	MaxRatio    float64 `json:"max_ratio"`
+	MedianRatio float64 `json:"median_ratio"`
 }
 
-// FamilyVerdict is one family's verdict within a DomainSummary.
+// FamilyVerdict is one strategy family's attribution for the domain.
 type FamilyVerdict struct {
-	Family             string
-	Flagged            bool
-	Affected, Eligible int
-	Share              float64
+	// Family is the strategy family (geo, fingerprint, disclosure,
+	// temporal).
+	Family string `json:"family"`
+	// Flagged reports whether the detector attributes variation to it.
+	Flagged bool `json:"flagged"`
+	// Affected of Eligible products show the family's signature; Share
+	// is their ratio.
+	Affected int     `json:"affected"`
+	Eligible int     `json:"eligible"`
+	Share    float64 `json:"share"`
 }
 
-// DomainSummary is the aggregate-backed domain report: every field the
-// HTTP report derives, assembled from fold state in O(products of the
-// domain) and cached until the next write touches the domain. Returned
-// summaries are immutable — folds invalidate the cache, they never
-// mutate a published summary.
+// DomainSummary is the per-domain report — the wire shape of GET
+// /api/v1/domains/{domain}/report: dataset counts, the variation
+// summary and the per-family strategy attribution. The engine assembles
+// it from fold state in O(products of the domain) and caches it until
+// the next write touches the domain. Returned summaries are immutable —
+// folds invalidate the cache, they never mutate a published summary.
 type DomainSummary struct {
-	Domain       string
-	Observations int
-	OKPrices     int
-	Products     int
-	BySource     map[string]SourceCount
-	// ByTenant counts authenticated contributions per tenant; nil while
-	// tenancy is unused.
-	ByTenant  map[string]SourceCount
-	Variation VariationSummary
-	// Families is sorted by family name, as the full report path sorts.
-	Families []FamilyVerdict
+	Domain       string                 `json:"domain"`
+	Observations int                    `json:"observations"`
+	OKPrices     int                    `json:"ok_prices"`
+	Products     int                    `json:"products"`
+	BySource     map[string]SourceCount `json:"by_source,omitempty"`
+	// ByTenant splits the domain's observations per contributing tenant
+	// (the reward ledger, scoped to one retailer); nil while tenancy is
+	// unused.
+	ByTenant  map[string]SourceCount `json:"by_tenant,omitempty"`
+	Variation VariationSummary       `json:"variation"`
+	// Families is sorted by family name.
+	Families []FamilyVerdict `json:"families"`
 }
 
 // groupAgg is the folded state of one product group.
@@ -202,17 +223,14 @@ type Engine struct {
 	market    *fx.Market
 	det       *analysis.Detector
 	threshold float64
-	log       *events.Log
+	log       atomic.Pointer[events.Log]
 	shards    [numShards]aggShard
 
 	folded   atomic.Uint64 // observations folded (writes + rebuild)
 	hits     atomic.Uint64 // DomainSummary served from cache
 	rebuilds atomic.Uint64 // DomainSummary cache assemblies
 
-	// muted suppresses event emission during a Refold's rebuild: the
-	// refolded state diffs against the pre-refold state afterwards, so
-	// only real changes reach the log — never a replay of history.
-	muted atomic.Bool
+	closed atomic.Bool // Close ran: a Restart's fresh log starts sealed
 }
 
 // New builds an engine over an open backend: the store's existing
@@ -243,28 +261,32 @@ func newEngine(st store.Reader, market *fx.Market, opts Options) *Engine {
 		opts.VariationThreshold = DefaultVariationThreshold
 	}
 	if opts.Log == nil {
-		opts.Log = events.NewLog()
+		opts.Log = events.NewLog(0)
 	}
 	e := &Engine{
 		st:        st,
 		market:    market,
 		det:       analysis.NewDetector(market, opts.Detect),
 		threshold: opts.VariationThreshold,
-		log:       opts.Log,
 	}
+	e.log.Store(opts.Log)
 	for i := range e.shards {
 		e.shards[i].domains = make(map[string]*domainAgg)
 	}
 	return e
 }
 
-// Events returns the engine's event log.
-func (e *Engine) Events() *events.Log { return e.log }
+// Events returns the engine's current event log. A Restart replaces it,
+// so a caller that serves one request or tail holds on to the log it got.
+func (e *Engine) Events() *events.Log { return e.log.Load() }
 
 // Close seals the event log: live tails drain and disconnect. The
 // aggregates stay queryable; folds still apply (their events land in
 // history but wake nobody).
-func (e *Engine) Close() { e.log.Close() }
+func (e *Engine) Close() {
+	e.closed.Store(true)
+	e.log.Load().Close()
+}
 
 // rebuild folds the store's current contents: the live fold, run over
 // the sequence-ordered log cut into store.Chunks. Chunks never split a
@@ -363,12 +385,10 @@ func (e *Engine) foldDomain(domain string, obs []store.Observation) {
 				if !g.crossed {
 					if r, real := g.ratio(); real && r >= e.threshold {
 						g.crossed = true
-						if !e.muted.Load() {
-							e.log.Append(events.Event{
-								Time: o.Time, Type: events.TypeVariation,
-								Domain: domain, SKU: o.SKU, Ratio: r,
-							})
-						}
+						e.log.Load().Append(events.Event{
+							Time: o.Time, Type: events.TypeVariation,
+							Domain: domain, SKU: o.SKU, Ratio: r,
+						})
 					}
 				}
 			}
@@ -444,101 +464,40 @@ func (e *Engine) evalFlags(d *domainAgg, domain string) {
 			continue
 		}
 		d.flagged[i] = ev.Flagged
-		if !e.muted.Load() {
-			e.log.Append(events.Event{
-				Time: d.lastTime, Type: events.TypeStrategy,
-				Domain: domain, Family: string(f), Flagged: ev.Flagged,
-				Affected: ev.Affected, Eligible: ev.Eligible,
-			})
-		}
+		e.log.Load().Append(events.Event{
+			Time: d.lastTime, Type: events.TypeStrategy,
+			Domain: domain, Family: string(f), Flagged: ev.Flagged,
+			Affected: ev.Affected, Eligible: ev.Eligible,
+		})
 	}
 }
 
-// Refold rebuilds every aggregate from the store's current contents —
-// the retention hook: after the durable engine prunes whole time buckets
-// from the store, the folded counters, ratios and verdicts must describe
-// the surviving rows, exactly as a fresh fold of them would. The durable
-// engine calls this under its exclusive write gate (no concurrent
-// folds); concurrent readers may observe partially rebuilt aggregates
-// for the duration, the same transient a process restart has always
-// shown.
-//
-// Event history is not replayed: the rebuild runs muted, then the new
-// state diffs against the old — a variation threshold a surviving group
-// already crossed stays crossed (no duplicate event, even though the
-// pruned rows may have been what crossed it), and a strategy verdict is
-// emitted only for domains whose flag actually flipped because evidence
-// was pruned away.
-func (e *Engine) Refold() {
-	// Capture what must survive or diff, then clear every shard.
-	type oldDomain struct {
-		crossed  map[string]struct{}
-		flagged  []bool
-		lastTime time.Time
-	}
-	old := make(map[string]*oldDomain)
+// Restart discards every aggregate and the event log, installs a fresh
+// log under epoch and refolds the store's current contents into it —
+// the retention hook. After the durable engine prunes whole time buckets,
+// the engine becomes exactly what a process restarted on the pruned
+// directory builds: the same rebuild over the same surviving rows, the
+// same events, the same epoch. The durable engine calls this under its
+// exclusive write gate (no concurrent folds); concurrent readers may
+// observe partially rebuilt aggregates for the duration, the same
+// transient a process restart has always shown. The old log is sealed
+// once the rebuild is done, so its live tails drain and disconnect.
+func (e *Engine) Restart(epoch uint64) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		for domain, d := range sh.domains {
-			od := &oldDomain{
-				flagged:  append([]bool(nil), d.flagged...),
-				lastTime: d.lastTime,
-			}
-			for sku, g := range d.groups {
-				if g.crossed {
-					if od.crossed == nil {
-						od.crossed = make(map[string]struct{})
-					}
-					od.crossed[sku] = struct{}{}
-				}
-			}
-			old[domain] = od
-		}
 		sh.domains = make(map[string]*domainAgg)
 		sh.mu.Unlock()
 	}
 	// The fold counter restarts with the aggregates, keeping the
 	// "folded == store length" invariant the stats surface promises.
 	e.folded.Store(0)
-
-	e.muted.Store(true)
+	fresh := events.NewLog(epoch)
+	old := e.log.Swap(fresh)
 	e.rebuild()
-	e.muted.Store(false)
-
-	// Carry sticky state forward and emit only real changes. Pruning
-	// removes rows, so the old domain set covers the new one.
-	for domain, od := range old {
-		sh := &e.shards[shardIdx(domain)]
-		sh.mu.Lock()
-		d := sh.domains[domain]
-		newFlagged := make([]bool, len(analysis.DetectableFamilies))
-		when := od.lastTime
-		if d != nil {
-			for sku := range od.crossed {
-				if g := d.groups[sku]; g != nil {
-					g.crossed = true
-				}
-			}
-			newFlagged = d.flagged
-			when = d.lastTime
-		}
-		for i, f := range analysis.DetectableFamilies {
-			if od.flagged[i] == newFlagged[i] {
-				continue
-			}
-			var c famCount
-			if d != nil {
-				c = d.fam[i]
-			}
-			ev := e.det.Evidence(f, c.affected, c.eligible)
-			e.log.Append(events.Event{
-				Time: when, Type: events.TypeStrategy,
-				Domain: domain, Family: string(f), Flagged: newFlagged[i],
-				Affected: ev.Affected, Eligible: ev.Eligible,
-			})
-		}
-		sh.mu.Unlock()
+	old.Close()
+	if e.closed.Load() {
+		fresh.Close() // a prune during a server drain stays sealed
 	}
 }
 
@@ -664,7 +623,7 @@ func (e *Engine) Stats() Stats {
 		ObservationsFolded: e.folded.Load(),
 		ReportHits:         e.hits.Load(),
 		ReportRebuilds:     e.rebuilds.Load(),
-		Events:             e.log.Len(),
+		Events:             e.log.Load().Len(),
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]

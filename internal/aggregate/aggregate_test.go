@@ -54,7 +54,7 @@ func fixtureAt(st store.Backend, when time.Time) {
 }
 
 // TestSummaryMatchesFullReport is the unit-level equivalence check: the
-// aggregate-backed summary must map onto the exact DomainReport the full
+// aggregate-backed summary must equal the DomainReport the full
 // recompute path produces — same counters, same ratios byte for byte,
 // same family order. (The root-package differential test does this over
 // the full scenario matrix; this one keeps the contract cheap to check.)
@@ -71,29 +71,7 @@ func TestSummaryMatchesFullReport(t *testing.T) {
 		if !ok {
 			t.Fatalf("DomainSummary(%q): domain missing from aggregates", domain)
 		}
-		got := api.DomainReport{
-			Domain:       sum.Domain,
-			Observations: sum.Observations,
-			OKPrices:     sum.OKPrices,
-			Products:     sum.Products,
-			Variation: api.VariationSummary{
-				Products: sum.Variation.Products, Varied: sum.Variation.Varied,
-				Extent: sum.Variation.Extent, MaxRatio: sum.Variation.MaxRatio,
-				MedianRatio: sum.Variation.MedianRatio,
-			},
-		}
-		if len(sum.BySource) > 0 {
-			got.BySource = make(map[string]api.SourceCount, len(sum.BySource))
-			for src, sc := range sum.BySource {
-				got.BySource[src] = api.SourceCount{Total: sc.Total, OK: sc.OK}
-			}
-		}
-		for _, f := range sum.Families {
-			got.Families = append(got.Families, api.FamilyVerdict{
-				Family: f.Family, Flagged: f.Flagged,
-				Affected: f.Affected, Eligible: f.Eligible, Share: f.Share,
-			})
-		}
+		got := *sum
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 			t.Errorf("%s:\n aggregate %+v\n full      %+v", domain, got, want)
 		}
@@ -348,20 +326,71 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 	}
 }
 
-// TestRefoldMatchesFreshFold is the retention counterpart of the
+// reopened folds an engine over what a data dir holds on disk, under
+// the epoch its manifest records — the view of a process restarted on
+// the directory.
+func reopened(t *testing.T, dir string, market *fx.Market) *aggregate.Engine {
+	t.Helper()
+	st, rep, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aggregate.NewReader(st, market, aggregate.Options{Log: events.NewLog(rep.PrunedRows)})
+}
+
+// assertLikeReopen holds the live engine against an engine over the
+// reopened dir: same per-domain summaries, same strategy verdicts, same
+// folded counter, and the same event log under the same nonzero epoch.
+func assertLikeReopen(t *testing.T, step string, eng *aggregate.Engine, d *store.Durable, dir string, market *fx.Market) {
+	t.Helper()
+	if folded := eng.Stats().ObservationsFolded; folded != uint64(d.Len()) {
+		t.Fatalf("%s: folded %d != surviving rows %d", step, folded, d.Len())
+	}
+	fresh := reopened(t, dir, market)
+	for i := 0; i < 5; i++ {
+		domain := fmt.Sprintf("shop-%d.example", i)
+		got, okGot := eng.DomainSummary(domain)
+		want, okWant := fresh.DomainSummary(domain)
+		if okGot != okWant {
+			t.Fatalf("%s: %s: live ok=%v, reopened ok=%v", step, domain, okGot, okWant)
+		}
+		if okGot && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %s: live summary diverges from the reopened fold:\n got %+v\nwant %+v",
+				step, domain, got, want)
+		}
+		if gr, wr := eng.StrategyReport(domain), fresh.StrategyReport(domain); !reflect.DeepEqual(gr, wr) {
+			t.Errorf("%s: %s: live strategy report diverges:\n got %+v\nwant %+v", step, domain, gr, wr)
+		}
+	}
+	live, want := eng.Events(), fresh.Events()
+	if live.Epoch() == 0 || live.Epoch() != want.Epoch() {
+		t.Fatalf("%s: live epoch %d, reopened epoch %d (want equal and nonzero)", step, live.Epoch(), want.Epoch())
+	}
+	if live.Len() == 0 {
+		t.Fatalf("%s: the fixture fired no events", step)
+	}
+	if got, wantB := eventBytes(t, eng), eventBytes(t, fresh); !bytes.Equal(got, wantB) {
+		t.Errorf("%s: live event log diverges from the reopened one:\n got %s\nwant %s", step, got, wantB)
+	}
+}
+
+// TestPruneRestartsLikeReopen is the retention counterpart of the
 // equivalence test above: after a durable checkpoint prunes whole time
-// buckets (firing the engine's Refold through the prune hook), the
-// rebuilt aggregates must be indistinguishable from an engine freshly
-// folded over the surviving rows — same per-domain summaries, same
-// strategy verdicts, same folded counter.
-func TestRefoldMatchesFreshFold(t *testing.T) {
+// buckets (firing the engine's Restart through the prune hook), the live
+// engine must be indistinguishable from one folded over the reopened
+// directory — aggregates, verdicts and the event log, under the same
+// epoch — after the first prune and again after a later day's writes
+// and a second prune. The pre-prune log is sealed, so its tails end, and
+// a prune after Close leaves the fresh log sealed too.
+func TestPruneRestartsLikeReopen(t *testing.T) {
 	market := fx.NewMarket(7)
-	d, _, err := store.OpenDurable(t.TempDir(), store.DurableOptions{
+	dir := t.TempDir()
+	d, _, err := store.OpenDurable(dir, store.DurableOptions{
 		Fsync:           store.FsyncNever,
 		CompactWALBytes: -1,
 		BucketDuration:  24 * time.Hour,
-		// Newest rows land 3h into day 2; minus 24h cuts inside day 1, so
-		// day 0 is pruned and days 1-2 survive.
+		// The newest rows land 3h into the newest day; minus 24h cuts
+		// inside the day before, so every older day is pruned.
 		RetainAge: 24 * time.Hour,
 	})
 	if err != nil {
@@ -369,7 +398,8 @@ func TestRefoldMatchesFreshFold(t *testing.T) {
 	}
 	defer d.Close()
 	eng := aggregate.New(d, market, aggregate.Options{})
-	d.SetPruneHook(eng.Refold)
+	d.SetPruneHook(eng.Restart)
+	first := eng.Events()
 
 	for k := 0; k < 3; k++ {
 		fixtureAt(d, day.AddDate(0, 0, k))
@@ -378,29 +408,88 @@ func TestRefoldMatchesFreshFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := d.Stats().PrunedRows; got == 0 {
-		t.Fatal("checkpoint pruned nothing; the test exercises no refold")
+		t.Fatal("checkpoint pruned nothing; the test exercises no restart")
 	}
-	if folded := eng.Stats().ObservationsFolded; folded != uint64(d.Len()) {
-		t.Fatalf("folded %d != surviving rows %d", folded, d.Len())
+	select {
+	case <-first.Done():
+	default:
+		t.Fatal("the pre-prune event log is still open after the prune")
 	}
+	assertLikeReopen(t, "first prune", eng, d, dir, market)
+	epoch := eng.Events().Epoch()
 
-	fresh := aggregate.NewReader(d, market, aggregate.Options{})
-	for i := 0; i < 5; i++ {
-		domain := fmt.Sprintf("shop-%d.example", i)
-		got, okGot := eng.DomainSummary(domain)
-		want, okWant := fresh.DomainSummary(domain)
-		if okGot != okWant {
-			t.Fatalf("%s: refolded ok=%v, fresh fold ok=%v", domain, okGot, okWant)
-		}
-		if !okGot {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: refolded summary diverges from fresh fold:\n got %+v\nwant %+v",
-				domain, got, want)
-		}
-		if gr, wr := eng.StrategyReport(domain), fresh.StrategyReport(domain); !reflect.DeepEqual(gr, wr) {
-			t.Errorf("%s: refolded strategy report diverges:\n got %+v\nwant %+v", domain, gr, wr)
+	fixtureAt(d, day.AddDate(0, 0, 3))
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Events().Epoch(); got <= epoch {
+		t.Fatalf("second prune left the epoch at %d (was %d)", got, epoch)
+	}
+	assertLikeReopen(t, "second prune", eng, d, dir, market)
+
+	// A prune after Close (a server drain) keeps the log sealed.
+	eng.Close()
+	sealed := eng.Events()
+	fixtureAt(d, day.AddDate(0, 0, 4))
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Events() == sealed {
+		t.Fatal("the third prune did not restart the engine")
+	}
+	select {
+	case <-eng.Events().Done():
+	default:
+		t.Fatal("a prune after Close installed an open event log")
+	}
+}
+
+// TestReadersDuringPrune runs reports, verdicts, stats and an event
+// reader against an engine while writes roll the dataset over five days
+// and retention prunes behind them, so the race detector sees Restart
+// interleaved with every read path; the quiesced engine must still
+// equal the reopened one.
+func TestReadersDuringPrune(t *testing.T) {
+	market := fx.NewMarket(7)
+	dir := t.TempDir()
+	d, _, err := store.OpenDurable(dir, store.DurableOptions{
+		Fsync: store.FsyncNever, CompactWALBytes: -1, RetainAge: 24 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	eng := aggregate.New(d, market, aggregate.Options{})
+	d.SetPruneHook(eng.Restart)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				domain := fmt.Sprintf("shop-%d.example", (r+i)%5)
+				eng.DomainSummary(domain)
+				eng.StrategyReport(domain)
+				eng.Stats()
+				log := eng.Events()
+				log.After(log.Len()/2, 0)
+			}
+		}(r)
+	}
+	for k := 0; k < 5; k++ {
+		fixtureAt(d, day.AddDate(0, 0, k))
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	close(stop)
+	wg.Wait()
+	assertLikeReopen(t, "after five days", eng, d, dir, market)
 }

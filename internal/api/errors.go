@@ -63,7 +63,8 @@ const (
 	// claim quota.
 	CodeQuotaExceeded = "quota_exceeded"
 	// CodeConflict marks a request that is valid in itself but invalid
-	// against the resource's current state — campaign state transitions.
+	// against the resource's current state — campaign state transitions,
+	// an events cursor from an epoch retention has since replaced.
 	CodeConflict = "conflict"
 )
 

@@ -19,7 +19,15 @@ type EventsPage struct {
 	// LatestSeq is the newest sequence in the log at serve time; poll
 	// again with ?after=LatestSeq (or switch to the tail) to continue.
 	LatestSeq uint64 `json:"latest_seq"`
+	// Epoch names the log the sequences belong to: 0 until retention
+	// first prunes the dataset, then the cumulative pruned row count.
+	// Poll with ?epoch= to have a new epoch refused instead of misread.
+	Epoch uint64 `json:"epoch,omitempty"`
 }
+
+// EventsEpochHeader carries the events epoch on every form of GET
+// /api/v1/events: the NDJSON and SSE tails have no envelope to hold it.
+const EventsEpochHeader = "X-Sheriff-Events-Epoch"
 
 // maxEventsPage bounds one history page (the tail exists for more).
 const maxEventsPage = 1000
@@ -39,10 +47,14 @@ func wantsSSE(r *http.Request) bool {
 // With Accept: application/x-ndjson (or ?format=ndjson) the response
 // replays history after the cursor and then follows live — one JSON
 // line per event, flushed immediately — until the client disconnects or
-// the log is sealed by a server drain (?follow=false stops at the end
-// of history instead). With Accept: text/event-stream the same tail is
-// framed as SSE (id: the sequence, event: the type), honoring
+// the log is sealed by a server drain or a prune (?follow=false stops at
+// the end of history instead). With Accept: text/event-stream the same
+// tail is framed as SSE (id: the sequence, event: the type), honoring
 // Last-Event-ID for resumption.
+//
+// ?epoch= pins the cursor to an events epoch: when retention has since
+// started a new one, the request is a 409 conflict instead of a page of
+// sequences from another log.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	after, perr := parseEventsAfter(r)
 	if perr != nil {
@@ -50,6 +62,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	log := s.analysis.Events()
+	if v := r.URL.Query().Get("epoch"); v != "" {
+		epoch, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			writeError(w, s.opts.Logger, errf(http.StatusBadRequest, CodeBadRequest,
+				"bad epoch %q (want an events epoch)", v).withDetail(err))
+			return
+		}
+		if epoch != log.Epoch() {
+			writeError(w, s.opts.Logger, errf(http.StatusConflict, CodeConflict,
+				"events epoch %d is gone (retention pruned the dataset; the current epoch is %d)",
+				epoch, log.Epoch()))
+			return
+		}
+	}
+	w.Header().Set(EventsEpochHeader, strconv.FormatUint(log.Epoch(), 10))
 	switch {
 	case wantsSSE(r):
 		s.tailEvents(w, r, log, after, true)
@@ -82,7 +109,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				limit = n
 			}
 		}
-		page := EventsPage{Events: log.After(after, limit), LatestSeq: log.Len()}
+		page := EventsPage{Events: log.After(after, limit), LatestSeq: log.Len(), Epoch: log.Epoch()}
 		if page.Events == nil {
 			page.Events = []events.Event{}
 		}
@@ -126,8 +153,9 @@ func (s *Server) replayEventsNDJSON(w http.ResponseWriter, log *events.Log, afte
 
 // tailEvents is the live tail: replay history after the cursor, then
 // follow appends until the client goes away or the log closes (a
-// graceful drain seals the log; the tail flushes what remains and
-// disconnects — nothing already appended is ever dropped). Subscription
+// graceful drain seals the log, and so does a prune, which starts a new
+// epoch's log; the tail flushes what remains and disconnects — nothing
+// already appended is ever dropped). Subscription
 // wakeups are coalesced signals; the loop re-reads from its own cursor,
 // so bursts lose nothing.
 func (s *Server) tailEvents(w http.ResponseWriter, r *http.Request, log *events.Log, after uint64, sse bool) {

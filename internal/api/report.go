@@ -11,51 +11,19 @@ import (
 	"sheriff/internal/store"
 )
 
-// VariationSummary is the price-variation picture of one domain: how
-// many products vary after the currency filter, and by how much.
-type VariationSummary struct {
-	// Products judged (product groups with at least one observation).
-	Products int `json:"products"`
-	// Varied is how many survive the conservative currency filter.
-	Varied int `json:"varied"`
-	// Extent is Varied/Products — the paper's Fig. 3 metric.
-	Extent float64 `json:"extent"`
-	// MaxRatio and MedianRatio summarize the varied products' max/min
-	// USD ratios (zero when nothing varies).
-	MaxRatio    float64 `json:"max_ratio"`
-	MedianRatio float64 `json:"median_ratio"`
-}
-
-// FamilyVerdict is one strategy family's attribution for the domain.
-type FamilyVerdict struct {
-	// Family is the strategy family (geo, fingerprint, disclosure,
-	// temporal).
-	Family string `json:"family"`
-	// Flagged reports whether the detector attributes variation to it.
-	Flagged bool `json:"flagged"`
-	// Affected of Eligible products show the family's signature; Share
-	// is their ratio.
-	Affected int     `json:"affected"`
-	Eligible int     `json:"eligible"`
-	Share    float64 `json:"share"`
-}
-
-// DomainReport is GET /api/v1/domains/{domain}/report: dataset counts,
-// the variation summary off the analysis layer, and the per-family
-// strategy attribution of DetectStrategies.
-type DomainReport struct {
-	Domain       string                 `json:"domain"`
-	Observations int                    `json:"observations"`
-	OKPrices     int                    `json:"ok_prices"`
-	Products     int                    `json:"products"`
-	BySource     map[string]SourceCount `json:"by_source,omitempty"`
-	// ByTenant splits the domain's observations per contributing tenant
-	// (the reward ledger, scoped to one retailer); absent while tenancy
-	// is unused.
-	ByTenant  map[string]SourceCount `json:"by_tenant,omitempty"`
-	Variation VariationSummary       `json:"variation"`
-	Families  []FamilyVerdict        `json:"families"`
-}
+// The domain report's wire types are the analysis engine's own: the
+// serving path hands out the engine's summary as is, and FullDomainReport
+// builds the same type by full recomputation.
+type (
+	// DomainReport is GET /api/v1/domains/{domain}/report.
+	DomainReport = aggregate.DomainSummary
+	// VariationSummary is one domain's price-variation picture.
+	VariationSummary = aggregate.VariationSummary
+	// FamilyVerdict is one strategy family's attribution for a domain.
+	FamilyVerdict = aggregate.FamilyVerdict
+	// SourceCount splits one source's observations into total and OK.
+	SourceCount = aggregate.SourceCount
+)
 
 // handleDomainReport serves GET /api/v1/domains/{domain}/report. A
 // domain with no observations is a 404 — the caller asked about a shop
@@ -71,53 +39,16 @@ func (s *Server) handleDomainReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.opts.Logger, rep)
 }
 
-// ReportFromEngine assembles the wire report off an incremental engine's
+// ReportFromEngine returns the wire report off an incremental engine's
 // aggregates — the serving path, exported so the differential tests can
-// hold it against FullDomainReport without a server in between.
+// hold it against FullDomainReport without a server in between. Its maps
+// and slice are the engine's cached summary's: read them, never write.
 func ReportFromEngine(e *aggregate.Engine, domain string) DomainReport {
 	sum, ok := e.DomainSummary(domain)
 	if !ok {
 		return DomainReport{Domain: domain}
 	}
-	return reportFromSummary(sum)
-}
-
-// reportFromSummary maps the engine's summary onto the wire shape,
-// field for field.
-func reportFromSummary(sum *aggregate.DomainSummary) DomainReport {
-	rep := DomainReport{
-		Domain:       sum.Domain,
-		Observations: sum.Observations,
-		OKPrices:     sum.OKPrices,
-		Products:     sum.Products,
-		Variation: VariationSummary{
-			Products:    sum.Variation.Products,
-			Varied:      sum.Variation.Varied,
-			Extent:      sum.Variation.Extent,
-			MaxRatio:    sum.Variation.MaxRatio,
-			MedianRatio: sum.Variation.MedianRatio,
-		},
-	}
-	if len(sum.BySource) > 0 {
-		rep.BySource = make(map[string]SourceCount, len(sum.BySource))
-		for src, sc := range sum.BySource {
-			rep.BySource[src] = SourceCount{Total: sc.Total, OK: sc.OK}
-		}
-	}
-	if len(sum.ByTenant) > 0 {
-		rep.ByTenant = make(map[string]SourceCount, len(sum.ByTenant))
-		for tn, tc := range sum.ByTenant {
-			rep.ByTenant[tn] = SourceCount{Total: tc.Total, OK: tc.OK}
-		}
-	}
-	for _, f := range sum.Families {
-		rep.Families = append(rep.Families, FamilyVerdict{
-			Family: f.Family, Flagged: f.Flagged,
-			Affected: f.Affected, Eligible: f.Eligible,
-			Share: f.Share,
-		})
-	}
-	return rep
+	return *sum
 }
 
 // FullDomainReport assembles the report by full recomputation off the

@@ -323,13 +323,6 @@ func (s *Server) handleAnchors(w http.ResponseWriter, r *http.Request) {
 	}{s.backend.Anchors()})
 }
 
-// SourceCount splits one campaign source's observations into total and
-// successfully extracted.
-type SourceCount struct {
-	Total int `json:"total"`
-	OK    int `json:"ok"`
-}
-
 // StatsResponse is the v1 stats payload — check, observation and cache
 // counters, the store's per-source split, domain count, the analysis
 // engine's counters, and the HTTP server's own counters.

@@ -13,6 +13,7 @@ import (
 
 	"sheriff/internal/aggregate"
 	"sheriff/internal/backend"
+	"sheriff/internal/events"
 	"sheriff/internal/fx"
 	"sheriff/internal/geo"
 	"sheriff/internal/netsim"
@@ -151,12 +152,17 @@ func NewWorld(opts WorldOptions) *World {
 	}
 
 	w.Backend = backend.New(w.Registry, w.Clock, w.Market, geo.VantagePoints(), w.Store)
-	w.Analysis = aggregate.New(w.Store, w.Market, aggregate.Options{})
-	if d, ok := w.Store.(*store.Durable); ok {
-		// Retention prunes whole time buckets out of the store; the folded
-		// aggregates must follow, or reports would keep counting rows the
-		// dataset no longer holds.
-		d.SetPruneHook(w.Analysis.Refold)
+	d, durable := w.Store.(*store.Durable)
+	var epoch uint64 // the events epoch: rows retention has pruned to date
+	if durable {
+		epoch = d.Stats().PrunedRows
+	}
+	w.Analysis = aggregate.New(w.Store, w.Market, aggregate.Options{Log: events.NewLog(epoch)})
+	if durable {
+		// Retention prunes whole time buckets out of the store; the engine
+		// restarts over the survivors under the new epoch, as a process
+		// reopening the pruned directory would.
+		d.SetPruneHook(w.Analysis.Restart)
 	}
 	return w
 }

@@ -11,6 +11,11 @@
 // subscriber one final time; tails drain what remains and disconnect,
 // which is what lets a graceful server drain flush live streams instead
 // of cutting them.
+//
+// Every log carries an epoch. Sequence numbers are positions within one
+// epoch's log; when retention prunes the dataset the engine starts a
+// fresh log under a new epoch, so a cursor from an old epoch names
+// nothing in the new one.
 package events
 
 import (
@@ -26,8 +31,8 @@ const (
 	// max/min USD ratio (the Sec. 2.2 currency filter's output) reaches
 	// the engine's variation threshold. The folded ratio is monotone
 	// non-decreasing, so this fires exactly once per product group
-	// regardless of write batching — which is what makes the event count
-	// stable across a crash-recovery rebuild.
+	// regardless of write batching — which is what makes the event log
+	// stable across a crash-recovery rebuild within an epoch.
 	TypeVariation Type = "variation"
 	// TypeStrategy fires when a domain's per-family strategy verdict
 	// flips (flagged <-> not flagged) as evidence accumulates.
@@ -61,6 +66,7 @@ type Event struct {
 
 // Log is an append-only in-process event log. Safe for concurrent use.
 type Log struct {
+	epoch  uint64
 	mu     sync.Mutex
 	events []Event
 	subs   map[chan struct{}]struct{}
@@ -68,11 +74,12 @@ type Log struct {
 	closed bool
 }
 
-// NewLog returns an empty open log.
-func NewLog() *Log {
+// NewLog returns an empty open log under the given epoch.
+func NewLog(epoch uint64) *Log {
 	return &Log{
-		subs: make(map[chan struct{}]struct{}),
-		done: make(chan struct{}),
+		epoch: epoch,
+		subs:  make(map[chan struct{}]struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -112,6 +119,9 @@ func (l *Log) After(after uint64, limit int) []Event {
 	}
 	return out[:len(out):len(out)]
 }
+
+// Epoch returns the epoch the log was created under.
+func (l *Log) Epoch() uint64 { return l.epoch }
 
 // Len returns the sequence number of the newest event (0 when empty).
 func (l *Log) Len() uint64 {

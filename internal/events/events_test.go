@@ -7,7 +7,7 @@ import (
 )
 
 func TestAppendAssignsSequence(t *testing.T) {
-	l := NewLog()
+	l := NewLog(0)
 	for i := 1; i <= 5; i++ {
 		e := l.Append(Event{Type: TypeVariation, Domain: "d"})
 		if e.Seq != uint64(i) {
@@ -20,7 +20,7 @@ func TestAppendAssignsSequence(t *testing.T) {
 }
 
 func TestAfterCursorAndLimit(t *testing.T) {
-	l := NewLog()
+	l := NewLog(0)
 	for i := 0; i < 10; i++ {
 		l.Append(Event{Type: TypeVariation})
 	}
@@ -43,7 +43,7 @@ func TestAfterCursorAndLimit(t *testing.T) {
 }
 
 func TestSubscribeWakesAndCoalesces(t *testing.T) {
-	l := NewLog()
+	l := NewLog(0)
 	sig, cancel := l.Subscribe()
 	defer cancel()
 
@@ -62,7 +62,7 @@ func TestSubscribeWakesAndCoalesces(t *testing.T) {
 }
 
 func TestCloseWakesSubscribersAndKeepsHistory(t *testing.T) {
-	l := NewLog()
+	l := NewLog(0)
 	l.Append(Event{Domain: "a"})
 	sig, cancel := l.Subscribe()
 	defer cancel()
@@ -89,7 +89,7 @@ func TestCloseWakesSubscribersAndKeepsHistory(t *testing.T) {
 }
 
 func TestConcurrentAppendersAndTail(t *testing.T) {
-	l := NewLog()
+	l := NewLog(0)
 	const writers, perWriter = 8, 200
 
 	var wg sync.WaitGroup

@@ -79,7 +79,7 @@ type Durable struct {
 	// pruneHook, when set, runs under the exclusive gate after a
 	// checkpoint prunes buckets — derived state (the analysis engine's
 	// aggregates) rebuilds from the pruned store before writers resume.
-	pruneHook func()
+	pruneHook func(epoch uint64)
 	wals      [numShards]walShardFile
 
 	walBytes atomic.Int64
@@ -637,8 +637,10 @@ func (d *Durable) checkpointLocked() error {
 
 	if len(victims) > 0 && d.pruneHook != nil {
 		// Writers are quiesced by the gate; derived state rebuilds from
-		// the pruned store before appends resume.
-		d.pruneHook()
+		// the pruned store before appends resume. The cumulative pruned
+		// row count is the new epoch: it grows with every prune and is
+		// what the manifest hands a restarted process.
+		d.pruneHook(pruned.Rows)
 	}
 
 	// Cleanup is best-effort: stale files of other generations — and this
@@ -721,9 +723,12 @@ func (d *Durable) SetObserver(fn Observer) { d.mem.Load().SetObserver(fn) }
 
 // SetPruneHook installs fn to run — under the exclusive write gate, with
 // writers quiesced — after a checkpoint prunes buckets, so derived state
-// can rebuild from the pruned store before appends resume. Install
-// before concurrent writers start; nil removes it.
-func (d *Durable) SetPruneHook(fn func()) {
+// can rebuild from the pruned store before appends resume. fn receives
+// the directory's cumulative pruned row count (DurableStats.PrunedRows),
+// which a restarted process reads back from the manifest. fn must not
+// call back into the store's gated methods (Stats, AddAll, Compact).
+// Install before concurrent writers start; nil removes it.
+func (d *Durable) SetPruneHook(fn func(epoch uint64)) {
 	d.writeGate.Lock()
 	d.pruneHook = fn
 	d.writeGate.Unlock()

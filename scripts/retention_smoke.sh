@@ -21,12 +21,14 @@
 # rows, and a time-bounded query prunes cold buckets from the scan
 # (segments_skipped moves, the result set is empty).
 #
-# Phase C (restart): SIGTERM and boot again — recovery must replay only
-# live buckets and refold to the same counts, and the clean restart's
-# checkpoint must carry every segment forward: each one the manifest
-# named before the restart (cold .gz and active alike; phase B's boot
-# may have evicted every cold bucket to fit the budget) is still named
-# after it, with identical bytes.
+# Phase C (restart): assert from the manifest that the served dir holds
+# at least two cold buckets, then SIGTERM and boot again — recovery must
+# replay only live buckets and rebuild the same counts, the clean
+# restart's checkpoint must carry every segment forward (each one the
+# manifest named before the restart, cold .gz and active alike, is
+# still named after it, with identical bytes), and the event history
+# must be the same: the /api/v1/events page and its epoch header are
+# byte-identical across the restart, under a nonzero epoch.
 #
 # Run from the repository root: ./scripts/retention_smoke.sh
 # On failure, set SMOKE_ARTIFACT_DIR to keep the data dir + server log.
@@ -35,7 +37,13 @@ set -euo pipefail
 ADDR="${ADDR:-127.0.0.1:8319}"
 SEED=1
 LONGTAIL=20
-BUDGET=30000 # bytes; calibrated so a 6-round run prunes ~half its buckets
+ROUNDS=30    # simulated days; 6 checks a day, ~84 rows, ~1.7 KB gzipped cold
+# BUDGET (bytes) is calibrated so that a run always prunes (29 cold days
+# outgrow it) yet the budget always has room for a full active day
+# (~28 KB uncompressed) plus at least two cold buckets — both at phase A's
+# rollover checkpoints and at phase B's boot, whose WAL replay fills the
+# active bucket with the whole last day.
+BUDGET=38000
 
 workdir="$(mktemp -d)"
 datadir="$workdir/data"
@@ -61,9 +69,10 @@ say "building sheriffd and loadgen"
 go build -o "$workdir/sheriffd" ./cmd/sheriffd
 go build -o "$workdir/loadgen" ./examples/loadgen
 
-say "phase A: 6 simulated days of crowd load, retain-bytes=$BUDGET"
+say "phase A: $ROUNDS simulated days of crowd load, retain-bytes=$BUDGET"
 "$workdir/loadgen" -data-dir "$datadir" -seed "$SEED" -longtail "$LONGTAIL" \
-  -users 6 -rounds 6 -retain-bytes "$BUDGET" 2>/dev/null | tee "$workdir/loadgen.out"
+  -users 6 -requests $((6 * ROUNDS)) -rounds "$ROUNDS" -retain-bytes "$BUDGET" \
+  2>/dev/null | tee "$workdir/loadgen.out"
 
 # The loadgen server line reports synced_seq — the count of observations
 # ever admitted to the durable store, pruned or not.
@@ -194,6 +203,28 @@ assert sc["segments_skipped"] > 0, "empty-window query skipped no buckets: %r" %
 '
 say "pushdown ok (empty pre-epoch window skipped every bucket)"
 
+say "phase C: the served dir holds cold buckets"
+colds="$(python3 - "$datadir" <<'EOF'
+import json, os, sys
+man = json.load(open(os.path.join(sys.argv[1], "MANIFEST.json")))
+newest = max(b["start"] for b in man["buckets"])
+colds = sum(b["start"] != newest for b in man["buckets"])
+assert colds >= 2, "the served dir holds %d cold buckets, want at least 2" % colds
+print(colds)
+EOF
+)"
+say "manifest names $colds cold buckets"
+
+# events_view prints the events JSON page, then the epoch header of the
+# NDJSON form.
+events_view() {
+  curl -sf "http://$ADDR/api/v1/events"
+  echo
+  curl -sf -o /dev/null -D - -H 'Accept: application/x-ndjson' \
+    "http://$ADDR/api/v1/events?follow=false" | tr -d '\r' | grep -i '^X-Sheriff-Events-Epoch:'
+}
+events_before="$(events_view)"
+
 say "phase C: restart and re-check"
 stop_server
 # segments prints "name size sha256" for each segment the manifest
@@ -223,6 +254,19 @@ if [ -n "$missing" ]; then
   exit 1
 fi
 say "restart carried all $(echo "$before" | wc -l) segments ($(echo "$before" | grep -c '\.gz ' || true) cold) forward byte for byte"
+events_after="$(events_view)"
+if [ "$events_after" != "$events_before" ]; then
+  say "FAIL: the restart changed the event history"
+  diff <(echo "$events_before") <(echo "$events_after") || true
+  exit 1
+fi
+epoch="$(echo "$events_after" | sed -n 's/^X-Sheriff-Events-Epoch: *//Ip')"
+page_epoch="$(echo "$events_after" | head -1 | python3 -c 'import json,sys; print(json.load(sys.stdin).get("epoch", 0))')"
+if [ -z "$epoch" ] || [ "$epoch" = 0 ] || [ "$epoch" != "$page_epoch" ]; then
+  say "FAIL: events epoch header '$epoch', page epoch '$page_epoch' (want equal and nonzero)"
+  exit 1
+fi
+say "event history identical across the restart (epoch $epoch)"
 stop_server
 
 grep -q "data dir flushed" "$logfile" || {
@@ -231,4 +275,4 @@ grep -q "data dir flushed" "$logfile" || {
   exit 1
 }
 
-say "PASS (budget $BUDGET bytes held, $total_written observations accounted for)"
+say "PASS (budget $BUDGET bytes held, $colds cold buckets served, $total_written observations accounted for)"
