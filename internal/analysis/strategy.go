@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"sheriff/internal/extract"
 	"sheriff/internal/fx"
 	"sheriff/internal/geo"
 	"sheriff/internal/shop"
@@ -303,7 +304,9 @@ func (s *ProductState) Absorb(group []store.Observation) bool {
 			s.okRounds[o.VP]++
 			byFP[m.fingerprint] = append(byFP[m.fingerprint], o)
 			byLoc[m.location] = append(byLoc[m.location], o)
-		} else if strings.Contains(o.Err, "no price") {
+		} else if o.Err == extract.ErrNoPrice.Error() {
+			// A page that loaded but showed no price: the selective
+			// disclosure signal, as opposed to a failed fetch.
 			s.failRounds[o.VP]++
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sheriff/internal/tenant"
 )
 
 // Middleware wraps a handler with one cross-cutting concern. The stack
@@ -141,12 +143,6 @@ func BodyLimit(n int64) Middleware {
 	}
 }
 
-// tokenBucket is one client's budget under RateLimit.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
 // maxRateBuckets bounds the per-client bucket map: past this size the
 // limiter sweeps buckets that have been idle long enough to be full
 // again (remembering them changes nothing), so a scan across many
@@ -163,7 +159,7 @@ type rateLimiter struct {
 	trustProxy bool
 
 	mu        sync.Mutex
-	buckets   map[string]*tokenBucket
+	buckets   map[string]*tenant.Bucket
 	lastSweep time.Time
 	denied    atomic.Uint64
 }
@@ -180,7 +176,7 @@ func newRateLimiter(rate float64, burst int, trustProxy bool, now func() time.Ti
 	}
 	return &rateLimiter{
 		rate: rate, burst: float64(burst), now: now, trustProxy: trustProxy,
-		buckets: make(map[string]*tokenBucket),
+		buckets: make(map[string]*tenant.Bucket),
 	}
 }
 
@@ -209,20 +205,10 @@ func (l *rateLimiter) allow(client string) (bool, time.Duration) {
 				delete(l.buckets, k)
 			}
 		}
-		b = &tokenBucket{tokens: l.burst, last: now}
+		b = tenant.NewBucket(l.burst, now)
 		l.buckets[client] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	wait := time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
-	return false, wait
+	return b.Take(now, l.rate, l.burst)
 }
 
 // sweepLocked drops buckets idle long enough to have refilled to full —
@@ -231,7 +217,7 @@ func (l *rateLimiter) allow(client string) (bool, time.Duration) {
 func (l *rateLimiter) sweepLocked(now time.Time) {
 	fullAfter := time.Duration(l.burst / l.rate * float64(time.Second))
 	for k, b := range l.buckets {
-		if now.Sub(b.last) >= fullAfter {
+		if b.Idle(now) >= fullAfter {
 			delete(l.buckets, k)
 		}
 	}

@@ -5,6 +5,11 @@
 // currency filter, stores everything, and returns the per-location prices
 // to the user.
 //
+// Measure is the one step that turns a fetched page into an observation
+// row. The crowd check, the systematic crawler and the login and persona
+// experiments all record through it, so the crowd and crawl datasets the
+// paper compares are measured the same way.
+//
 // The anchor learned from each successful check is remembered per domain;
 // the systematic crawler (internal/crawler) reuses those anchors, which is
 // exactly how the paper's pipeline scaled from crowd hints to full crawls.
@@ -164,73 +169,76 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 
 	// Synchronized fan-out: every vantage point fetches at the same
 	// simulated instant (the clock only moves between checks), which is
-	// the paper's defence against temporal noise.
-	results := make([]VPPrice, len(b.vps))
+	// the paper's defence against temporal noise. Each row records the
+	// originating user's country, so crowd demographics survive into the
+	// dataset.
+	obs := make([]store.Observation, len(b.vps))
 	var wg sync.WaitGroup
 	for i, vp := range b.vps {
-		wg.Add(1)
-		go func(i int, vp geo.VantagePoint) {
-			defer wg.Done()
-			results[i] = b.checkOne(now, req.URL, anchor, vp)
-		}(i, vp)
-	}
-	wg.Wait()
-
-	// Store the check's observations as one batch (a single shard lock
-	// acquisition — the fan-out's 14 rows share a domain) and apply the
-	// currency filter. Each row records the originating user's country,
-	// so crowd demographics survive into the dataset.
-	var quotes []fx.Quote
-	obs := make([]store.Observation, len(results))
-	for i, r := range results {
-		o := store.Observation{
+		obs[i] = store.Observation{
 			Domain: domain, SKU: sku, URL: req.URL,
-			VP: r.VP, VPLabel: r.Label,
-			Country: b.vps[i].Location.Country.Code, City: b.vps[i].Location.City,
-			PriceUnits: r.PriceUnits, Currency: r.Currency,
 			Time: now, Round: -1, Source: store.SourceCrowd,
 			UserCountry: userLoc.Country.Code,
 			Tenant:      req.Tenant,
-			OK:          r.OK, Err: r.Err,
 		}
-		obs[i] = o
-		if r.OK {
-			if amt, ok := o.Amount(); ok {
-				quotes = append(quotes, fx.Quote{Amount: amt, Day: now})
-			}
+		wg.Add(1)
+		go func(o *store.Observation, vp geo.VantagePoint) {
+			defer wg.Done()
+			page, err := b.fetch(now, req.URL, vp.Addr, vp.Browser.UserAgent())
+			Measure(o, vp, page, err, anchor)
+		}(&obs[i], vp)
+	}
+	wg.Wait()
+
+	// Show the user each row with its price at the day's mid fixing, and
+	// apply the currency filter to the prices that were extracted.
+	prices := make([]VPPrice, len(obs))
+	var quotes []fx.Quote
+	for i, o := range obs {
+		prices[i] = VPPrice{
+			VP: o.VP, Label: o.VPLabel,
+			PriceUnits: o.PriceUnits, Currency: o.Currency,
+			OK: o.OK, Err: o.Err,
+		}
+		if amt, ok := o.Amount(); o.OK && ok {
+			prices[i].USD = amt.Float() * b.market.Mid(amt.Currency, now)
+			quotes = append(quotes, fx.Quote{Amount: amt, Day: now})
 		}
 	}
+	// Store the check's observations as one batch: the fan-out's 14 rows
+	// share a domain, so this is a single shard lock acquisition.
 	b.store.AddAll(obs)
 	ratio, varies := b.market.RealVariation(quotes)
 	return CheckResult{
 		Domain: domain, SKU: sku,
-		Prices: results, Ratio: ratio, Varies: varies,
+		Prices: prices, Ratio: ratio, Varies: varies,
 	}, nil
 }
 
-// checkOne fetches and extracts from a single vantage point.
-func (b *Backend) checkOne(now time.Time, rawURL string, anchor extract.Anchor, vp geo.VantagePoint) VPPrice {
-	out := VPPrice{VP: vp.ID, Label: vp.Label}
-	page, err := b.fetch(now, rawURL, vp.Addr, vp.Browser.UserAgent())
-	if err != nil {
-		out.Err = err.Error()
-		return out
+// Measure turns one fetched page into the row that records it. It stamps
+// the vantage point's ID, label, country and city onto o, then fills
+// either the price the anchor extracts in the vantage point's currency,
+// or the text of the error that stopped it: the fetch's, the parse's or
+// the extraction's. Crowd checks, the crawler and the login and persona
+// experiments all record their rows through Measure, so the campaigns the
+// paper compares turn a page into a price the same way.
+func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Anchor) {
+	o.VP, o.VPLabel = vp.ID, vp.Label
+	o.Country, o.City = vp.Location.Country.Code, vp.Location.City
+	err := fetchErr
+	var doc *htmlx.Node
+	if err == nil {
+		doc, err = htmlx.ParseString(page)
 	}
-	doc, err := htmlx.ParseString(page)
-	if err != nil {
-		out.Err = err.Error()
-		return out
+	var amt money.Amount
+	if err == nil {
+		amt, err = anchor.Extract(doc, vp.Location.Country.Currency)
 	}
-	amt, err := anchor.Extract(doc, vp.Location.Country.Currency)
 	if err != nil {
-		out.Err = err.Error()
-		return out
+		o.Err = err.Error()
+		return
 	}
-	out.PriceUnits = amt.Units
-	out.Currency = amt.Currency.Code
-	out.USD = amt.Float() * b.market.Mid(amt.Currency, now)
-	out.OK = true
-	return out
+	o.PriceUnits, o.Currency, o.OK = amt.Units, amt.Currency.Code, true
 }
 
 // fetch retrieves a URL from a fabric address presenting the given

@@ -2,12 +2,16 @@ package backend
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
+	"sheriff/internal/extract"
 	"sheriff/internal/fx"
 	"sheriff/internal/geo"
+	"sheriff/internal/htmlx"
 	"sheriff/internal/money"
 	"sheriff/internal/netsim"
 	"sheriff/internal/shop"
@@ -234,5 +238,57 @@ func TestLoadAnchorsBadInput(t *testing.T) {
 	w := newTestWorld(t)
 	if err := w.backend.LoadAnchors(bytes.NewBufferString("{broken")); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+}
+
+// TestMeasure pins the one step every campaign records a page through,
+// for a crowd row and a crawl row alike: the vantage point is stamped
+// whatever happened, and the row then carries either the extracted price
+// or the text of the error that stopped it.
+func TestMeasure(t *testing.T) {
+	vp, ok := geo.VantagePointByID("de-ber")
+	if !ok {
+		t.Fatal("vantage point de-ber missing")
+	}
+	const priced = `<html><body><div class="product"><h1>Boots</h1>` +
+		`<p class="offer">Now <span class="price">49,90 €</span></p></div></body></html>`
+	withheld := strings.Replace(priced, "49,90 €", shop.PriceOnRequest, 1)
+	doc, err := htmlx.ParseString(priced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, err := extract.Derive(doc, "49,90 €", money.EUR)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	fetchErr := errors.New("backend: GET http://shop.example/product/A: status 503")
+
+	labels := map[string]store.Observation{
+		"crowd": {Domain: "shop.example", SKU: "A", Round: -1, Source: store.SourceCrowd, UserCountry: "GB"},
+		"crawl": {Domain: "shop.example", SKU: "A", Round: 3, Source: store.SourceCrawl},
+	}
+	cases := []struct {
+		name     string
+		page     string
+		fetchErr error
+		units    int64
+		currency string
+		err      string
+	}{
+		{name: "fetch error", fetchErr: fetchErr, err: fetchErr.Error()},
+		{name: "price on request", page: withheld, err: extract.ErrNoPrice.Error()},
+		{name: "priced", page: priced, units: 4990, currency: "EUR"},
+	}
+	for source, label := range labels {
+		for _, tc := range cases {
+			o := label
+			Measure(&o, vp, tc.page, tc.fetchErr, anchor)
+			want := label
+			want.VP, want.VPLabel, want.Country, want.City = "de-ber", "Germany - Berlin", "DE", "Berlin"
+			want.PriceUnits, want.Currency, want.OK, want.Err = tc.units, tc.currency, tc.err == "", tc.err
+			if o != want {
+				t.Errorf("%s, %s:\n got %+v\nwant %+v", source, tc.name, o, want)
+			}
+		}
 	}
 }

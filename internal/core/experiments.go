@@ -199,28 +199,12 @@ func (w *World) RunLoginExperiment(domain string, products int, accounts []strin
 func (w *World) observeLogin(b *browser.Browser, r *shop.Retailer, p shop.Product, vp geo.VantagePoint, anchor extract.Anchor, account string) store.Observation {
 	o := store.Observation{
 		Domain: r.Domain(), SKU: p.SKU,
-		URL: "http://" + r.Domain() + "/product/" + p.SKU,
-		VP:  vp.ID, VPLabel: vp.Label,
-		Country: vp.Location.Country.Code, City: vp.Location.City,
+		URL:  "http://" + r.Domain() + "/product/" + p.SKU,
 		Time: w.Clock.Now(), Round: -1, Source: store.SourceLogin,
 		Account: account,
 	}
 	page, err := b.Get(o.URL)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	doc, err := htmlx.ParseString(page)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	amt, err := anchor.Extract(doc, vp.Location.Country.Currency)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	o.PriceUnits, o.Currency, o.OK = amt.Units, amt.Currency.Code, true
+	backend.Measure(&o, vp, page, err, anchor)
 	return o
 }
 
@@ -290,6 +274,7 @@ func (w *World) RunPersonaExperiment(domains []string, products int) (*PersonaRe
 		if len(ps) > products {
 			ps = ps[:products]
 		}
+		anchor, _ := w.Backend.Anchor(domain) // none: heuristic layers only
 		for _, p := range ps {
 			url := "http://" + domain + "/product/" + p.SKU
 			pageA, errA := affluent.Get(url)
@@ -298,68 +283,26 @@ func (w *World) RunPersonaExperiment(domains []string, products int) (*PersonaRe
 				continue // a flaky 503 is not a persona effect
 			}
 			rep.ProductsCompared++
-			diff, err := w.personaPricesDiffer(pageA, pageB, r.Domain(), vp)
-			if err != nil {
-				continue
+			row := func(page, segment string) store.Observation {
+				o := store.Observation{
+					Domain: domain, SKU: p.SKU, URL: url,
+					Time: w.Clock.Now(), Round: -1, Source: store.SourcePersona,
+					Segment: segment,
+				}
+				backend.Measure(&o, vp, page, nil, anchor)
+				return o
 			}
-			if diff {
+			a, b := row(pageA, "affluent"), row(pageB, "budget")
+			if !a.OK || !b.OK {
+				continue // a rendering without a readable price compares nothing
+			}
+			if a.PriceUnits != b.PriceUnits || a.Currency != b.Currency {
 				rep.Differing++
 			}
-			w.Store.AddAll([]store.Observation{
-				w.personaObs(r, p, vp, pageA, "affluent"),
-				w.personaObs(r, p, vp, pageB, "budget"),
-			})
+			w.Store.AddAll([]store.Observation{a, b})
 		}
 	}
 	return rep, nil
-}
-
-// personaPricesDiffer extracts the price from both renderings and compares.
-func (w *World) personaPricesDiffer(pageA, pageB, domain string, vp geo.VantagePoint) (bool, error) {
-	anchor, ok := w.Backend.Anchor(domain)
-	if !ok {
-		anchor = extract.Anchor{} // heuristic layers only
-	}
-	docA, err := htmlx.ParseString(pageA)
-	if err != nil {
-		return false, err
-	}
-	docB, err := htmlx.ParseString(pageB)
-	if err != nil {
-		return false, err
-	}
-	a, err := anchor.Extract(docA, vp.Location.Country.Currency)
-	if err != nil {
-		return false, err
-	}
-	b, err := anchor.Extract(docB, vp.Location.Country.Currency)
-	if err != nil {
-		return false, err
-	}
-	return a.Units != b.Units || a.Currency.Code != b.Currency.Code, nil
-}
-
-// personaObs builds one persona observation for the dataset.
-func (w *World) personaObs(r *shop.Retailer, p shop.Product, vp geo.VantagePoint, page, segment string) store.Observation {
-	o := store.Observation{
-		Domain: r.Domain(), SKU: p.SKU,
-		URL: "http://" + r.Domain() + "/product/" + p.SKU,
-		VP:  vp.ID, VPLabel: vp.Label,
-		Country: vp.Location.Country.Code, City: vp.Location.City,
-		Time: w.Clock.Now(), Round: -1, Source: store.SourcePersona,
-		Segment: segment,
-	}
-	doc, err := htmlx.ParseString(page)
-	if err == nil {
-		anchor, ok := w.Backend.Anchor(r.Domain())
-		if !ok {
-			anchor = extract.Anchor{}
-		}
-		if amt, err := anchor.Extract(doc, vp.Location.Country.Currency); err == nil {
-			o.PriceUnits, o.Currency, o.OK = amt.Units, amt.Currency.Code, true
-		}
-	}
-	return o
 }
 
 // SegmentFinding is one retailer's verdict from the segment detector.

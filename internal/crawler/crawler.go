@@ -3,6 +3,8 @@
 // 100 products by walking the storefront, then fetch every product page
 // from all 14 vantage points simultaneously, once per day for a week,
 // extracting prices with the anchors learned from crowd highlights.
+// Each page becomes a row through backend.Measure, the same step the
+// crowd check records with, so the two datasets compare like for like.
 //
 // Synchronization is the paper's noise defence: within a round every
 // vantage point sees the same simulated instant, so temporal drift and
@@ -21,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"sheriff/internal/backend"
 	"sheriff/internal/extract"
 	"sheriff/internal/geo"
 	"sheriff/internal/htmlx"
@@ -199,8 +202,6 @@ func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Anchor,
 func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Anchor, vp geo.VantagePoint, round int, at time.Time) store.Observation {
 	o := store.Observation{
 		Domain: domain, SKU: sku, URL: productURL,
-		VP: vp.ID, VPLabel: vp.Label,
-		Country: vp.Location.Country.Code, City: vp.Location.City,
 		Time: at, Round: round, Source: store.SourceCrawl,
 	}
 	// An unsynchronized fetch needs its own clock so only this request
@@ -210,23 +211,7 @@ func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Anchor
 		clk = netsim.NewClock(at)
 	}
 	page, err := fetch(c.registry, clk, vp, productURL)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	doc, err := htmlx.ParseString(page)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	amt, err := anchor.Extract(doc, vp.Location.Country.Currency)
-	if err != nil {
-		o.Err = err.Error()
-		return o
-	}
-	o.PriceUnits = amt.Units
-	o.Currency = amt.Currency.Code
-	o.OK = true
+	backend.Measure(&o, vp, page, err, anchor)
 	return o
 }
 

@@ -61,7 +61,7 @@ func EncodeWALFrame(buf []byte, f WALFrame) ([]byte, error) {
 // WALFrameReader decodes a stream of WAL frames from r.
 type WALFrameReader struct {
 	r   io.Reader
-	hdr [walHeaderSize]byte
+	hdr [FrameHeaderSize]byte
 	buf []byte
 }
 
@@ -85,13 +85,13 @@ func (fr *WALFrameReader) Next() (WALFrame, error) {
 	if n > maxWALRecord {
 		return WALFrame{}, fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte limit", ErrTornFrame, n, maxWALRecord)
 	}
-	need := walHeaderSize + int(n)
+	need := FrameHeaderSize + int(n)
 	if cap(fr.buf) < need {
 		fr.buf = make([]byte, need)
 	}
 	frame := fr.buf[:need]
 	copy(frame, fr.hdr[:])
-	if _, err := io.ReadFull(fr.r, frame[walHeaderSize:]); err != nil {
+	if _, err := io.ReadFull(fr.r, frame[FrameHeaderSize:]); err != nil {
 		return WALFrame{}, fmt.Errorf("%w: short payload: %v", ErrTornFrame, err)
 	}
 	rec, _, err := parseWALRecord(frame, nil)

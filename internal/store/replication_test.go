@@ -266,7 +266,7 @@ func TestWALFrameReaderTornStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, walHeaderSize - 1, walHeaderSize + 1, len(full) - 1} {
+	for _, cut := range []int{1, FrameHeaderSize - 1, FrameHeaderSize + 1, len(full) - 1} {
 		fr := NewWALFrameReader(bytes.NewReader(full[:cut]))
 		if _, err := fr.Next(); err == nil || err == io.EOF {
 			t.Fatalf("cut at %d: err = %v, want a torn-frame error", cut, err)
@@ -274,7 +274,7 @@ func TestWALFrameReaderTornStream(t *testing.T) {
 	}
 	// A flipped payload byte must fail the checksum, not decode.
 	corrupt := append([]byte(nil), full...)
-	corrupt[walHeaderSize+2] ^= 0x40
+	corrupt[FrameHeaderSize+2] ^= 0x40
 	if _, err := NewWALFrameReader(bytes.NewReader(corrupt)).Next(); err == nil || err == io.EOF {
 		t.Fatalf("corrupt payload: err = %v, want a torn-frame error", err)
 	}

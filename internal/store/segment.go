@@ -142,40 +142,42 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// commitManifest atomically replaces the directory's manifest: temp file,
-// fsync, rename over MANIFEST.json, fsync the directory so the rename
-// itself is durable.
+// commitManifest atomically replaces the directory's manifest.
 func commitManifest(dir string, m *manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	return ReplaceFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644)
+}
+
+// ReplaceFile atomically replaces path with data: write a temp file
+// (path + ".tmp", created with perm), fsync it, rename it over path, then
+// fsync the directory so the rename itself is durable. A crash leaves
+// either the old file or the new one, never a torn one. The manifest and
+// the tenant snapshot both commit through it.
+func ReplaceFile(path string, data []byte, perm os.FileMode) error {
+	name := filepath.Base(path)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
 	if err != nil {
-		return fmt.Errorf("store: write manifest: %w", err)
+		return fmt.Errorf("store: write %s: %w", name, err)
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("store: write manifest: %w", err)
+		return fmt.Errorf("store: write %s: %w", name, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: sync manifest: %w", err)
+		return fmt.Errorf("store: sync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close manifest: %w", err)
+		return fmt.Errorf("store: close %s: %w", name, err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("store: commit manifest: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: commit %s: %w", name, err)
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames and creates within it survive a
-// power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("store: open dir for sync: %w", err)
 	}

@@ -35,8 +35,8 @@ type walRecord struct {
 	W uint64 `json:"w,omitempty"`
 }
 
-// walHeaderSize is the framing overhead per record.
-const walHeaderSize = 8
+// FrameHeaderSize is the framing overhead per record.
+const FrameHeaderSize = 8
 
 // maxWALRecord bounds a single record's payload. The largest real batch
 // is a JSONL bulk load chunk (readBatch observations); 64 MiB is far
@@ -50,10 +50,43 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 // the signal to stop replaying a log and truncate mentally at this point.
 var errTornRecord = errors.New("store: torn wal record")
 
+// SealFrame writes the header of frame: FrameHeaderSize reserved bytes
+// followed by the payload. The reader's frame limit is enforced here: a
+// frame that NextFrame would reject as torn must never be written (and
+// claimed durable) in the first place. The WAL, the replication stream
+// and the tenant journal all frame their records through it.
+func SealFrame(frame []byte) error {
+	payload := frame[FrameHeaderSize:]
+	if len(payload) > maxWALRecord {
+		return fmt.Errorf("store: frame payload of %d bytes exceeds the %d-byte limit", len(payload), maxWALRecord)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
+	return nil
+}
+
+// NextFrame splits the first frame off b, returning its payload and the
+// bytes that follow it. A short header, an absurd length, a short payload
+// or a checksum mismatch is a torn frame: the frame boundary cannot be
+// trusted past it, so the caller must stop there.
+func NextFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < FrameHeaderSize {
+		return nil, b, errTornRecord
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	sum := binary.LittleEndian.Uint32(b[4:8])
+	if n > maxWALRecord || uint64(FrameHeaderSize)+uint64(n) > uint64(len(b)) {
+		return nil, b, errTornRecord
+	}
+	payload = b[FrameHeaderSize : FrameHeaderSize+n]
+	if crc32.Checksum(payload, walCRC) != sum {
+		return nil, b, errTornRecord
+	}
+	return payload, b[FrameHeaderSize+n:], nil
+}
+
 // appendWALRecord frames a record onto buf and returns the extended
-// slice. The reader's frame limit is enforced here too: a frame the
-// recovery path would reject as torn must never be written (and claimed
-// durable) in the first place.
+// slice.
 func appendWALRecord(buf []byte, seqs []uint64, obs []Observation) ([]byte, error) {
 	return appendFramed(buf, walRecord{Seqs: seqs, Obs: obs})
 }
@@ -61,39 +94,26 @@ func appendWALRecord(buf []byte, seqs []uint64, obs []Observation) ([]byte, erro
 // appendFramed frames an arbitrary record — the shared encoder behind
 // the durable log and the replication stream.
 func appendFramed(buf []byte, rec walRecord) ([]byte, error) {
-	var hdr [walHeaderSize]byte
+	var hdr [FrameHeaderSize]byte
 	out, err := appendWALPayload(append(buf, hdr[:]...), &rec)
 	if err != nil {
 		return buf, fmt.Errorf("store: encode wal record: %w", err)
 	}
-	frame := out[len(buf):]
-	payload := frame[walHeaderSize:]
-	if len(payload) > maxWALRecord {
-		return buf, fmt.Errorf("store: wal record of %d bytes exceeds the %d-byte frame limit; split the batch", len(payload), maxWALRecord)
+	if err := SealFrame(out[len(buf):]); err != nil {
+		return buf, err
 	}
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
 	return out, nil
 }
 
 // parseWALRecord decodes the first framed record of b, returning the
-// record and the bytes that follow it. Any defect — short header, absurd
-// length, short payload, checksum mismatch, broken JSON, sequence count
-// not matching the observation count — returns errTornRecord: the frame
-// boundary cannot be trusted past a bad frame, so the caller must stop.
-// Decoded strings are interned in strs when it is non-nil.
+// record and the bytes that follow it. Any defect — a torn frame (see
+// NextFrame), broken JSON, sequence count not matching the observation
+// count — returns errTornRecord, and the caller must stop. Decoded
+// strings are interned in strs when it is non-nil.
 func parseWALRecord(b []byte, strs map[string]string) (rec walRecord, rest []byte, err error) {
-	if len(b) < walHeaderSize {
-		return walRecord{}, b, errTornRecord
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	if n > maxWALRecord || uint64(walHeaderSize)+uint64(n) > uint64(len(b)) {
-		return walRecord{}, b, errTornRecord
-	}
-	payload := b[walHeaderSize : walHeaderSize+n]
-	if crc32.Checksum(payload, walCRC) != sum {
-		return walRecord{}, b, errTornRecord
+	payload, rest, err := NextFrame(b)
+	if err != nil {
+		return walRecord{}, b, err
 	}
 	if err := unmarshal(payload, &rec, (*decoder).walRecord, strs); err != nil {
 		return walRecord{}, b, errTornRecord
@@ -101,7 +121,7 @@ func parseWALRecord(b []byte, strs map[string]string) (rec walRecord, rest []byt
 	if len(rec.Seqs) != len(rec.Obs) {
 		return walRecord{}, b, errTornRecord
 	}
-	return rec, b[walHeaderSize+n:], nil
+	return rec, rest, nil
 }
 
 // replayWAL parses every complete record of one shard's log and reports

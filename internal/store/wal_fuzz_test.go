@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +68,49 @@ func FuzzWALRecord(f *testing.F) {
 		if len(again) != len(recs) || discarded2 != 0 {
 			t.Fatalf("healed log replayed %d records (%d torn bytes), want %d (0)",
 				len(again), discarded2, len(recs))
+		}
+	})
+}
+
+// FuzzWALFrameReader checks the replication stream decoder against the
+// recovery decoder: for any bytes, Next yields exactly the records
+// replayWAL accepts, in order, then io.EOF when replayWAL discarded
+// nothing and ErrTornFrame otherwise — and it never panics.
+func FuzzWALFrameReader(f *testing.F) {
+	rec, err := EncodeWALFrame(nil, WALFrame{Seqs: []uint64{1, 2}, Obs: seedObservations(2, 2), Watermark: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	heartbeat, err := EncodeWALFrame(nil, WALFrame{Watermark: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec)
+	f.Add(append(rec, heartbeat...))         // rows, then a heartbeat
+	f.Add(rec[:len(rec)-3])                  // torn payload
+	f.Add(rec[:FrameHeaderSize-1])           // torn header
+	f.Add(append(heartbeat, 0xde, 0xad))     // frame + garbage tail
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0}) // absurd length
+	f.Add([]byte{})                          // empty stream
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, discarded := replayWAL(data, nil)
+		fr := NewWALFrameReader(bytes.NewReader(data))
+		for i, r := range recs {
+			got, err := fr.Next()
+			if err != nil {
+				t.Fatalf("frame %d: %v, want the record replay accepted", i, err)
+			}
+			if want := (WALFrame{Seqs: r.Seqs, Obs: r.Obs, Watermark: r.W}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+		_, err := fr.Next()
+		switch {
+		case discarded == 0 && err != io.EOF:
+			t.Fatalf("after %d intact frames: %v, want io.EOF", len(recs), err)
+		case discarded > 0 && !errors.Is(err, ErrTornFrame):
+			t.Fatalf("after %d intact frames and %d torn bytes: %v, want ErrTornFrame", len(recs), discarded, err)
 		}
 	})
 }

@@ -1,29 +1,31 @@
 package tenant
 
-// Durability for the registry, reusing the store's two persistence
-// idioms at tenancy scale: a manifest-style atomic snapshot
-// (TENANTS.json, written tmp → fsync → rename → dir-fsync) plus a
-// CRC-framed write-ahead journal (tenant-wal.log) of every mutation
-// since the snapshot. Recovery restores the snapshot and replays the
-// journal, tolerating a torn tail exactly like the observation WAL:
-// stop at the first bad frame, truncate it away, keep everything before
-// it. The journal checkpoints (snapshot rewrite + truncate) every
+// Durability for the registry, through the store's own durable-file
+// code at tenancy scale: an atomic snapshot (TENANTS.json, committed by
+// store.ReplaceFile like the manifest) plus a write-ahead journal
+// (tenant-wal.log) of every mutation since the snapshot, framed by
+// store.SealFrame and split by store.NextFrame like the observation WAL.
+// Recovery restores the snapshot and replays the journal, tolerating a
+// torn tail exactly like the WAL: stop at the first bad frame, truncate
+// it away, keep everything before it. Because both sides share the
+// store's frame limit, append refuses any record replay would reject.
+// The journal checkpoints (snapshot rewrite + truncate) every
 // journalCheckpointEvery mutations and at Close, so the journal stays
 // bounded by checkpoint cadence, not uptime.
 //
-// Frame layout matches internal/store's WAL: an 8-byte header — payload
-// length then CRC-32C (Castagnoli) of the payload, both little-endian
-// uint32 — followed by a JSON mutation record.
+// A frame is an 8-byte header — payload length then CRC-32C (Castagnoli)
+// of the payload, both little-endian uint32 — followed by a JSON mutation
+// record.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"sheriff/internal/store"
 )
 
 const (
@@ -33,17 +35,10 @@ const (
 	snapshotFile = "TENANTS.json"
 	journalFile  = "tenant-wal.log"
 
-	journalHeaderSize = 8
-	// maxJournalRecord bounds one frame; a torn length field must not
-	// drive a giant allocation.
-	maxJournalRecord = 16 << 20
 	// journalCheckpointEvery is the mutation count that triggers a
 	// checkpoint.
 	journalCheckpointEvery = 256
 )
-
-// journalCRC is the CRC-32C table shared by framing and replay.
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // mutation is one journaled state change: the full post-image of the
 // touched tenant or campaign (replace-by-value, so replay is idempotent)
@@ -141,19 +136,10 @@ func replayJournal(path string, apply func(mutation)) (count int, goodLen int64,
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("tenant: read journal: %w", err)
 	}
-	off := 0
+	rest := data
 	for {
-		rest := data[off:]
-		if len(rest) < journalHeaderSize {
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxJournalRecord || len(rest) < journalHeaderSize+int(n) {
-			break
-		}
-		payload := rest[journalHeaderSize : journalHeaderSize+int(n)]
-		if crc32.Checksum(payload, journalCRC) != sum {
+		payload, next, err := store.NextFrame(rest)
+		if err != nil {
 			break
 		}
 		var m mutation
@@ -162,9 +148,9 @@ func replayJournal(path string, apply func(mutation)) (count int, goodLen int64,
 		}
 		apply(m)
 		count++
-		off += journalHeaderSize + int(n)
+		rest = next
 	}
-	return count, int64(off), len(data) - off, nil
+	return count, int64(len(data) - len(rest)), len(rest), nil
 }
 
 // applyLocked folds one replayed mutation into the registry maps.
@@ -222,10 +208,10 @@ func (j *journal) append(m mutation) error {
 	if err != nil {
 		return fmt.Errorf("tenant: encode mutation: %w", err)
 	}
-	frame := make([]byte, journalHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, journalCRC))
-	copy(frame[journalHeaderSize:], payload)
+	frame := append(make([]byte, store.FrameHeaderSize, store.FrameHeaderSize+len(payload)), payload...)
+	if err := store.SealFrame(frame); err != nil {
+		return fmt.Errorf("tenant: append journal: %w", err)
+	}
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("tenant: append journal: %w", err)
 	}
@@ -237,37 +223,16 @@ func (j *journal) append(m mutation) error {
 }
 
 // checkpoint atomically rewrites the snapshot and truncates the journal.
-// The snapshot commit is the same tmp → fsync → rename → dir-fsync dance
-// as the store's manifest: a crash leaves either the old snapshot (plus
-// the journal that rebuilds past it) or the new one, never a torn file.
+// A crash leaves either the old snapshot (plus the journal that rebuilds
+// past it) or the new one, never a torn file.
 func (j *journal) checkpoint(st State) error {
 	data, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("tenant: encode snapshot: %w", err)
 	}
-	path := filepath.Join(j.dir, snapshotFile)
-	tmp := path + ".tmp"
 	// 0600 like the journal: the snapshot holds every tenant's key hash.
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
-		return fmt.Errorf("tenant: create snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
+	if err := store.ReplaceFile(filepath.Join(j.dir, snapshotFile), append(data, '\n'), 0o600); err != nil {
 		return fmt.Errorf("tenant: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("tenant: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("tenant: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("tenant: commit snapshot: %w", err)
-	}
-	if err := syncDir(j.dir); err != nil {
-		return err
 	}
 	if err := j.f.Truncate(0); err != nil {
 		return fmt.Errorf("tenant: truncate journal: %w", err)
@@ -279,19 +244,6 @@ func (j *journal) checkpoint(st State) error {
 		return fmt.Errorf("tenant: sync truncated journal: %w", err)
 	}
 	j.mutations = 0
-	return nil
-}
-
-// syncDir fsyncs the directory so a renamed snapshot survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("tenant: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("tenant: sync dir: %w", err)
-	}
 	return nil
 }
 

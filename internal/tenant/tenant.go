@@ -152,12 +152,35 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// bucket is one tenant's request token bucket (same refill arithmetic as
-// the API layer's per-IP limiter, keyed by tenant instead of address).
-type bucket struct {
+// Bucket is a request token bucket: it refills continuously at a rate in
+// tokens per second up to a depth, and each request takes one token. The
+// per-tenant quotas and the API layer's per-address rate limiter both
+// meter with it.
+type Bucket struct {
 	tokens float64
 	last   time.Time
 }
+
+// NewBucket returns a bucket holding depth tokens as of now.
+func NewBucket(depth float64, now time.Time) *Bucket {
+	return &Bucket{tokens: depth, last: now}
+}
+
+// Take refills the bucket for the time since its last use at rate tokens
+// per second, capped at depth, then debits one token. A false return
+// carries how long until the next token accrues.
+func (b *Bucket) Take(now time.Time, rate, depth float64) (bool, time.Duration) {
+	b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*rate, depth)
+	b.last = now
+	if b.tokens < 1 {
+		return false, time.Duration((1 - b.tokens) / rate * float64(time.Second))
+	}
+	b.tokens--
+	return true, 0
+}
+
+// Idle reports how long the bucket has gone unused as of now.
+func (b *Bucket) Idle(now time.Time) time.Duration { return now.Sub(b.last) }
 
 // Registry holds the tenancy state. Safe for concurrent use.
 type Registry struct {
@@ -171,7 +194,7 @@ type Registry struct {
 	tenants     map[string]*Tenant
 	byHash      map[string]string // key hash → tenant ID
 	campaigns   map[string]*Campaign
-	buckets     map[string]*bucket
+	buckets     map[string]*Bucket
 
 	quotaDenied atomic.Uint64
 
@@ -195,7 +218,7 @@ func NewRegistry(opts Options) *Registry {
 		tenants:   make(map[string]*Tenant),
 		byHash:    make(map[string]string),
 		campaigns: make(map[string]*Campaign),
-		buckets:   make(map[string]*bucket),
+		buckets:   make(map[string]*Bucket),
 	}
 }
 
@@ -332,21 +355,14 @@ func (r *Registry) Allow(tenantID string) (bool, time.Duration) {
 	now := r.now()
 	b := r.buckets[tenantID]
 	if b == nil {
-		b = &bucket{tokens: float64(t.QuotaBurst), last: now}
+		b = NewBucket(float64(t.QuotaBurst), now)
 		r.buckets[tenantID] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * t.QuotaRate
-	if depth := float64(t.QuotaBurst); b.tokens > depth {
-		b.tokens = depth
-	}
-	b.last = now
-	if b.tokens < 1 {
+	ok, wait := b.Take(now, t.QuotaRate, float64(t.QuotaBurst))
+	if !ok {
 		r.quotaDenied.Add(1)
-		wait := time.Duration((1 - b.tokens) / t.QuotaRate * float64(time.Second))
-		return false, wait
 	}
-	b.tokens--
-	return true, 0
+	return ok, wait
 }
 
 // QuotaDenied counts requests the per-tenant buckets have rejected.
@@ -549,7 +565,7 @@ func (r *Registry) restoreLocked(st State) {
 		c := st.Campaigns[i].clone()
 		r.campaigns[c.ID] = &c
 	}
-	r.buckets = make(map[string]*bucket)
+	r.buckets = make(map[string]*Bucket)
 }
 
 // clone deep-copies a campaign (Domains and Claims are reference types).

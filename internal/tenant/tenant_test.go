@@ -1,12 +1,18 @@
 package tenant
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"sheriff/internal/store"
 )
 
 // fakeClock is an injectable registry clock.
@@ -387,7 +393,7 @@ func TestJournalCheckpointRotation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stat journal: %v", err)
 	}
-	if fi.Size() > int64(journalCheckpointEvery*journalHeaderSize*8) {
+	if fi.Size() > int64(journalCheckpointEvery*store.FrameHeaderSize*8) {
 		t.Fatalf("journal grew unbounded: %d bytes after checkpoint threshold", fi.Size())
 	}
 	// Crash-reopen still lands on the exact post-claim state.
@@ -494,5 +500,69 @@ func TestJournalCheckpointFailureRetries(t *testing.T) {
 	}
 	if fi.Size() != 0 {
 		t.Fatalf("journal size = %d after healed checkpoint, want 0", fi.Size())
+	}
+}
+
+// TestJournalFormatPin pins the on-disk tenancy format independently of
+// the code that writes it: a TENANTS.json snapshot and a tenant-wal.log
+// written by hand (uint32 LE payload length, uint32 LE CRC-32C of the
+// payload, then json.Marshal of the mutation), followed by a torn frame,
+// reopen to the exact state the snapshot plus the intact frames describe,
+// and the torn bytes are cut away.
+func TestJournalFormatPin(t *testing.T) {
+	dir := t.TempDir()
+	created := time.Date(2013, 7, 1, 0, 0, 0, 0, time.UTC)
+	alice := Tenant{ID: "t-000001", Name: "alice", Role: RoleAdmin, KeyHash: "aa11", Created: created}
+	bob := Tenant{ID: "t-000002", Name: "bob", Role: RoleContributor, KeyHash: "bb22",
+		QuotaRate: 2, QuotaBurst: 4, Created: created.Add(time.Hour)}
+	draft := Campaign{ID: "c-000001", Name: "sweep", Domains: []string{"a.com", "b.com"}, Rounds: 2,
+		State: StateDraft, CreatedBy: "t-000001", Created: created.Add(2 * time.Hour)}
+	claimed := draft
+	claimed.State, claimed.NextUnit, claimed.Claims = StateActive, 1, map[string]int{"t-000002": 1}
+
+	snap := State{Version: 2, TenantSeq: 1, CampaignSeq: 1, Tenants: []Tenant{alice}, Campaigns: []Campaign{draft}}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), append(data, '\n'), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, m := range []mutation{
+		{V: 3, TS: 2, CS: 1, Tenant: &bob},
+		{V: 4, TS: 2, CS: 1, Campaign: &claimed},
+	} {
+		payload, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = binary.LittleEndian.AppendUint32(journal, uint32(len(payload)))
+		journal = binary.LittleEndian.AppendUint32(journal, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		journal = append(journal, payload...)
+	}
+	intact := len(journal)
+	journal = append(journal, 0x10, 0, 0, 0, 0xde, 0xad) // a torn header
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	want := State{Version: 4, TenantSeq: 2, CampaignSeq: 1, Tenants: []Tenant{alice, bob}, Campaigns: []Campaign{claimed}}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened state\n got %+v\nwant %+v", got, want)
+	}
+	fi, err := os.Stat(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(intact) {
+		t.Fatalf("journal is %d bytes after reopen, want the %d intact bytes", fi.Size(), intact)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
