@@ -18,7 +18,6 @@ import (
 
 	"sheriff/internal/backend"
 	"sheriff/internal/geo"
-	"sheriff/internal/money"
 	"sheriff/internal/netsim"
 	"sheriff/internal/shop"
 )
@@ -107,7 +106,7 @@ func New(b *backend.Backend, clk *netsim.Clock, retailers map[string]*shop.Retai
 		tail:        tail,
 		opts:        opts,
 	}
-	s.users = s.makeUsers()
+	s.users = makeUsers(s.rng, opts.Users)
 	return s, nil
 }
 
@@ -120,14 +119,10 @@ var browserPool = []geo.BrowserProfile{
 	{OS: "Macintosh", Browser: "Chrome"},
 }
 
-// makeUsers spreads the crowd over all 18 countries, denser in the first
-// few (US and Western Europe dominated the real beta).
-func (s *Simulator) makeUsers() []User {
-	return makeUsers(s.rng, s.opts.Users)
-}
-
-// makeUsers generates n crowd users off the given rng; the campaign
-// simulator and the load harness share one user model.
+// makeUsers generates n crowd users off the given rng, spread over all
+// 18 countries and denser in the first few (US and Western Europe
+// dominated the real beta); the campaign simulator and the load harness
+// share one user model.
 func makeUsers(rng *rand.Rand, n int) []User {
 	var users []User
 	hostByBlock := map[string]int{}
@@ -156,12 +151,8 @@ func makeUsers(rng *rand.Rand, n int) []User {
 	return users
 }
 
-// weightedIndex samples 0..n-1 with weight 1/(i+1) — a discrete Zipf.
-func (s *Simulator) weightedIndex(n int) int {
-	return zipfIndex(s.rng, n)
-}
-
-// zipfIndex samples 0..n-1 with weight 1/(i+1) off the given rng.
+// zipfIndex samples 0..n-1 with weight 1/(i+1) — a discrete Zipf — off
+// the given rng.
 func zipfIndex(rng *rand.Rand, n int) int {
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -195,20 +186,14 @@ func (s *Simulator) Run() (*Report, error) {
 	tailCursor := 0
 
 	for i := 0; i < s.opts.Requests; i++ {
-		user := s.users[s.weightedIndex(len(s.users))]
-		var domain string
-		if s.rng.Float64() < s.opts.InterestingShare && len(s.interesting) > 0 {
-			domain = s.interesting[s.weightedIndex(len(s.interesting))]
-		} else if len(s.tail) > 0 {
-			// Round-robin with jitter: obscure domains each get a look.
-			domain = s.tail[tailCursor%len(s.tail)]
-			tailCursor += 1 + s.rng.Intn(2)
-		} else {
-			domain = s.interesting[s.weightedIndex(len(s.interesting))]
-		}
-
+		user := s.users[zipfIndex(s.rng, len(s.users))]
+		domain := pickDomain(s.rng, s.interesting, s.tail, s.opts.InterestingShare, &tailCursor)
 		rep.Requests++
-		res, err := s.checkOnce(user, domain)
+		req, err := buildCheck(s.rng, user, s.retailers[domain], domain, s.clock)
+		var res backend.CheckResult
+		if err == nil {
+			res, err = s.backend.Check(req)
+		}
 		if err != nil {
 			rep.Failed++
 		} else {
@@ -226,36 +211,4 @@ func (s *Simulator) Run() (*Report, error) {
 	rep.ActiveUsers = len(usersSeen)
 	rep.Countries = len(countriesSeen)
 	return rep, nil
-}
-
-// checkOnce simulates one user checking one random product on a domain.
-func (s *Simulator) checkOnce(user User, domain string) (backend.CheckResult, error) {
-	r := s.retailers[domain]
-	ps := r.Catalog().Products()
-	p := ps[s.rng.Intn(len(ps))]
-
-	// The human step: the user reads the main price off the page their own
-	// locale and browser are served (fingerprint-pricing retailers render
-	// differently per User-Agent, so the visit must carry it).
-	visit := shop.Visit{
-		Loc: user.Location, Time: s.clock.Now(), IP: user.Addr.String(),
-		Browser: user.Browser,
-	}
-	// A user can only highlight a price they were shown: on selective-
-	// disclosure retailers, browse on until a product with a visible price
-	// turns up (a mostly-hidden catalog eventually yields a failed check,
-	// which is what a frustrated user's bogus highlight would produce).
-	for tries := 0; !r.PriceDisclosed(p, visit) && tries < 8; tries++ {
-		p = ps[s.rng.Intn(len(ps))]
-	}
-	amt := r.DisplayPrice(p, visit)
-	highlight := money.Format(amt, amt.Currency.Style())
-
-	return s.backend.Check(backend.CheckRequest{
-		URL:       "http://" + domain + "/product/" + p.SKU,
-		Highlight: highlight,
-		UserAddr:  user.Addr,
-		UserID:    user.ID,
-		UserAgent: user.Browser.UserAgent(),
-	})
 }

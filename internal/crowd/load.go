@@ -232,8 +232,9 @@ func RunLoad(check CheckFunc, clk *netsim.Clock, retailers map[string]*shop.Reta
 	return rep, nil
 }
 
-// pickDomain reproduces the campaign simulator's traffic shape: a zipf
-// head over the popular domains, round-robin-with-jitter over the tail.
+// pickDomain draws the crowd's traffic shape, for the campaign simulator
+// and the load harness alike: a zipf head over the popular domains,
+// round-robin-with-jitter over the tail.
 func pickDomain(rng *rand.Rand, interesting, tail []string, share float64, tailCursor *int) string {
 	if rng.Float64() < share && len(interesting) > 0 {
 		return interesting[zipfIndex(rng, len(interesting))]
@@ -247,8 +248,11 @@ func pickDomain(rng *rand.Rand, interesting, tail []string, share float64, tailC
 }
 
 // buildCheck performs the human step of one check — browse to a product
-// with a visible price, read the display price, highlight it — and
-// returns the request the user's extension would submit.
+// with a visible price, read the display price the user's own locale and
+// browser are served, highlight it — and returns the request the user's
+// extension would submit. A mostly-hidden catalog eventually yields a
+// hidden price and so a failed check, as a frustrated user's bogus
+// highlight would.
 func buildCheck(rng *rand.Rand, user User, r *shop.Retailer, domain string, clk *netsim.Clock) (backend.CheckRequest, error) {
 	ps := r.Catalog().Products()
 	if len(ps) == 0 {

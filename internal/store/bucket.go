@@ -111,20 +111,6 @@ func (s *Store) dumpBucket(start int64, emit func(uint64, *Observation) error) e
 	return s.dumpOrdered(func(sh *shard) []gref { return sh.byBucket[start] }, emit)
 }
 
-// rebucket rebuilds every shard's bucket index at a new width. Only for
-// single-threaded use (open paths), before concurrent access starts.
-func (s *Store) rebucket(secs int64) {
-	s.bucketSecs = secs
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.byBucket = make(map[int64][]gref)
-		for _, r := range sh.order {
-			b := bucketOf(r.obs().Time, secs)
-			sh.byBucket[b] = append(sh.byBucket[b], r)
-		}
-	}
-}
-
 // rebuildWithout builds a fresh store holding every row except those in
 // the dropped buckets, preserving each surviving row's original sequence
 // number — live cursors keep meaning the same rows, holes in the

@@ -221,7 +221,7 @@ func checkRawStrings(t *testing.T, data []byte) {
 // refLoadSegment is loadSegment as written against encoding/json — a
 // json.Decoder over the (decompressed) file, stopping at the first row
 // that fails — kept as the reference for torn-tail recovery.
-func refLoadSegment(t *testing.T, dir string, info segmentInfo) (rows []seqObs, lost int) {
+func refLoadSegment(t *testing.T, dir string, info segmentInfo) (rows []segRow, lost int) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, info.Name))
 	if err != nil {
@@ -243,7 +243,7 @@ func refLoadSegment(t *testing.T, dir string, info segmentInfo) (rows []seqObs, 
 		if err := dec.Decode(&row); err != nil {
 			break
 		}
-		rows = append(rows, seqObs{seq: row.Seq, obs: row.Obs})
+		rows = append(rows, row)
 	}
 	return rows, max(0, info.Rows-len(rows))
 }
@@ -282,7 +282,7 @@ func TestLoadSegmentTornTailMatchesReference(t *testing.T) {
 			if err := os.WriteFile(path, full[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var got []seqObs
+			var got []segRow
 			lost, err := loadSegment(dir, seg, &got, make(map[string]string))
 			if err != nil {
 				t.Fatal(err)

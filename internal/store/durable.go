@@ -1,7 +1,6 @@
 package store
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,8 +40,8 @@ import (
 //
 // Opening a directory recovers it: the manifest's bucket segments load
 // first, then the logs' complete records; both carry their original
-// sequence numbers, so one sort of compact (sequence, position) keys
-// re-merges them into exact admission order. Every writable open then
+// sequence numbers, so the k-way merge every ordered read shares puts
+// them back into exact admission order. Every writable open then
 // commits the recovered state as a fresh generation, and every commit
 // carries an unchanged bucket's segments forward instead of rewriting
 // them, so a clean restart writes a manifest and empty logs and nothing
@@ -293,14 +291,11 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryReport, err
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	mem, man, rep, err := recoverDir(dir)
+	width := opts.bucketSeconds()
+	mem, man, rep, err := recoverDir(dir, width)
 	if err != nil {
 		lock.Close()
 		return nil, rep, err
-	}
-	width := opts.bucketSeconds()
-	if mem.bucketSecs != width {
-		mem.rebucket(width)
 	}
 	d := &Durable{dir: dir, opts: opts, gen: man.Generation, epoch: man.Epoch, pruned: man.Pruned, lock: lock}
 	d.mem.Store(mem)
@@ -341,7 +336,7 @@ func OpenReadOnly(dir string) (*Store, RecoveryReport, error) {
 		return nil, RecoveryReport{}, fmt.Errorf("store: data dir %s: not a directory", dir)
 	}
 	for attempt := 0; ; attempt++ {
-		mem, _, rep, err := recoverDir(dir)
+		mem, _, rep, err := recoverDir(dir, 0)
 		rep.LiveOwner = dataDirBusy(dir)
 		if cur, merr := readManifest(dir); merr == nil && cur.Generation != rep.Generation {
 			if attempt < 5 {
@@ -357,15 +352,17 @@ func OpenReadOnly(dir string) (*Store, RecoveryReport, error) {
 	}
 }
 
-// recoverDir rebuilds the dataset a directory holds: the manifest's live
-// buckets plus the log tail's complete records, all carrying their
-// original sequence numbers, put back into exact admission order by one
-// sort of compact keys (replayOrder). The rebuilt store keeps every row's original sequence
-// number and resumes the counter at the recovered maximum — replication
-// resumes by sequence, so a restart must never renumber rows out from
-// under a follower's cursor. Pruned buckets are simply absent from the
-// manifest: nothing here ever sees them.
-func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
+// recoverDir rebuilds the dataset a directory holds at bucket width
+// width (0 keeps the manifest's): the manifest's live buckets plus the
+// log tail's complete records, all carrying their original sequence
+// numbers, pushed as seq-sorted runs and put back into exact admission
+// order by the k-way merge every ordered read shares. The rebuilt store
+// keeps every row's original sequence number and resumes the counter at
+// the recovered maximum — replication resumes by sequence, so a restart
+// must never renumber rows out from under a follower's cursor. Pruned
+// buckets are simply absent from the manifest: nothing here ever sees
+// them.
+func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, error) {
 	man, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, RecoveryReport{}, err
@@ -375,19 +372,39 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 		PrunedBuckets: man.Pruned.Buckets,
 		PrunedRows:    man.Pruned.Rows,
 	}
-	mem := newBucketed(man.BucketSeconds)
+	if width <= 0 {
+		width = man.BucketSeconds
+	}
 	// One intern table for the whole load, so recovered rows share their
 	// repeated strings (domains, VPs, URLs, ...).
 	strs := make(map[string]string)
 
-	// The log tail is read first so the merge buffer can be sized
-	// exactly; its rows still join after the snapshot's. Only rows
-	// logged after the snapshot qualify: the manifest records the
-	// sequence counter at its commit (MaxSeq), and every later batch
-	// reserved above it. Retention can leave holes below MaxSeq, which
-	// is why the cut is the counter, not the row count.
-	var tail []walRecord
-	tailRows := 0
+	rows := make([]segRow, 0, man.Rows)
+	for _, b := range man.Buckets {
+		rep.SnapshotBuckets++
+		if b.Compressed {
+			rep.CompressedBuckets++
+		}
+		for _, info := range b.Segments {
+			lost, err := loadSegment(dir, info, &rows, strs)
+			if err != nil {
+				return nil, nil, rep, err
+			}
+			rep.SegmentRowsLost += lost
+			rep.SnapshotRows += info.Rows - lost
+		}
+	}
+	rr := refRuns{refs: make([]seqRef, 0, len(rows))}
+	for i := range rows {
+		rr.push(rows[i].Seq, &rows[i].Obs)
+	}
+
+	// Only rows logged after the snapshot qualify: the manifest records
+	// the sequence counter at its commit (MaxSeq), and every later batch
+	// reserved above it. Retention can leave holes below MaxSeq, which is
+	// why the cut is the counter, not the row count. A shard's records
+	// are not seq-sorted — concurrent writers log in lock order — so push
+	// cuts a run wherever the sequence falls.
 	for shard := 0; shard < numShards; shard++ {
 		data, err := os.ReadFile(filepath.Join(dir, walFile(man.Generation, shard)))
 		if errors.Is(err, fs.ErrNotExist) {
@@ -403,82 +420,28 @@ func recoverDir(dir string) (*Store, *manifest, RecoveryReport, error) {
 		rep.WALBytesDiscarded += discarded
 		rep.WALRecords += len(recs)
 		for _, rec := range recs {
-			for _, seq := range rec.Seqs {
+			for i, seq := range rec.Seqs {
 				if seq > man.MaxSeq {
-					tailRows++
+					rr.push(seq, &rec.Obs[i])
+					rep.WALRows++
 				}
 			}
 		}
-		tail = append(tail, recs...)
 	}
-	rep.WALRows = tailRows
+	rr.cut()
 
-	pending := make([]seqObs, 0, man.Rows+uint64(tailRows))
-	for _, b := range man.Buckets {
-		rep.SnapshotBuckets++
-		if b.Compressed {
-			rep.CompressedBuckets++
-		}
-		for _, info := range b.Segments {
-			lost, err := loadSegment(dir, info, &pending, strs)
-			if err != nil {
-				return nil, nil, rep, err
-			}
-			rep.SegmentRowsLost += lost
-			rep.SnapshotRows += info.Rows - lost
-		}
-	}
-	for _, rec := range tail {
-		for i, seq := range rec.Seqs {
-			if seq > man.MaxSeq {
-				pending = append(pending, seqObs{seq: seq, obs: rec.Obs[i]})
-			}
-		}
-	}
-	order := replayOrder(pending)
 	// Replay under the original sequence numbers (recovery runs
 	// single-threaded, so addDirect is safe).
-	for _, key := range order {
-		mem.addDirect(pending[key.i].obs, key.seq)
-	}
+	mem := newBucketed(width)
 	maxSeq := man.MaxSeq
-	if n := len(order); n > 0 && order[n-1].seq > maxSeq {
-		maxSeq = order[n-1].seq
-	}
+	rr.merge(func(r seqRef) bool {
+		mem.addDirect(*r.obs, r.seq)
+		maxSeq = max(maxSeq, r.seq)
+		return true
+	})
 	mem.seq.Store(maxSeq)
 	mem.applied.Store(maxSeq)
 	return mem, man, rep, nil
-}
-
-// seqKey is a recovered row's compact sort key: its sequence number and
-// its position in the load buffer.
-type seqKey struct {
-	seq uint64
-	i   int
-}
-
-// replayOrder returns the load buffer's rows in sequence order as keys.
-// Segments and log records each arrive in their own order, so the keys
-// — not the ~300-byte rows — are sorted, and not at all when the buffer
-// is already ordered.
-func replayOrder(pending []seqObs) []seqKey {
-	keys := make([]seqKey, len(pending))
-	sorted := true
-	for i := range pending {
-		keys[i] = seqKey{seq: pending[i].seq, i: i}
-		if i > 0 && pending[i].seq < pending[i-1].seq {
-			sorted = false
-		}
-	}
-	if !sorted {
-		slices.SortFunc(keys, func(a, b seqKey) int {
-			if c := cmp.Compare(a.seq, b.seq); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.i, b.i)
-		})
-	}
-	return keys
 }
 
 // checkpointLocked commits the memory engine's current state as a new

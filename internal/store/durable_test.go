@@ -508,46 +508,130 @@ func TestDurableWriteAfterClose(t *testing.T) {
 
 // TestDurableConcurrentWritersRecover pins that batches logged from
 // concurrent writers re-merge into exactly the order live readers saw.
+// With a domain per writer the batches spread over shard logs; with one
+// domain they all land in one shard's log, in whichever order the
+// writers took its lock — so that log holds records out of sequence
+// order.
 func TestDurableConcurrentWritersRecover(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain func(w int) string
+	}{
+		{"domain-per-writer", func(w int) string { return fmt.Sprintf("writer%d.example", w) }},
+		{"one-domain", func(int) string { return "shared.example" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
+			done := make(chan struct{})
+			for w := 0; w < 8; w++ {
+				go func(w int) {
+					defer func() { done <- struct{}{} }()
+					for b := 0; b < 30; b++ {
+						batch := make([]Observation, 7)
+						for i := range batch {
+							batch[i] = obs(tc.domain(w), fmt.Sprintf("S-%d", b), "vp", int64(b*10+i), -1, SourceCrowd, true)
+						}
+						d.AddAll(batch)
+					}
+				}(w)
+			}
+			for w := 0; w < 8; w++ {
+				<-done
+			}
+			want := jsonlBytes(t, d) // the order live readers observed
+			d.crash()
+			back, rep, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != 8*30*7 || rep.Rows() != back.Len() {
+				t.Fatalf("recovered %d rows, want %d", back.Len(), 8*30*7)
+			}
+			if !bytes.Equal(jsonlBytes(t, back), want) {
+				t.Fatal("concurrent batches recovered out of admission order")
+			}
+			for w := 0; w < 8; w++ {
+				q := Query{Domain: tc.domain(w), Round: -1}
+				if !reflect.DeepEqual(back.Filter(q), d.Filter(q)) {
+					t.Fatalf("per-domain rows diverged for writer %d", w)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRecoverDuplicateSegment pins recovery over rows that repeat a
+// sequence number: a manifest naming one segment twice recovers both
+// copies of every row, each pair adjacent in sequence order — and
+// returns instead of looping on the tied runs.
+func TestRecoverDuplicateSegment(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			domain := fmt.Sprintf("writer%d.example", w)
-			for b := 0; b < 30; b++ {
-				batch := make([]Observation, 7)
-				for i := range batch {
-					batch[i] = obs(domain, fmt.Sprintf("S-%d", b), "vp", int64(b*10+i), -1, SourceCrowd, true)
-				}
-				d.AddAll(batch)
-			}
-		}(w)
+	rows := seedObservations(9, 10)
+	day := time.Date(2013, 1, 10, 0, 0, 0, 0, time.UTC)
+	for i := range rows {
+		rows[i].Time = day.Add(time.Duration(i) * time.Minute)
 	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	want := jsonlBytes(t, d) // the order live readers observed
-	d.crash()
-	back, rep, err := OpenReadOnly(dir)
-	if err != nil {
+	d.AddAll(rows)
+	if err := d.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	if back.Len() != 8*30*7 || rep.Rows() != back.Len() {
-		t.Fatalf("recovered %d rows, want %d", back.Len(), 8*30*7)
-	}
-	if !bytes.Equal(jsonlBytes(t, back), want) {
-		t.Fatal("concurrent batches recovered out of admission order")
-	}
-	for w := 0; w < 8; w++ {
-		q := Query{Domain: fmt.Sprintf("writer%d.example", w), Round: -1}
-		if !reflect.DeepEqual(back.Filter(q), d.Filter(q)) {
-			t.Fatalf("per-domain rows diverged for writer %d", w)
-		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Buckets) != 1 || len(man.Buckets[0].Segments) != 1 {
+		t.Fatalf("want one bucket with one segment, got %+v", man.Buckets)
+	}
+	b := &man.Buckets[0]
+	b.Segments = append(b.Segments, b.Segments[0])
+	b.Rows *= 2
+	man.Rows *= 2
+	if err := commitManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		st  *Store
+		rep RecoveryReport
+		err error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		st, rep, err := OpenReadOnly(dir)
+		ch <- result{st, rep, err}
+	}()
+	var res result
+	select {
+	case res = <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatal("recovery of a twice-named segment did not return")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.st.Len() != 2*len(rows) || res.rep.SnapshotRows != 2*len(rows) {
+		t.Fatalf("recovered %d rows (report %+v), want %d", res.st.Len(), res.rep, 2*len(rows))
+	}
+	var seqs []uint64
+	var got []Observation
+	for seq, o := range res.st.ScanRange(Query{Round: -1}, 0, res.st.Watermark()) {
+		seqs = append(seqs, seq)
+		got = append(got, o)
+	}
+	for i := range rows {
+		for _, j := range []int{2 * i, 2*i + 1} {
+			if seqs[j] != uint64(i+1) || !reflect.DeepEqual(got[j], rows[i]) {
+				t.Fatalf("row %d: seq %d %+v, want seq %d %+v", j, seqs[j], got[j], i+1, rows[i])
+			}
+		}
 	}
 }
 

@@ -5,16 +5,19 @@ import (
 	"slices"
 )
 
-// Every ordered read — ScanRange, WriteJSONL, the segment writer and the
-// retention rebuild — is one shape: under the shard locks, gather refs
-// from seq-sorted index lists as seq-sorted runs; after the locks, k-way
-// merge the runs by sequence number. No read path sorts rows.
+// Every ordered read — ScanRange, WriteJSONL, the segment writer, the
+// retention rebuild and recovery — is one shape: gather refs as
+// seq-sorted runs (under the shard locks, from seq-sorted index lists;
+// or, in recovery, from loaded segment and log rows, cut wherever the
+// sequence falls); then k-way merge the runs by sequence number. No
+// read path sorts rows.
 
 // seqRef is one row picked for an ordered read: its sequence number and
-// a pointer into its group's storage. The pointer is taken under the
-// shard lock and addresses an element that is never mutated, so it stays
-// valid once the lock is released — unlike gref.obs, which re-reads the
-// group's live slice header.
+// a pointer into its group's storage (or, in recovery, into the rows
+// loaded from disk). The pointer is taken under the shard lock and
+// addresses an element that is never mutated, so it stays valid once
+// the lock is released — unlike gref.obs, which re-reads the group's
+// live slice header.
 type seqRef struct {
 	seq uint64
 	obs *Observation
@@ -25,6 +28,15 @@ type refRuns struct {
 	refs []seqRef
 	// ends holds each run's end offset in refs.
 	ends []int
+}
+
+// push appends one ref, first cutting the open run when seq does not
+// extend it — so refs pushed in any order still form seq-sorted runs.
+func (rr *refRuns) push(seq uint64, o *Observation) {
+	if n := len(rr.refs); n > 0 && seq <= rr.refs[n-1].seq {
+		rr.cut()
+	}
+	rr.refs = append(rr.refs, seqRef{seq: seq, obs: o})
 }
 
 // cut closes the run appended since the previous cut, if it is non-empty.
@@ -56,10 +68,12 @@ func (rr *refRuns) appendWindow(list []gref, q *Query, after, upto uint64) {
 
 // merge feeds every gathered ref to emit in global sequence order — a
 // k-way merge over a min-heap of runs keyed by their head sequence
-// number — until emit returns false. Runs must not share a sequence
-// number. The top run emits every row below the next-smallest head
-// before the heap is touched again, so a run of consecutive sequences
-// (a batch on one shard) costs one sift, and a single run none.
+// number — until emit returns false. Runs may share a sequence number
+// (rows read from disk can repeat one); tied rows are all emitted, in
+// no particular order. The top run emits every row up to the
+// next-smallest head before the heap is touched again, so a run of
+// consecutive sequences (a batch on one shard) costs one sift, a single
+// run none, and every pass emits at least one row.
 func (rr *refRuns) merge(emit func(seqRef) bool) {
 	h := make([][]seqRef, 0, len(rr.ends))
 	start := 0
@@ -77,7 +91,7 @@ func (rr *refRuns) merge(emit func(seqRef) bool) {
 			next = min(next, c[0].seq)
 		}
 		i := 0
-		for ; i < len(run) && run[i].seq < next; i++ {
+		for ; i < len(run) && run[i].seq <= next; i++ {
 			if !emit(run[i]) {
 				return
 			}

@@ -300,22 +300,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// seqObs is one recovered row with its sequence number, as loaded from
-// a segment or the log tail.
-type seqObs struct {
-	seq uint64
-	obs Observation
-}
-
-// loadSegment streams one snapshot segment's (seq, observation) rows
-// into dst, tolerating a truncated tail: complete rows load, the first
-// broken row ends the segment, and the shortfall against the manifest's
-// expectation is returned as lost rows. A missing file — or a compressed
-// segment whose gzip header is gone — loses the whole segment. The .gz
+// loadSegment appends one snapshot segment's rows to dst, tolerating a
+// truncated tail: complete rows load, the first broken row ends the
+// segment, and the shortfall against the manifest's expectation is
+// returned as lost rows. A missing file — or a compressed segment whose
+// gzip header is gone — loses the whole segment. The .gz
 // suffix picks the transparent-decompression path, so callers never care
 // whether a bucket was cold when written. Decoded strings are interned
 // in strs.
-func loadSegment(dir string, info segmentInfo, dst *[]seqObs, strs map[string]string) (lost int, err error) {
+func loadSegment(dir string, info segmentInfo, dst *[]segRow, strs map[string]string) (lost int, err error) {
 	f, err := os.Open(filepath.Join(dir, info.Name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return info.Rows, nil
@@ -350,7 +343,7 @@ func loadSegment(dir string, info segmentInfo, dst *[]seqObs, strs map[string]st
 			break
 		}
 		rows++
-		*dst = append(*dst, seqObs{seq: row.Seq, obs: row.Obs})
+		*dst = append(*dst, row)
 	}
 	if rows < info.Rows {
 		return info.Rows - rows, nil
