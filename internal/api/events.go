@@ -79,7 +79,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(EventsEpochHeader, strconv.FormatUint(log.Epoch(), 10))
 	switch {
 	case wantsSSE(r):
-		s.tailEvents(w, r, log, after, true)
+		s.tailEvents(w, r, log, after, true, true)
 	case wantsNDJSON(r):
 		follow := true
 		if v := r.URL.Query().Get("follow"); v != "" {
@@ -91,11 +91,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			follow = b
 		}
-		if follow {
-			s.tailEvents(w, r, log, after, false)
-			return
-		}
-		s.replayEventsNDJSON(w, log, after)
+		s.tailEvents(w, r, log, after, false, follow)
 	default:
 		limit := maxEventsPage
 		if v := r.URL.Query().Get("limit"); v != "" {
@@ -136,29 +132,14 @@ func parseEventsAfter(r *http.Request) (uint64, *Error) {
 	return n, nil
 }
 
-// replayEventsNDJSON streams history after the cursor and stops — the
-// non-following export form.
-func (s *Server) replayEventsNDJSON(w http.ResponseWriter, log *events.Log, after uint64) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, e := range log.After(after, 0) {
-		if err := enc.Encode(e); err != nil {
-			return
-		}
-	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// tailEvents is the live tail: replay history after the cursor, then
-// follow appends until the client goes away or the log closes (a
-// graceful drain seals the log, and so does a prune, which starts a new
-// epoch's log; the tail flushes what remains and disconnects — nothing
-// already appended is ever dropped). Subscription
-// wakeups are coalesced signals; the loop re-reads from its own cursor,
-// so bursts lose nothing.
-func (s *Server) tailEvents(w http.ResponseWriter, r *http.Request, log *events.Log, after uint64, sse bool) {
+// tailEvents is the one event stream writer: replay history after the
+// cursor, then — unless follow is false, the NDJSON export form — follow
+// appends until the client goes away or the log closes (a graceful drain
+// seals the log, and so does a prune, which starts a new epoch's log;
+// the tail flushes what remains and disconnects — nothing already
+// appended is ever dropped). Subscription wakeups are coalesced signals;
+// the loop re-reads from its own cursor, so bursts lose nothing.
+func (s *Server) tailEvents(w http.ResponseWriter, r *http.Request, log *events.Log, after uint64, sse, follow bool) {
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
@@ -196,7 +177,7 @@ func (s *Server) tailEvents(w http.ResponseWriter, r *http.Request, log *events.
 	defer cancel()
 	// The headers (and any history) must reach the client before the
 	// first long wait, or a curl tail shows nothing until an event fires.
-	if !writeBatch() {
+	if !writeBatch() || !follow {
 		return
 	}
 	for {

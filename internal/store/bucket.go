@@ -66,18 +66,10 @@ func maxUnixUpdate(a *atomic.Int64, u int64) {
 }
 
 // activeBucket is the newest bucket holding data — the one retention
-// never prunes and compression never touches. ok is false on an empty
-// store.
-func (s *Store) activeBucket() (int64, bool) {
-	u := s.maxUnix.Load()
-	if u == noObservations {
-		return 0, false
-	}
-	b := u / s.bucketSecs
-	if u%s.bucketSecs < 0 {
-		b--
-	}
-	return b * s.bucketSecs, true
+// never prunes and compression never touches. On an empty store it is
+// the bucket of maxUnix's sentinel, below every real one.
+func (s *Store) activeBucket() int64 {
+	return bucketOf(time.Unix(s.maxUnix.Load(), 0), s.bucketSecs)
 }
 
 // bucketStat is one bucket's row count and newest sequence number.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,54 @@ func TestRetentionPruneTable(t *testing.T) {
 					ro.Len(), roRep.PrunedBuckets, tc.wantRows, tc.wantPruned)
 			}
 		})
+	}
+}
+
+// TestSingleWriterRetentionFollowsWrites pins the rollover checkpoint
+// to the write sequence: one writer logs 8 days of 20 ten-row batches
+// under a byte budget. The first batch of each day checkpoints before it
+// returns (so the budget sees exactly the rows written so far), no other
+// batch does, and every run leaves the same manifest.
+func TestSingleWriterRetentionFollowsWrites(t *testing.T) {
+	const days, batches, perBatch = 8, 20, 10
+	type outcome struct {
+		Generation uint64
+		Buckets    []bucketInfo
+		Pruned     PruneTotals
+	}
+	var first outcome
+	for run := 0; run < 10; run++ {
+		dir := t.TempDir()
+		opts := DurableOptions{Fsync: FsyncNever, CompactWALBytes: -1, RetainBytes: 12000}
+		d, _ := openDurable(t, dir, opts)
+		opened := d.Stats().Generation
+		for day := 0; day < days; day++ {
+			rows := dayBatch(day, batches*perBatch)
+			for b := 0; b < batches; b++ {
+				d.AddAll(rows[b*perBatch : (b+1)*perBatch])
+				if got, want := d.Stats().Generation, opened+uint64(day)+1; got != want {
+					t.Fatalf("run %d day %d batch %d: generation %d, want %d", run, day, b, got, want)
+				}
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		man, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outcome{man.Generation, man.Buckets, man.Pruned}
+		if run == 0 {
+			if got.Pruned.Buckets == 0 {
+				t.Fatalf("the budget pruned nothing: %+v", got)
+			}
+			first = got
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d left manifest %+v, run 0 left %+v", run, got, first)
+		}
 	}
 }
 

@@ -17,11 +17,14 @@ import (
 
 // Durable is the crash-safe observation backend: the in-memory sharded
 // engine for every query, fronted on the write path by a per-shard
-// write-ahead log and compacted periodically into time-bucketed JSONL
-// snapshots. A Durable answers every Reader query exactly as the memory
-// engine does (the memory engine IS its read path), and a process that
-// dies — kill -9 included — loses at most the log tail that was not yet
-// fsynced under the configured policy.
+// write-ahead log and checkpointed into time-bucketed JSONL snapshots.
+// A checkpoint runs on the goroutine that needs it — the open, Compact,
+// or the AddAll that crossed a trigger — never on one of its own, so
+// with one writer where checkpoints land is a function of the writes.
+// A Durable answers every Reader query exactly as the memory engine
+// does (the memory engine IS its read path), and a process that dies —
+// kill -9 included — loses at most the log tail that was not yet fsynced
+// under the configured policy.
 //
 // On-disk layout of a data directory:
 //
@@ -80,14 +83,12 @@ type Durable struct {
 	pruneHook func(epoch uint64)
 	wals      [numShards]walShardFile
 
+	// committedActive is the last commit's active bucket: with retention
+	// on, a batch that moves the dataset past it triggers a checkpoint.
+	committedActive int64
+
 	walBytes atomic.Int64
 	synced   atomic.Uint64
-	// rollBucket tracks the newest active bucket seen, so a batch that
-	// advances the dataset into a new bucket can trigger a retention
-	// checkpoint even when WAL growth alone would not.
-	rollBucket atomic.Int64
-
-	compacting atomic.Bool
 
 	errMu    sync.Mutex
 	firstErr error
@@ -307,14 +308,9 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryReport, err
 	if d.epoch == 0 {
 		d.epoch = NewReplicationEpoch()
 	}
-	if err := d.checkpointLocked(); err != nil {
+	if err := d.Compact(); err != nil {
 		lock.Close()
 		return nil, rep, err
-	}
-	if b, ok := d.mem.Load().activeBucket(); ok {
-		d.rollBucket.Store(b)
-	} else {
-		d.rollBucket.Store(noObservations)
 	}
 	if opts.Fsync == FsyncInterval {
 		d.stopSync = make(chan struct{})
@@ -431,16 +427,25 @@ func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, err
 	rr.cut()
 
 	// Replay under the original sequence numbers (recovery runs
-	// single-threaded, so addDirect is safe).
+	// single-threaded, so addDirect is safe). A sequence number names one
+	// row: merge emits ties adjacently, so a repeat of the last one placed
+	// (a manifest naming a segment twice) is a copy, skipped and uncounted.
 	mem := newBucketed(width)
-	maxSeq := man.MaxSeq
+	var last uint64
 	rr.merge(func(r seqRef) bool {
-		mem.addDirect(*r.obs, r.seq)
-		maxSeq = max(maxSeq, r.seq)
+		switch {
+		case r.seq != last:
+			mem.addDirect(*r.obs, r.seq)
+			last = r.seq
+		case r.seq > man.MaxSeq:
+			rep.WALRows--
+		default:
+			rep.SnapshotRows--
+		}
 		return true
 	})
-	mem.seq.Store(maxSeq)
-	mem.applied.Store(maxSeq)
+	mem.seq.Store(max(man.MaxSeq, last))
+	mem.applied.Store(mem.seq.Load())
 	return mem, man, rep, nil
 }
 
@@ -452,8 +457,7 @@ func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, err
 // segment files, under their old names; every other live bucket is
 // written under the new generation. The work, and with it the writers'
 // pause, is proportional to the changed buckets, not the dataset. The
-// caller holds writeGate exclusively, or is still single-threaded in
-// OpenDurable.
+// caller holds writeGate exclusively (see checkpoint).
 //
 // The manifest rename is the commit point, and the in-memory generation
 // state must never desync from it: every fallible step is staged BEFORE
@@ -493,7 +497,7 @@ func (d *Durable) checkpointLocked() error {
 	// before a byte is written (their last committed size is what the
 	// byte accounting can know).
 	stats := mem.bucketStats()
-	active, hasData := mem.activeBucket()
+	active := mem.activeBucket()
 	starts := make([]int64, 0, len(stats))
 	for b := range stats {
 		starts = append(starts, b)
@@ -502,7 +506,7 @@ func (d *Durable) checkpointLocked() error {
 
 	pruned := d.pruned
 	victims := make(map[int64]struct{})
-	if d.opts.RetainAge > 0 && hasData {
+	if d.opts.RetainAge > 0 {
 		cutoff := mem.maxUnix.Load() - int64(d.opts.RetainAge/time.Second)
 		for _, b := range starts {
 			if b != active && b+mem.bucketSecs <= cutoff {
@@ -579,6 +583,7 @@ func (d *Durable) checkpointLocked() error {
 	d.gen = newGen
 	d.committed = bucketsByStart(infos)
 	d.committedSeq = man.MaxSeq
+	d.committedActive = active
 	d.pruned = pruned
 	d.walBytes.Store(0)
 
@@ -703,19 +708,31 @@ func (d *Durable) SetPruneHook(fn func(epoch uint64)) {
 // involved logs are fsynced before AddAll returns. The log write and
 // fsync run before the batch waits for its turn to apply, so concurrent
 // batches still overlap their fsyncs; only the memory apply and the
-// observer's fold run one batch at a time, in sequence order. Write
-// errors (disk full, closed store) do not panic mid-campaign: the batch
-// stays visible in memory, the failure is sticky and surfaces on Sync
-// and Close.
+// observer's fold run one batch at a time, in sequence order. A batch
+// that crosses a checkpoint trigger (see due) runs the checkpoint itself
+// before returning, so with one writer every checkpoint, and every prune
+// decision it makes, follows from the write sequence alone. Write errors
+// (disk full, closed store) do not panic mid-campaign: the batch stays
+// visible in memory, the failure is sticky and surfaces on Sync and
+// Close.
 func (d *Durable) AddAll(os_ []Observation) {
-	if len(os_) == 0 {
-		return
+	if len(os_) > 0 && d.logAndApply(os_) {
+		// A checkpoint that lost the race against Close is not a
+		// failure; the un-compacted log replays on the next open.
+		if err := d.checkpoint(false); err != nil && !errors.Is(err, errClosed) {
+			d.fail(err)
+		}
 	}
+}
+
+// logAndApply is AddAll's shared-gate half; it reports whether the
+// applied batch left a checkpoint trigger holding.
+func (d *Durable) logAndApply(os_ []Observation) bool {
 	d.writeGate.RLock()
 	defer d.writeGate.RUnlock()
 	if d.closed {
 		d.fail(fmt.Errorf("store: AddAll: %w", errClosed))
-		return
+		return false
 	}
 	mem := d.mem.Load()
 	base := mem.reserve(len(os_))
@@ -765,39 +782,18 @@ func (d *Durable) AddAll(os_ []Observation) {
 	}
 
 	mem.apply(os_, nil, base)
-
-	if t := d.opts.CompactWALBytes; t > 0 && d.walBytes.Load() >= t {
-		// The trigger upgrades to the exclusive gate on its own
-		// goroutine, outside this AddAll's shared hold. The pass pauses
-		// every writer while it rewrites the buckets changed since the
-		// last commit (see Compact); unchanged ones carry forward.
-		go d.tryCompact()
-	} else if d.opts.retentionOn() {
-		// Retention is evaluated at checkpoints, so a batch that rolls
-		// the dataset into a new active bucket triggers one even when
-		// WAL growth alone would not — the previous bucket just went
-		// cold and may now be compressible or prunable.
-		if b, ok := mem.activeBucket(); ok {
-			prev := d.rollBucket.Load()
-			if b > prev && d.rollBucket.CompareAndSwap(prev, b) && prev != noObservations {
-				go d.tryCompact()
-			}
-		}
-	}
+	return d.due()
 }
 
-// tryCompact runs at most one compaction at a time; extra triggers while
-// one is running are dropped (the running pass absorbs their bytes).
-func (d *Durable) tryCompact() {
-	if !d.compacting.CompareAndSwap(false, true) {
-		return
+// due reports whether a checkpoint trigger holds: the logs outgrew
+// CompactWALBytes, or retention is on and the dataset's active bucket
+// is newer than the last commit's — the previous bucket just went cold
+// and may now be compressible or prunable. The caller holds writeGate.
+func (d *Durable) due() bool {
+	if t := d.opts.CompactWALBytes; t > 0 && d.walBytes.Load() >= t {
+		return true
 	}
-	defer d.compacting.Store(false)
-	// A trigger that lost the race against Close is not a failure; the
-	// un-compacted log replays on the next open.
-	if err := d.Compact(); err != nil && !errors.Is(err, errClosed) {
-		d.fail(err)
-	}
+	return d.opts.retentionOn() && d.mem.Load().activeBucket() > d.committedActive
 }
 
 // logRecord frames and appends one record to a shard's log, reporting
@@ -874,14 +870,24 @@ func (d *Durable) syncAllLocked() {
 }
 
 // Compact commits the current state as a fresh snapshot generation —
-// applying retention and cold-bucket compression — and empties the logs.
-// Writers pause for the duration, which is the rewrite of the buckets
-// changed since the last commit: unchanged buckets carry forward.
-func (d *Durable) Compact() error {
+// applying retention and cold-bucket compression — and empties the logs:
+// the forced form of the checkpoint a crossing AddAll runs. Writers
+// pause for the duration, which is the rewrite of the buckets changed
+// since the last commit: unchanged buckets carry forward.
+func (d *Durable) Compact() error { return d.checkpoint(true) }
+
+// checkpoint is the one way a checkpoint runs: on the caller's goroutine,
+// under the exclusive writeGate, so every reserved batch has applied.
+// Unless forced it first rechecks the trigger, which another writer that
+// crossed the same one may already have served.
+func (d *Durable) checkpoint(force bool) error {
 	d.writeGate.Lock()
 	defer d.writeGate.Unlock()
 	if d.closed {
 		return fmt.Errorf("store: Compact: %w", errClosed)
+	}
+	if !force && !d.due() {
+		return nil
 	}
 	return d.checkpointLocked()
 }

@@ -428,20 +428,27 @@ func TestDurableCleanReopenSkipsRewrite(t *testing.T) {
 }
 
 // TestDurableAutoCompaction asserts the WAL-size trigger fires on its
-// own and costs no data.
+// own and costs no data. The 100-day buckets keep each checkpoint to one
+// or two bucket rewrites, so the race-enabled CI runs stay short.
 func TestDurableAutoCompaction(t *testing.T) {
+	const trigger = 64 << 10
 	dir := t.TempDir()
-	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever, CompactWALBytes: 16 << 10})
+	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever, CompactWALBytes: trigger, BucketDuration: 100 * 24 * time.Hour})
 	opened := d.Stats().Generation
 	obs := seedObservations(17, 3000)
+	// The batch that crosses the trigger checkpoints before it returns:
+	// after every AddAll either the logs are still under the threshold
+	// in the same generation, or a new generation starts empty logs.
 	for i := 0; i < len(obs); i += 100 {
+		before := d.Stats().Generation
 		d.AddAll(obs[i : i+100])
-	}
-	// The trigger runs on its own goroutine; give it its window before
-	// closing (Close waits out an in-flight pass via the gate).
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().Generation <= opened && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		st := d.Stats()
+		if st.Generation == before && st.WALBytes >= trigger {
+			t.Fatalf("batch %d crossed the trigger (%d wal bytes) without a checkpoint", i/100, st.WALBytes)
+		}
+		if st.Generation != before && (st.Generation != before+1 || st.WALBytes != 0) {
+			t.Fatalf("batch %d: generation %d -> %d, %d wal bytes", i/100, before, st.Generation, st.WALBytes)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -565,9 +572,9 @@ func TestDurableConcurrentWritersRecover(t *testing.T) {
 }
 
 // TestRecoverDuplicateSegment pins recovery over rows that repeat a
-// sequence number: a manifest naming one segment twice recovers both
-// copies of every row, each pair adjacent in sequence order — and
-// returns instead of looping on the tied runs.
+// sequence number: a manifest naming one segment twice recovers every
+// row once, under its own sequence number — and returns instead of
+// looping on the tied runs. A writable open then commits the rows once.
 func TestRecoverDuplicateSegment(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
@@ -617,22 +624,42 @@ func TestRecoverDuplicateSegment(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if res.st.Len() != 2*len(rows) || res.rep.SnapshotRows != 2*len(rows) {
-		t.Fatalf("recovered %d rows (report %+v), want %d", res.st.Len(), res.rep, 2*len(rows))
-	}
-	var seqs []uint64
-	var got []Observation
-	for seq, o := range res.st.ScanRange(Query{Round: -1}, 0, res.st.Watermark()) {
-		seqs = append(seqs, seq)
-		got = append(got, o)
-	}
-	for i := range rows {
-		for _, j := range []int{2 * i, 2*i + 1} {
-			if seqs[j] != uint64(i+1) || !reflect.DeepEqual(got[j], rows[i]) {
-				t.Fatalf("row %d: seq %d %+v, want seq %d %+v", j, seqs[j], got[j], i+1, rows[i])
+	assertOnce := func(st Reader, rep RecoveryReport) {
+		t.Helper()
+		if st.Len() != len(rows) || rep.Rows() != st.Len() {
+			t.Fatalf("recovered %d rows (report %+v), want %d", st.Len(), rep, len(rows))
+		}
+		var seqs []uint64
+		var got []Observation
+		for seq, o := range st.ScanRange(Query{Round: -1}, 0, st.Watermark()) {
+			seqs = append(seqs, seq)
+			got = append(got, o)
+		}
+		if len(seqs) != len(rows) {
+			t.Fatalf("scanned %d rows, want %d", len(seqs), len(rows))
+		}
+		for i := range rows {
+			if seqs[i] != uint64(i+1) || !reflect.DeepEqual(got[i], rows[i]) {
+				t.Fatalf("row %d: seq %d %+v, want seq %d %+v", i, seqs[i], got[i], i+1, rows[i])
 			}
 		}
 	}
+	assertOnce(res.st, res.rep)
+
+	// The writable open commits what it recovered: 10 rows, once.
+	d2, rep := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
+	assertOnce(d2, rep)
+	if st := d2.Stats(); st.SnapshotRows != uint64(len(rows)) {
+		t.Fatalf("committed %d rows, want %d", st.SnapshotRows, len(rows))
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, rep, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOnce(back, rep)
 }
 
 // TestOpenReadOnlyRequiresDir pins the read-only contract: it inspects

@@ -342,7 +342,7 @@ func TestChunksStreamAcrossRetentionHoles(t *testing.T) {
 	addProductRounds(s, 21, 6000)
 	// Drop every other bucket, so holes fall inside chunks.
 	victims := make(map[int64]struct{})
-	active, _ := s.activeBucket()
+	active := s.activeBucket()
 	for b := range s.bucketStats() {
 		if b != active && (b/s.bucketSecs)%2 == 0 {
 			victims[b] = struct{}{}

@@ -31,13 +31,11 @@ import (
 	"sheriff/internal/api"
 	"sheriff/internal/backend"
 	"sheriff/internal/core"
-	"sheriff/internal/crawler"
 	"sheriff/internal/crowd"
 	"sheriff/internal/events"
 	"sheriff/internal/extract"
 	"sheriff/internal/fx"
 	"sheriff/internal/geo"
-	"sheriff/internal/market"
 	"sheriff/internal/replica"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
@@ -65,16 +63,10 @@ type CrowdOptions = core.CrowdOptions
 // the paper's 21 domains × ≤100 products × 7 daily rounds.
 type CrawlOptions = core.CrawlOptions
 
-// CrowdReport summarizes a crowd campaign.
-type CrowdReport = crowd.Report
-
 // LoadOptions configures the crowd-load harness (World.RunLoad /
 // crowd.RunLoad): N concurrent simulated users issuing checks in
 // synchronized rounds against the backend.
 type LoadOptions = crowd.LoadOptions
-
-// LoadReport is the harness result: checks/sec plus p50/p90/p99 latency.
-type LoadReport = crowd.LoadReport
 
 // CheckFunc issues one check; crowd.RunLoad drives any implementation —
 // Backend.Check in-process, or an HTTP client POSTing a live sheriffd
@@ -85,24 +77,12 @@ type CheckFunc = crowd.CheckFunc
 // for the common in-process case use World.RunLoad.
 var RunLoad = crowd.RunLoad
 
-// CrawlReport summarizes a crawl campaign.
-type CrawlReport = crawler.Report
-
-// LoginReport summarizes the Kindle login experiment (Fig. 10).
-type LoginReport = core.LoginReport
-
-// PersonaReport summarizes the affluent-vs-budget experiment (Sec. 4.4).
-type PersonaReport = core.PersonaReport
-
 // CheckRequest is a single $heriff price check: URL, user highlight, and
 // the user's fabric address.
 type CheckRequest = backend.CheckRequest
 
 // CheckResult is the per-vantage-point outcome of a check.
 type CheckResult = backend.CheckResult
-
-// VPPrice is one vantage point's extracted price within a CheckResult.
-type VPPrice = backend.VPPrice
 
 // API is the backend's versioned HTTP surface: the /api/v1/ routes
 // (checks single+batch, cursor-paginated/NDJSON observations, per-domain
@@ -146,11 +126,6 @@ type (
 	APIDomainReport = api.DomainReport
 	// APIEventsPage is one /api/v1/events history page.
 	APIEventsPage = api.EventsPage
-	// APIWireError is the typed error object inside the v1 envelope.
-	APIWireError = api.Error
-	// APIReplicationStats is the "replication" block of APIStats and the
-	// health probes: role, watermark, and (on followers) stream state.
-	APIReplicationStats = api.ReplicationStats
 	// APIHealthResponse is the /api/v1/healthz and /api/v1/readyz body.
 	APIHealthResponse = api.HealthResponse
 	// APITenantPayload is the POST /api/v1/tenants request body.
@@ -180,10 +155,6 @@ type (
 	TenantRegistry = tenant.Registry
 	// TenantOptions tunes a registry (clock and logging injection).
 	TenantOptions = tenant.Options
-	// Tenant is one identified crowd member (key stored as SHA-256 only).
-	Tenant = tenant.Tenant
-	// Campaign is one server-orchestrated probing schedule.
-	Campaign = tenant.Campaign
 	// TenantSyncOptions tunes a follower's tenancy replication loop.
 	TenantSyncOptions = tenant.SyncOptions
 )
@@ -231,20 +202,6 @@ type (
 	// FollowerOptions tunes a Follower (HTTP client, reconnect delay,
 	// logging); the zero value works.
 	FollowerOptions = replica.Options
-	// FollowerStatus is a point-in-time replication view: connected,
-	// last applied sequence, primary watermark, lag.
-	FollowerStatus = replica.Status
-)
-
-// Fatal replication errors: Follower.Run returns these instead of
-// reconnecting, because retrying cannot heal them.
-var (
-	// ErrPrimaryEpochChanged marks a replaced or reset primary; the
-	// follower must restart empty to re-sync.
-	ErrPrimaryEpochChanged = replica.ErrEpochChanged
-	// ErrPrimaryDiverged marks a primary behind what this follower
-	// already applied — the primary lost acknowledged writes.
-	ErrPrimaryDiverged = replica.ErrDiverged
 )
 
 // NewFollower builds a follower of the sheriffd at primaryURL that
@@ -266,10 +223,6 @@ type (
 	// AnalysisOptions tunes the engine (detector options, variation
 	// threshold, an external event log).
 	AnalysisOptions = aggregate.Options
-	// AnalysisStats is the engine's counter block inside APIStats.
-	AnalysisStats = aggregate.Stats
-	// DomainSummary is one domain's aggregate snapshot.
-	DomainSummary = aggregate.DomainSummary
 	// Event is one analysis event: a product group's variation ratio
 	// crossing the threshold, or a strategy family flipping.
 	Event = events.Event
@@ -335,9 +288,6 @@ type (
 	// DurableOptions tunes the durable engine: fsync policy, segment
 	// size, compaction threshold.
 	DurableOptions = store.DurableOptions
-	// RecoveryReport is what opening a data directory found: snapshot
-	// rows, replayed WAL rows, torn bytes discarded.
-	RecoveryReport = store.RecoveryReport
 )
 
 // NewStore builds an empty in-memory observation store — the landing
@@ -365,33 +315,14 @@ type (
 	DomainBox = analysis.DomainBox
 	// DomainExtent is a Fig. 3 row.
 	DomainExtent = analysis.DomainExtent
-	// PricePoint is a Fig. 5 dot.
-	PricePoint = analysis.PricePoint
-	// VPSeries is a Fig. 6 per-location series with its strategy fit.
-	VPSeries = analysis.VPSeries
-	// StrategyFit is a fitted pricing model (multiplicative/additive).
-	StrategyFit = analysis.StrategyFit
 	// LocationBox is a Fig. 7 row.
 	LocationBox = analysis.LocationBox
-	// Fig8Grid is a pairwise location-comparison grid.
-	Fig8Grid = analysis.Fig8Grid
-	// LoginSeries is the Fig. 10 data.
-	LoginSeries = analysis.LoginSeries
-	// BoxStats is a five-number summary.
-	BoxStats = analysis.BoxStats
-	// Summary is the dataset overview of Sec. 3.2/4.1.
-	Summary = analysis.Summary
 	// Fig5EnvelopeBand is one price band of the Fig. 5 envelope.
 	Fig5EnvelopeBand = analysis.Fig5Envelope
-	// CampaignAgreement is the crowd-vs-crawl repeatability summary.
-	CampaignAgreement = analysis.CampaignAgreement
-	// SegmentFinding is one retailer's browsing-history-pricing verdict.
-	SegmentFinding = core.SegmentFinding
 )
 
-// Strategy kinds a StrategyFit can report.
+// Strategy kinds a Fig. 6 series' fitted pricing model can report.
 const (
-	StrategyNone           = analysis.StrategyNone
 	StrategyMultiplicative = analysis.StrategyMultiplicative
 	StrategyAdditive       = analysis.StrategyAdditive
 )
@@ -407,55 +338,23 @@ var Summarize = analysis.Summarize
 // Pricing-rule engine and strategy attribution, re-exported for
 // downstream scenario work.
 type (
-	// PricingRule is one compiled pricing behaviour of a retailer.
-	PricingRule = shop.PricingRule
 	// StrategyFamily groups rules by discrimination strategy.
 	StrategyFamily = shop.StrategyFamily
 	// ShopConfig declares a retailer, rule parameters included.
 	ShopConfig = shop.Config
-	// CompetitionConfig parameterizes a retailer's rival-tracking
-	// repricing (ShopConfig.Competition).
-	CompetitionConfig = market.CompetitionConfig
-	// DemandConfig parameterizes demand/inventory-driven repricing
-	// (ShopConfig.Demand).
-	DemandConfig = market.DemandConfig
-	// StrategyReport is a domain's per-family attribution verdict.
-	StrategyReport = analysis.StrategyReport
-	// FamilyEvidence is one family's verdict inside a StrategyReport.
-	FamilyEvidence = analysis.FamilyEvidence
-	// DetectOptions tunes DetectStrategies.
-	DetectOptions = analysis.DetectOptions
 	// MatrixOptions configures RunScenarioMatrix.
 	MatrixOptions = core.MatrixOptions
-	// MatrixReport is the scenario sweep result with per-family scores.
-	MatrixReport = core.MatrixReport
-	// ScenarioOutcome is one scenario's truth-vs-detection row.
-	ScenarioOutcome = core.ScenarioOutcome
-	// FamilyScore is a per-family confusion matrix with precision/recall.
-	FamilyScore = core.FamilyScore
 )
 
-// Strategy families a rule (and a detector verdict) can belong to.
+// Market-dynamics strategy families: price movement every vantage point
+// sees identically — a confound the detector separates from
+// discrimination, not discrimination itself.
 const (
-	FamilyGeo         = shop.FamilyGeo
-	FamilyFingerprint = shop.FamilyFingerprint
-	FamilyDisclosure  = shop.FamilyDisclosure
-	FamilyTemporal    = shop.FamilyTemporal
-	FamilyABTest      = shop.FamilyABTest
-	FamilyAccount     = shop.FamilyAccount
-	FamilySegment     = shop.FamilySegment
-	// Market-dynamics families: price movement every vantage point sees
-	// identically — a confound the detector separates from
-	// discrimination, not discrimination itself.
 	FamilyCompetitive = shop.FamilyCompetitive
 	FamilyDemand      = shop.FamilyDemand
 )
 
-// DetectStrategies attributes a domain's crawl variation to strategy
-// families using the vantage-point fleet's structure as controls.
-var DetectStrategies = analysis.DetectStrategies
-
-// DetectableFamilies lists the families DetectStrategies can attribute
+// DetectableFamilies lists the families the strategy detector can attribute
 // from crawl data alone.
 var DetectableFamilies = analysis.DetectableFamilies
 
