@@ -218,21 +218,19 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 // Measure turns one fetched page into the row that records it. It stamps
 // the vantage point's ID, label, country and city onto o, then fills
 // either the price the anchor extracts in the vantage point's currency,
-// or the text of the error that stopped it: the fetch's, the parse's or
-// the extraction's. Crowd checks, the crawler and the login and persona
+// or the text of the error that stopped it: the fetch's or the
+// extraction's. The page goes through Anchor.ExtractPage, which builds no
+// tree when the anchor's path resolves in one streamed pass. Crowd
+// checks, the crawler and the login and persona
 // experiments all record their rows through Measure, so the campaigns the
 // paper compares turn a page into a price the same way.
 func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Anchor) {
 	o.VP, o.VPLabel = vp.ID, vp.Label
 	o.Country, o.City = vp.Location.Country.Code, vp.Location.City
 	err := fetchErr
-	var doc *htmlx.Node
-	if err == nil {
-		doc, err = htmlx.ParseString(page)
-	}
 	var amt money.Amount
 	if err == nil {
-		amt, err = anchor.Extract(doc, vp.Location.Country.Currency)
+		amt, err = anchor.ExtractPage(page, vp.Location.Country.Currency)
 	}
 	if err != nil {
 		o.Err = err.Error()

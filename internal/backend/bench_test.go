@@ -1,0 +1,70 @@
+package backend
+
+import (
+	"testing"
+	"time"
+
+	"sheriff/internal/extract"
+	"sheriff/internal/fx"
+	"sheriff/internal/geo"
+	"sheriff/internal/htmlx"
+	"sheriff/internal/money"
+	"sheriff/internal/shop"
+	"sheriff/internal/store"
+)
+
+// measureCase is one vantage point's rendering of a product page with the
+// price the retailer displayed on it.
+type measureCase struct {
+	vp     geo.VantagePoint
+	page   string
+	anchor extract.Anchor
+	want   money.Amount
+}
+
+// BenchmarkMeasure turns the product pages of the four shop templates, as
+// each of the 14 vantage points sees them, into rows: the per-page work a
+// crowd check's fan-out does after its fetches. One op is one page.
+func BenchmarkMeasure(b *testing.B) {
+	home, err := geo.LocationOf("US", "Boston")
+	if err != nil {
+		b.Fatal(err)
+	}
+	market := fx.NewMarket(1)
+	day := time.Date(2013, 2, 1, 12, 0, 0, 0, time.UTC)
+	var cases []measureCase
+	for i, tmpl := range []string{"classic", "modern", "table", "minimal"} {
+		r := shop.New(shop.Config{
+			Domain: "bench.example.com", Label: "Bench shop", Seed: int64(31 + i),
+			Categories: []shop.Category{shop.CatClothing}, ProductCount: 20,
+			PriceLo: 20, PriceHi: 900, Template: tmpl, Localize: true,
+			VariedFraction: 1.0,
+			CountryFactor:  map[string]float64{"FI": 1.30, "DE": 1.12, "GB": 1.10, "BR": 1.2},
+		}, market)
+		p := r.Catalog().Products()[3]
+		user := shop.Visit{Loc: home, Time: day, IP: "10.0.1.77"}
+		truth := r.DisplayPrice(p, user)
+		doc, err := htmlx.ParseString(r.RenderProduct(p, user))
+		if err != nil {
+			b.Fatal(err)
+		}
+		anchor, err := extract.Derive(doc, money.Format(truth, truth.Currency.Style()), money.USD)
+		if err != nil {
+			b.Fatalf("%s: Derive: %v", tmpl, err)
+		}
+		for _, vp := range geo.VantagePoints() {
+			v := shop.Visit{Loc: vp.Location, Time: day, IP: vp.Addr.String(), Browser: vp.Browser}
+			cases = append(cases, measureCase{vp: vp, page: r.RenderProduct(p, v), anchor: anchor, want: r.DisplayPrice(p, v)})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := &cases[i%len(cases)]
+		var o store.Observation
+		Measure(&o, c.vp, c.page, nil, c.anchor)
+		if !o.OK || o.PriceUnits != c.want.Units || o.Currency != c.want.Currency.Code {
+			b.Fatalf("%s: row %+v, want %v", c.vp.ID, o, c.want)
+		}
+	}
+}

@@ -17,6 +17,11 @@
 //  3. heuristic: take the first element with a price-suggesting class
 //     ("price", "amount", ...) whose text parses to exactly one price.
 //
+// ExtractPage applies an anchor to an unparsed page. It streams layer 1
+// through htmlx's one tokenizer, which also feeds the tree builder, and
+// parses the page for layers 1–3 only when the streamed pass cannot
+// commit to the tree's answer.
+//
 // The naive whole-page scan (NaiveFirst) exists only as the ablation
 // baseline; product pages deliberately carry decoy prices that defeat it.
 package extract
@@ -150,7 +155,7 @@ func (a Anchor) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, err
 	// Layer 1: structural.
 	if p, err := htmlx.ParsePath(a.Path); err == nil {
 		if el, ok := p.Resolve(doc); ok {
-			if amt, ok := priceInElement(el, a.MatchIndex, hint); ok {
+			if amt, ok := priceInText(el.Text(), a.MatchIndex, hint); ok {
 				return amt, nil
 			}
 		}
@@ -168,15 +173,37 @@ func (a Anchor) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, err
 	return money.Amount{}, ErrNoPrice
 }
 
-// priceInElement parses the element's text and picks the idx-th price,
-// falling back to the first when the element has fewer prices than the
-// original had.
-func priceInElement(el *htmlx.Node, idx int, hint money.Currency) (money.Amount, bool) {
-	matches := money.ParseAll(el.Text(), hint)
+// ExtractPage applies the anchor to an unparsed page. It is defined as
+// Extract(ParseString(page), hint), but it first streams layer 1: the
+// anchor's path resolves while the page is tokenized, and the price is
+// read from the target's text as soon as the target closes, with no tree
+// built. Only when that pass cannot commit to Resolve's answer, or the
+// target's text holds no price, does it parse the page and run all three
+// layers on the tree.
+func (a Anchor) ExtractPage(page string, hint money.Currency) (money.Amount, error) {
+	if p, err := htmlx.ParsePath(a.Path); err == nil {
+		if text, ok := p.ResolveText(page); ok {
+			if amt, ok := priceInText(text, a.MatchIndex, hint); ok {
+				return amt, nil
+			}
+		}
+	}
+	doc, err := htmlx.ParseString(page)
+	if err != nil {
+		return money.Amount{}, err
+	}
+	return a.Extract(doc, hint)
+}
+
+// priceInText parses an anchored element's text and picks the idx-th
+// price, falling back to the first when the element has fewer prices than
+// the original had.
+func priceInText(text string, idx int, hint money.Currency) (money.Amount, bool) {
+	matches := money.ParseAll(text, hint)
 	if len(matches) == 0 {
 		return money.Amount{}, false
 	}
-	if idx < len(matches) {
+	if idx >= 0 && idx < len(matches) {
 		return matches[idx].Amount, true
 	}
 	return matches[0].Amount, true

@@ -27,7 +27,7 @@ func parse(t *testing.T, s string) *htmlx.Node {
 
 // retailerPages renders the same product for two locations through a real
 // retailer, returning both pages, the highlight string, and ground truth.
-func retailerPages(t *testing.T, tmpl string) (pageUS, pageDE string, highlightUS string, truthUS, truthDE money.Amount) {
+func retailerPages(t testing.TB, tmpl string) (pageUS, pageDE string, highlightUS string, truthUS, truthDE money.Amount) {
 	t.Helper()
 	r := shop.New(shop.Config{
 		Domain: "x.example.com", Label: "X", Seed: 11,
@@ -228,5 +228,18 @@ func TestDeriveDeepestElement(t *testing.T) {
 	}
 	if p[len(p)-1].Tag != "span" {
 		t.Fatalf("anchor bound to %s, want span", p[len(p)-1].Tag)
+	}
+}
+
+// Anchors can come from a sidecar file (backend.LoadAnchors): a negative
+// path index or match index must not index out of range.
+func TestExtractNegativeIndexes(t *testing.T) {
+	doc := parse(t, `<div><span>$1.00 or $2.00</span></div>`)
+	if _, err := (Anchor{Path: "div[0]/span[-1]"}).Extract(doc, money.USD); err != ErrNoPrice {
+		t.Fatalf("negative path index: %v, want ErrNoPrice (the path does not parse)", err)
+	}
+	got, err := Anchor{Path: "div[0]/span[0]", MatchIndex: -1}.Extract(doc, money.USD)
+	if err != nil || got.Units != 100 {
+		t.Fatalf("negative match index = %v, %v; want the first price", got, err)
 	}
 }

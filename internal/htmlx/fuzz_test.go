@@ -13,6 +13,8 @@ func FuzzParseString(f *testing.F) {
 	f.Add(`<!DOCTYPE html><!-- c --><a href=x unquoted=1>t</a>`)
 	f.Add("<<<>>><div//><p align='")
 	f.Add("plain text with a < sign and &amp; entity")
+	f.Add("<script>\xff\xff\xff\xff\xff</script")
+	f.Add("<script>\xff</script><p>after</p>")
 	f.Fuzz(func(t *testing.T, src string) {
 		doc, err := ParseString(src)
 		if err != nil {

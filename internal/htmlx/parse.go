@@ -9,6 +9,12 @@
 // scratch. It handles the HTML the retailer simulator emits plus the usual
 // real-world sloppiness: void elements, unquoted attributes, comments,
 // raw-text script/style elements, and character entities.
+//
+// One tokenizer feeds two consumers: the tree builder behind ParseString,
+// and Path.ResolveText, which resolves a structural path while the page
+// streams past and returns the target's text without building a tree.
+// The tokenizer owns the open-element stack, so both see the same
+// nesting.
 package htmlx
 
 import (
@@ -16,6 +22,7 @@ import (
 	"html"
 	"io"
 	"strings"
+	"unicode"
 )
 
 // NodeType discriminates DOM node kinds.
@@ -81,207 +88,67 @@ func Parse(r io.Reader) (*Node, error) {
 	return parse(string(b))
 }
 
-// parse builds the DOM. It never fails on malformed markup — browsers
-// don't — but reports truly unusable input (currently: none) via error to
-// keep the signature future-proof.
+// parse builds the DOM from the tokenizer's stream. It never fails on
+// malformed markup — browsers don't — but reports truly unusable input
+// (currently: none) via error to keep the signature future-proof.
 func parse(src string) (*Node, error) {
 	root := &Node{Type: DocumentNode}
 	stack := []*Node{root}
 	top := func() *Node { return stack[len(stack)-1] }
-
-	i := 0
-	appendText := func(s string) {
-		if s == "" {
-			return
-		}
-		parent := top()
-		// Merge adjacent text nodes so Text() sees one run.
-		if n := len(parent.Children); n > 0 && parent.Children[n-1].Type == TextNode {
-			parent.Children[n-1].Data += s
-			return
-		}
-		parent.Children = append(parent.Children, &Node{
-			Type: TextNode, Data: s, Parent: parent,
-		})
+	appendChild := func(n *Node) {
+		n.Parent = top()
+		n.Parent.Children = append(n.Parent.Children, n)
 	}
 
-	for i < len(src) {
-		lt := strings.IndexByte(src[i:], '<')
-		if lt < 0 {
-			appendText(html.UnescapeString(src[i:]))
-			break
-		}
-		if lt > 0 {
-			appendText(html.UnescapeString(src[i : i+lt]))
-			i += lt
-		}
-		// src[i] == '<'
-		switch {
-		case strings.HasPrefix(src[i:], "<!--"):
-			end := strings.Index(src[i+4:], "-->")
-			if end < 0 {
-				top().Children = append(top().Children, &Node{
-					Type: CommentNode, Data: src[i+4:], Parent: top(),
-				})
-				i = len(src)
+	z := tokenizer{src: src}
+	for z.next() {
+		tok := &z.tok
+		switch tok.kind {
+		case textToken:
+			s := html.UnescapeString(tok.data)
+			if s == "" {
 				continue
 			}
-			top().Children = append(top().Children, &Node{
-				Type: CommentNode, Data: src[i+4 : i+4+end], Parent: top(),
-			})
-			i += 4 + end + 3
-		case strings.HasPrefix(src[i:], "<!"):
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
-				i = len(src)
+			// Merge adjacent text nodes so Text() sees one run.
+			parent := top()
+			if n := len(parent.Children); n > 0 && parent.Children[n-1].Type == TextNode {
+				parent.Children[n-1].Data += s
 				continue
 			}
-			top().Children = append(top().Children, &Node{
-				Type: DoctypeNode, Data: strings.TrimSpace(src[i+2 : i+end]), Parent: top(),
-			})
-			i += end + 1
-		case strings.HasPrefix(src[i:], "</"):
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
-				i = len(src)
-				continue
+			appendChild(&Node{Type: TextNode, Data: s})
+		case rawTextToken:
+			// The body belongs to the script or style element just added.
+			parent := top()
+			el := parent.Children[len(parent.Children)-1]
+			el.Children = append(el.Children, &Node{Type: TextNode, Data: tok.data, Parent: el})
+		case commentToken:
+			appendChild(&Node{Type: CommentNode, Data: tok.data})
+		case doctypeToken:
+			appendChild(&Node{Type: DoctypeNode, Data: tok.data})
+		case startToken:
+			el := &Node{Type: ElementNode, Tag: tok.data}
+			if len(tok.attrs) > 0 {
+				el.Attrs = append([]Attr(nil), tok.attrs...)
 			}
-			name := strings.ToLower(strings.TrimSpace(src[i+2 : i+end]))
-			// Pop to the matching open element; ignore stray close tags.
-			for d := len(stack) - 1; d >= 1; d-- {
-				if stack[d].Tag == name {
-					stack = stack[:d]
-					break
-				}
+			appendChild(el)
+			if tok.opens {
+				stack = append(stack, el)
 			}
-			i += end + 1
-		default:
-			name, attrs, selfClose, next := parseTag(src, i)
-			if name == "" {
-				// A bare '<' that is not a tag: literal text.
-				appendText("<")
-				i++
-				continue
-			}
-			i = next
-			el := &Node{Type: ElementNode, Tag: name, Attrs: attrs, Parent: top()}
-			top().Children = append(top().Children, el)
-			if selfClose || voidElements[name] {
-				continue
-			}
-			if rawTextElements[name] {
-				closeTag := "</" + name
-				idx := strings.Index(strings.ToLower(src[i:]), closeTag)
-				if idx < 0 {
-					el.Children = append(el.Children, &Node{Type: TextNode, Data: src[i:], Parent: el})
-					i = len(src)
-					continue
-				}
-				if idx > 0 {
-					el.Children = append(el.Children, &Node{Type: TextNode, Data: src[i : i+idx], Parent: el})
-				}
-				gt := strings.IndexByte(src[i+idx:], '>')
-				if gt < 0 {
-					i = len(src)
-				} else {
-					i += idx + gt + 1
-				}
-				continue
-			}
-			stack = append(stack, el)
+		case endToken:
+			stack = stack[:tok.depth+1]
 		}
 	}
 	return root, nil
 }
 
-// parseTag parses an open tag starting at src[i] == '<'. It returns the
-// lower-cased name, attributes, whether the tag self-closes, and the index
-// just past the closing '>'. A malformed tag returns name == "".
-func parseTag(src string, i int) (name string, attrs []Attr, selfClose bool, next int) {
-	j := i + 1
-	start := j
-	for j < len(src) && isNameByte(src[j]) {
-		j++
-	}
-	if j == start {
-		return "", nil, false, i + 1
-	}
-	name = strings.ToLower(src[start:j])
-
-	for j < len(src) {
-		// Skip whitespace.
-		for j < len(src) && isSpace(src[j]) {
-			j++
-		}
-		if j >= len(src) {
-			return name, attrs, false, j
-		}
-		if src[j] == '>' {
-			return name, attrs, false, j + 1
-		}
-		if src[j] == '/' {
-			j++
-			if j < len(src) && src[j] == '>' {
-				return name, attrs, true, j + 1
-			}
-			continue
-		}
-		// Attribute name.
-		aStart := j
-		for j < len(src) && src[j] != '=' && src[j] != '>' && src[j] != '/' && !isSpace(src[j]) {
-			j++
-		}
-		key := strings.ToLower(src[aStart:j])
-		if key == "" {
-			j++
-			continue
-		}
-		for j < len(src) && isSpace(src[j]) {
-			j++
-		}
-		if j >= len(src) || src[j] != '=' {
-			attrs = append(attrs, Attr{Key: key})
-			continue
-		}
-		j++ // skip '='
-		for j < len(src) && isSpace(src[j]) {
-			j++
-		}
-		var val string
-		if j < len(src) && (src[j] == '"' || src[j] == '\'') {
-			quote := src[j]
-			j++
-			vStart := j
-			for j < len(src) && src[j] != quote {
-				j++
-			}
-			val = src[vStart:j]
-			if j < len(src) {
-				j++ // closing quote
-			}
-		} else {
-			vStart := j
-			for j < len(src) && !isSpace(src[j]) && src[j] != '>' {
-				j++
-			}
-			val = src[vStart:j]
-		}
-		attrs = append(attrs, Attr{Key: key, Val: html.UnescapeString(val)})
-	}
-	return name, attrs, false, j
-}
-
-func isNameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == ':'
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
 // Attr returns the value of the named attribute and whether it is present.
 func (n *Node) Attr(key string) (string, bool) {
-	for _, a := range n.Attrs {
+	return attrValue(n.Attrs, key)
+}
+
+// attrValue returns the value of the first attribute named key.
+func attrValue(attrs []Attr, key string) (string, bool) {
+	for _, a := range attrs {
 		if a.Key == key {
 			return a.Val, true
 		}
@@ -306,12 +173,27 @@ func (n *Node) Classes() []string {
 
 // HasClass reports whether the element carries the class.
 func (n *Node) HasClass(class string) bool {
-	for _, c := range n.Classes() {
-		if c == class {
+	return hasClass(n.Attrs, class)
+}
+
+// hasClass reports whether the class attribute among attrs lists class,
+// splitting the list the way Classes does without allocating it.
+func hasClass(attrs []Attr, class string) bool {
+	v, _ := attrValue(attrs, "class")
+	for {
+		v = strings.TrimLeftFunc(v, unicode.IsSpace)
+		if v == "" {
+			return false
+		}
+		end := strings.IndexFunc(v, unicode.IsSpace)
+		if end < 0 {
+			end = len(v)
+		}
+		if v[:end] == class {
 			return true
 		}
+		v = v[end:]
 	}
-	return false
 }
 
 // Text returns the concatenated text content of the subtree, with runs of
@@ -320,7 +202,12 @@ func (n *Node) HasClass(class string) bool {
 func (n *Node) Text() string {
 	var b strings.Builder
 	n.appendText(&b)
-	return strings.Join(strings.Fields(b.String()), " ")
+	return collapseSpace(b.String())
+}
+
+// collapseSpace collapses runs of whitespace to single spaces and trims.
+func collapseSpace(s string) string {
+	return strings.Join(strings.Fields(s), " ")
 }
 
 func (n *Node) appendText(b *strings.Builder) {

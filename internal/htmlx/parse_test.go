@@ -238,3 +238,35 @@ func TestParseEmptyAndGarbage(t *testing.T) {
 		t.Errorf("bare '<' mangled: %q", got)
 	}
 }
+
+// A raw-text element's close tag must be found on the page itself: a
+// lower-cased copy turns each invalid byte into a 3-byte U+FFFD, so an
+// index found in the copy overruns the page or cuts the body short.
+func TestRawTextCloseTagOnInvalidUTF8(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, script, p string
+	}{
+		{"unterminated close after invalid bytes", "<script>\xff\xff\xff\xff\xff</script", "\xff\xff\xff\xff\xff", ""},
+		{"invalid byte before close", "<script>\xff</script><p>after</p>", "\xff", "after"},
+		{"upper-case close", "<STYLE>a{}</StYlE><p>after</p>", "a{}", "after"},
+		{"close tag prefix only", "<script>x</scrip</script><p>after</p>", "x</scrip", "after"},
+		{"non-ASCII rune that lowers longer", "<script>İİ</script><p>after</p>", "İİ", "after"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := mustParse(t, tc.src)
+			el := doc.First("script")
+			if el == nil {
+				el = doc.First("style")
+			}
+			if el == nil || len(el.Children) != 1 || el.Children[0].Data != tc.script {
+				t.Fatalf("raw-text body = %+v, want %q", el, tc.script)
+			}
+			if tc.p == "" {
+				return
+			}
+			if p := doc.First("p"); p == nil || p.Text() != tc.p {
+				t.Fatalf("element after the raw text = %v, want %q", p, tc.p)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package htmlx
 
 import (
 	"fmt"
+	"html"
 	"strconv"
 	"strings"
 )
@@ -146,6 +147,118 @@ func resolveStep(cur *Node, st Step) *Node {
 	return sameTag[len(sameTag)-1]
 }
 
+// ResolveText resolves the path while tokenizing src, without building a
+// tree, and returns the target's Text(). It keeps only the tokenizer's
+// open-element stack and, for the step being matched, how many same-tag
+// children of the matched parent it has passed, and it stops when the
+// target's subtree closes, so a price near the top of a page is read
+// without the rest of it.
+//
+// One pass can commit to Resolve's answer only when Resolve would pick the
+// step's Index-th same-tag child outright. ok is false, and the caller
+// must fall back to Resolve on the full tree, whenever that does not hold:
+//   - a step after the first carries an ID (Resolve prefers any child with
+//     that id, wherever it sits);
+//   - the Index-th same-tag child lacks the step's class (Resolve would
+//     weigh all classed siblings);
+//   - a matched ancestor closes, or the page ends, before its next step's
+//     child appears (Resolve would fall back to the last sibling or fail);
+//   - the target is void, self-closed or raw text.
+//
+// When ok is true, text equals the Text() of Resolve(ParseString(src)).
+func (p Path) ResolveText(src string) (text string, ok bool) {
+	if len(p) == 0 {
+		return "", false
+	}
+	for _, st := range p[1:] {
+		if st.ID != "" {
+			return "", false
+		}
+	}
+	z := tokenizer{src: src}
+	k := 0    // the step being matched
+	at := 0   // depth of step k's parent: its children start at this depth
+	seen := 0 // step k's same-tag children passed so far
+	for z.next() {
+		tok := &z.tok
+		if tok.kind == endToken && tok.depth < at {
+			return "", false
+		}
+		if tok.kind != startToken {
+			continue
+		}
+		st := p[k]
+		if k == 0 && st.ID != "" {
+			// getElementById: the first element in document order.
+			if id, _ := attrValue(tok.attrs, "id"); id != st.ID {
+				continue
+			}
+		} else {
+			parent := tok.depth
+			if tok.opens {
+				parent--
+			}
+			if parent != at || tok.data != st.Tag {
+				continue
+			}
+			if seen++; seen <= st.Index {
+				continue
+			}
+			if st.Class != "" && !hasClass(tok.attrs, st.Class) {
+				return "", false
+			}
+		}
+		if !tok.opens {
+			return "", false
+		}
+		if k == len(p)-1 {
+			return textUntilClose(&z), true
+		}
+		k, at, seen = k+1, tok.depth, 0
+	}
+	return "", false
+}
+
+// textUntilClose reads on from the start tag of an element that opened
+// and returns what the element's Text() will be once its subtree is
+// complete: when a close tag pops it, or at the end of the page.
+func textUntilClose(z *tokenizer) string {
+	var b strings.Builder
+	depth := z.tok.depth
+	cur := depth
+	// merge mirrors the tree builder: a text token joins the text node
+	// before it only while that node is still the open element's last
+	// child.
+	merge := false
+	for z.next() {
+		tok := &z.tok
+		switch tok.kind {
+		case textToken:
+			s := html.UnescapeString(tok.data)
+			if s == "" {
+				continue
+			}
+			if !merge {
+				b.WriteByte(' ')
+			}
+			b.WriteString(s)
+			merge = true
+		case endToken:
+			if tok.depth < cur {
+				merge = false
+			}
+		case startToken, commentToken, doctypeToken:
+			merge = false
+		}
+		// A raw-text body is skipped, as Text() skips script and style.
+		cur = tok.depth
+		if cur < depth {
+			break
+		}
+	}
+	return collapseSpace(b.String())
+}
+
 // findByID searches the subtree for the element with the given id.
 func findByID(root *Node, id string) *Node {
 	var found *Node
@@ -195,7 +308,7 @@ func ParsePath(s string) (Path, error) {
 		// Index suffix.
 		if lb := strings.LastIndexByte(rest, '['); lb >= 0 && strings.HasSuffix(rest, "]") {
 			idx, err := strconv.Atoi(rest[lb+1 : len(rest)-1])
-			if err != nil {
+			if err != nil || idx < 0 {
 				return nil, fmt.Errorf("htmlx: bad index in step %q", seg)
 			}
 			st.Index = idx

@@ -163,3 +163,90 @@ func TestPathDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// resolveTextAgrees checks ResolveText against Resolve on the full tree:
+// a definitive answer must be the tree's answer.
+func resolveTextAgrees(t *testing.T, src string, p Path) (string, bool) {
+	t.Helper()
+	text, ok := p.ResolveText(src)
+	if !ok {
+		return "", false
+	}
+	el, found := p.Resolve(mustParse(t, src))
+	if !found {
+		t.Fatalf("ResolveText(%s) = %q, but Resolve finds nothing", p, text)
+	}
+	if want := el.Text(); text != want {
+		t.Fatalf("ResolveText(%s) = %q, Resolve's Text() = %q", p, text, want)
+	}
+	return text, true
+}
+
+func TestResolveTextMatchesResolveForEveryElement(t *testing.T) {
+	doc := mustParse(t, samplePage)
+	var n int
+	doc.Walk(func(el *Node) bool {
+		if el.Type != ElementNode {
+			return true
+		}
+		p := PathOf(el)
+		text, ok := resolveTextAgrees(t, samplePage, p)
+		opens := !voidElements[el.Tag] && !rawTextElements[el.Tag]
+		if ok != opens {
+			t.Fatalf("ResolveText(%s) ok = %v, want %v", p, ok, opens)
+		}
+		if ok && text != el.Text() {
+			t.Fatalf("ResolveText(%s) = %q, want %q", p, text, el.Text())
+		}
+		n++
+		return true
+	})
+	if n < 20 {
+		t.Fatalf("walked %d elements", n)
+	}
+}
+
+func TestResolveTextDefinitiveOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, path, want string
+		ok                    bool
+	}{
+		{"by id", `<p id=a>x <b>y</b>z</p>`, "p#a[0]", "x y z", true},
+		{"id ignores tag", `<div><span id=a>$1</span></div>`, "p#a[0]", "$1", true},
+		{"nth of type", `<ul><li>a</li><li>b</li><li>c</li></ul>`, "ul[0]/li[1]", "b", true},
+		{"class on the nth", `<ul><li>a</li><li class=p>b</li></ul>`, "ul[0]/li.p[1]", "b", true},
+		{"nth lacks class", `<ul><li class=p>a</li><li>b</li></ul>`, "ul[0]/li.p[1]", "", false},
+		{"fewer siblings than index", `<ul><li>a</li></ul><p>after</p>`, "ul[0]/li[3]", "", false},
+		{"id after the first step", `<div><p id=q>x</p></div>`, "div[0]/p#q[0]", "", false},
+		{"void target", `<div><img src=x></div>`, "div[0]/img[0]", "", false},
+		{"raw-text target", `<div><script>1</script></div>`, "div[0]/script[0]", "", false},
+		{"self-closed target", `<div><span/></div>`, "div[0]/span[0]", "", false},
+		{"no such id", `<div>x</div>`, "div#nope[0]", "", false},
+		{"misnested close pops the target", `<div id=a><span>$1<b>2</div><p>$3</p>`, "div#a[0]/span[0]", "$1 2", true},
+		{"parent closed early", `<div id=a></div><span>$1</span>`, "div#a[0]/span[0]", "", false},
+		{"stray close keeps text merged", `<p id=a>1</i>2</p>`, "p#a[0]", "12", true},
+		{"comment splits text", `<p id=a>1<!--c-->2</p>`, "p#a[0]", "1 2", true},
+		{"doctype splits text", `<p id=a>1<!x>2</p>`, "p#a[0]", "1 2", true},
+		{"raw text inside target", `<p id=a>1<script>$9</script>2</p>`, "p#a[0]", "1 2", true},
+		{"per-chunk unescape", `<p id=a>&amp<&lt;</p>`, "p#a[0]", "&<<", true},
+		{"unclosed target ends with the page", `<p id=a>$1 <b>2`, "p#a[0]", "$1 2", true},
+		{"upper-case markup", `<DIV ID=a><SPAN CLASS="x p">$5</SPAN></DIV>`, "div#a[0]/span.p[0]", "$5", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := ParsePath(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, ok := resolveTextAgrees(t, tc.src, p)
+			if ok != tc.ok || text != tc.want {
+				t.Fatalf("ResolveText = %q, %v; want %q, %v", text, ok, tc.want, tc.ok)
+			}
+		})
+	}
+}
+
+func TestParsePathRejectsNegativeIndex(t *testing.T) {
+	if p, err := ParsePath("div[0]/span[-1]"); err == nil {
+		t.Fatalf("ParsePath accepted a negative index: %v", p)
+	}
+}
