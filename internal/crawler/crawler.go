@@ -3,6 +3,9 @@
 // 100 products by walking the storefront, then fetch every product page
 // from all 14 vantage points simultaneously, once per day for a week,
 // extracting prices with the anchors learned from crowd highlights.
+// Discovery reads three kinds of storefront link, walking each parsed
+// page for the <a> elements of one class: cat-link on the home page,
+// product-link on category listings and next for their pagination.
 // Each page becomes a row through backend.Measure, the same step the
 // crowd check records with, so the two datasets compare like for like.
 //
@@ -230,7 +233,7 @@ func (c *Crawler) Discover(domain string, vp geo.VantagePoint, max int) ([]strin
 		return nil, err
 	}
 	var catURLs []string
-	for _, a := range homeDoc.FindAll("a.cat-link") {
+	for _, a := range links(homeDoc, "cat-link") {
 		if href, ok := a.Attr("href"); ok {
 			catURLs = append(catURLs, base+href)
 		}
@@ -255,7 +258,7 @@ func (c *Crawler) Discover(domain string, vp geo.VantagePoint, max int) ([]strin
 			if err != nil {
 				break
 			}
-			for _, a := range doc.FindAll("a.product-link") {
+			for _, a := range links(doc, "product-link") {
 				if len(out) >= max {
 					break
 				}
@@ -266,15 +269,29 @@ func (c *Crawler) Discover(domain string, vp geo.VantagePoint, max int) ([]strin
 				seen[href] = true
 				out = append(out, base+href)
 			}
+			// The first next link decides: without an href, the chain ends.
 			pageURL = ""
-			if next := doc.First("a.next"); next != nil {
-				if href, ok := next.Attr("href"); ok {
+			if next := links(doc, "next"); len(next) > 0 {
+				if href, ok := next[0].Attr("href"); ok {
 					pageURL = base + href
 				}
 			}
 		}
 	}
 	return out, nil
+}
+
+// links returns the <a> elements under doc that carry class, in document
+// order.
+func links(doc *htmlx.Node, class string) []*htmlx.Node {
+	var out []*htmlx.Node
+	doc.Walk(func(n *htmlx.Node) bool {
+		if n.Type == htmlx.ElementNode && n.Tag == "a" && n.HasClass(class) {
+			out = append(out, n)
+		}
+		return true
+	})
+	return out
 }
 
 // fetchResilient tries the preferred vantage point first, then every other

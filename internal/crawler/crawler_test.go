@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -296,6 +297,24 @@ func TestDiscoverFollowsPagination(t *testing.T) {
 	if len(urls) != 95 {
 		t.Fatalf("discovered %d products across pages, want 95", len(urls))
 	}
+	// Each product once, and the listing's order kept: page 0's 40
+	// products come before any of page 1's.
+	seen := map[string]bool{}
+	for _, u := range urls {
+		if seen[u] {
+			t.Fatalf("%s discovered twice", u)
+		}
+		seen[u] = true
+	}
+	firstPage := map[string]bool{}
+	for _, p := range w.retailer.Catalog().Products()[:shop.CategoryPageSize] {
+		firstPage["http://"+w.retailer.Domain()+"/product/"+p.SKU] = true
+	}
+	for i, u := range urls[:shop.CategoryPageSize] {
+		if !firstPage[u] {
+			t.Fatalf("urls[%d] = %s is not on the first listing page", i, u)
+		}
+	}
 	// The cap still applies mid-pagination.
 	urls, err = c.Discover(w.retailer.Domain(), vp, 55)
 	if err != nil {
@@ -303,5 +322,80 @@ func TestDiscoverFollowsPagination(t *testing.T) {
 	}
 	if len(urls) != 55 {
 		t.Fatalf("cap across pages: %d", len(urls))
+	}
+}
+
+func TestLinksByClass(t *testing.T) {
+	for _, tc := range []struct {
+		name, page, class string
+		hrefs             []string // "-" marks a link without an href
+	}{
+		{"class among several", `<a class="btn next" href="/c?page=1">more</a>`, "next", []string{"/c?page=1"}},
+		{"non-link element ignored", `<span class="next">x</span><a class="next" href="/2">y</a>`, "next", []string{"/2"}},
+		{"document order", `<div><a class="next" href="/1">a</a></div><a class="next" href="/2">b</a>`, "next", []string{"/1", "/2"}},
+		{"first without href", `<a class="next">a</a><a class="next" href="/2">b</a>`, "next", []string{"-", "/2"}},
+		{"other classes", `<a class="cat-link" href="/c">c</a><a class="nextish" href="/n">n</a>`, "next", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := htmlx.ParseString(tc.page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, a := range links(doc, tc.class) {
+				href, ok := a.Attr("href")
+				if !ok {
+					href = "-"
+				}
+				got = append(got, href)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.hrefs, " ") {
+				t.Fatalf("links(%q) hrefs = %q, want %q", tc.class, got, tc.hrefs)
+			}
+		})
+	}
+}
+
+// The first next link on a listing decides where pagination goes; one
+// without an href ends the chain even when a later one has an href.
+func TestDiscoverFirstNextLinkDecides(t *testing.T) {
+	for _, tc := range []struct {
+		name, next string
+		want       []string
+	}{
+		{"first of two wins", `<a class="next" href="/category/c?page=1">1</a><a class="next" href="/category/c?page=2">2</a>`, []string{"P0", "P1"}},
+		{"first without href ends", `<a class="next">1</a><a class="next" href="/category/c?page=2">2</a>`, []string{"P0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pages := map[string]string{
+				"/":                  `<a class="cat-link" href="/category/c">c</a>`,
+				"/category/c":        `<a class="product-link" href="/product/P0">p</a>` + tc.next,
+				"/category/c?page=1": `<a class="product-link" href="/product/P1">p</a>`,
+				"/category/c?page=2": `<a class="product-link" href="/product/P2">p</a>`,
+			}
+			reg := netsim.NewRegistry()
+			reg.Register("links.example.com", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				page, ok := pages[r.URL.RequestURI()]
+				if !ok {
+					http.NotFound(w, r)
+					return
+				}
+				w.Write([]byte(page))
+			}))
+			clk := netsim.NewClock(time.Date(2013, 5, 1, 10, 0, 0, 0, time.UTC))
+			c := New(reg, clk, geo.VantagePoints(), store.New(), nil)
+			vp, _ := geo.VantagePointByID("us-bos")
+			urls, err := c.Discover("links.example.com", vp, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, u := range urls {
+				got = append(got, skuOf(u))
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Fatalf("discovered %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -312,14 +312,3 @@ func NaiveFirst(doc *htmlx.Node, hint money.Currency) (money.Amount, error) {
 	}
 	return ms[0].Amount, nil
 }
-
-// AllPrices returns every price on the page in document order, decoys
-// included. The analysis uses it for sanity checks and the ablations.
-func AllPrices(doc *htmlx.Node, hint money.Currency) []money.Amount {
-	ms := money.ParseAll(doc.Text(), hint)
-	out := make([]money.Amount, len(ms))
-	for i, m := range ms {
-		out[i] = m.Amount
-	}
-	return out
-}

@@ -191,10 +191,10 @@ func TestExtractNoPriceAnywhere(t *testing.T) {
 
 func TestAllPricesCountsDecoys(t *testing.T) {
 	pageUS, _, _, _, _ := retailerPages(t, "classic")
-	prices := AllPrices(parse(t, pageUS), money.USD)
+	prices := money.ParseAll(parse(t, pageUS).Text(), money.USD)
 	// promo + main + was + 3 recommendations = at least 6.
 	if len(prices) < 6 {
-		t.Fatalf("AllPrices = %d, want >= 6", len(prices))
+		t.Fatalf("page carries %d prices, want >= 6", len(prices))
 	}
 }
 

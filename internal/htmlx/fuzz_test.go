@@ -31,7 +31,7 @@ func FuzzParseString(f *testing.F) {
 		})
 		// Text extraction and path derivation must not panic either.
 		_ = doc.Text()
-		if el := doc.First("div"); el != nil {
+		if el := first(doc, "div", ""); el != nil {
 			p := PathOf(el)
 			if _, err := ParsePath(p.String()); err != nil {
 				t.Fatalf("PathOf produced unparseable %q", p.String())

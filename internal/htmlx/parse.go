@@ -1,5 +1,6 @@
-// Package htmlx is a small HTML parser: tokenizer, DOM tree, a CSS-like
-// selector engine, and structural node paths.
+// Package htmlx is a small HTML parser: a tokenizer, a tree builder and
+// structural node paths. Elements are located either by a Path or by
+// walking the tree with Node.Walk.
 //
 // The $heriff extraction pipeline must locate a highlighted price inside a
 // product page and re-locate the corresponding node in renderings of the
@@ -18,9 +19,7 @@
 package htmlx
 
 import (
-	"fmt"
 	"html"
-	"io"
 	"strings"
 	"unicode"
 )
@@ -77,15 +76,6 @@ var rawTextElements = map[string]bool{"script": true, "style": true}
 // ParseString parses an HTML document from a string.
 func ParseString(s string) (*Node, error) {
 	return parse(s)
-}
-
-// Parse parses an HTML document from a reader.
-func Parse(r io.Reader) (*Node, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("htmlx: read: %w", err)
-	}
-	return parse(string(b))
 }
 
 // parse builds the DOM from the tokenizer's stream. It never fails on
@@ -235,30 +225,4 @@ func (n *Node) Walk(visit func(*Node) bool) {
 	for _, c := range n.Children {
 		c.Walk(visit)
 	}
-}
-
-// ElementIndex returns the position of n among its parent's *element*
-// children (0-based), or -1 for detached/non-element nodes.
-func (n *Node) ElementIndex() int {
-	if n.Parent == nil || n.Type != ElementNode {
-		return -1
-	}
-	idx := 0
-	for _, sib := range n.Parent.Children {
-		if sib == n {
-			return idx
-		}
-		if sib.Type == ElementNode {
-			idx++
-		}
-	}
-	return -1
-}
-
-// Root returns the document node at the top of n's tree.
-func (n *Node) Root() *Node {
-	for n.Parent != nil {
-		n = n.Parent
-	}
-	return n
 }

@@ -43,16 +43,64 @@ func mustParse(t *testing.T, src string) *Node {
 	return n
 }
 
+// findAll returns the elements under n with the tag that carry class
+// ("" for any), in document order.
+func findAll(n *Node, tag, class string) []*Node {
+	var out []*Node
+	n.Walk(func(c *Node) bool {
+		if c.Type == ElementNode && c.Tag == tag && (class == "" || c.HasClass(class)) {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
+// first returns the first of findAll's elements, or nil.
+func first(n *Node, tag, class string) *Node {
+	if all := findAll(n, tag, class); len(all) > 0 {
+		return all[0]
+	}
+	return nil
+}
+
+func TestSelectorFirstDocumentOrder(t *testing.T) {
+	// Walk visits in document order, so the buy box's price comes before
+	// the recommendations'.
+	doc := mustParse(t, samplePage)
+	got := first(doc, "span", "price")
+	if got == nil || got.Text() != "$1,299.00" {
+		t.Fatalf("first span.price = %v", got)
+	}
+}
+
+func TestSelectorMultiClass(t *testing.T) {
+	// HasClass finds a class among several, and only a whole class name.
+	doc := mustParse(t, `<span class="price big sale">x</span><span class="price">y</span><span class="sales">z</span>`)
+	var n int
+	for _, c := range findAll(doc, "span", "price") {
+		if c.HasClass("sale") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("multi-class = %d", n)
+	}
+	if got := len(findAll(doc, "span", "sale")); got != 1 {
+		t.Errorf("span.sale = %d, want 1", got)
+	}
+}
+
 func TestParseBasicStructure(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	html := doc.First("html")
+	html := first(doc, "html", "")
 	if html == nil {
 		t.Fatal("no <html>")
 	}
-	if doc.First("head") == nil || doc.First("body") == nil {
+	if first(doc, "head", "") == nil || first(doc, "body", "") == nil {
 		t.Fatal("missing head/body")
 	}
-	title := doc.First("title")
+	title := first(doc, "title", "")
 	if title == nil || title.Text() != "Acme Camera X100" {
 		t.Fatalf("title = %v", title)
 	}
@@ -60,14 +108,14 @@ func TestParseBasicStructure(t *testing.T) {
 
 func TestParseAttributes(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	box := doc.First("div.price-box")
+	box := first(doc, "div", "price-box")
 	if box == nil {
 		t.Fatal("no price box")
 	}
 	if sku, _ := box.Attr("data-sku"); sku != "X100" {
 		t.Fatalf("data-sku = %q", sku)
 	}
-	img := doc.First("img")
+	img := first(doc, "img", "")
 	if img == nil {
 		t.Fatal("no img")
 	}
@@ -81,7 +129,7 @@ func TestParseAttributes(t *testing.T) {
 
 func TestParseEntities(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	p := doc.First("p")
+	p := first(doc, "p", "")
 	if p == nil {
 		t.Fatal("no <p>")
 	}
@@ -96,7 +144,7 @@ func TestParseEntities(t *testing.T) {
 
 func TestParseScriptAndStyleRawText(t *testing.T) {
 	doc := mustParse(t, `<body><script>if (a < b) { x(); }</script><div>ok</div></body>`)
-	script := doc.First("script")
+	script := first(doc, "script", "")
 	if script == nil {
 		t.Fatal("no script")
 	}
@@ -104,11 +152,11 @@ func TestParseScriptAndStyleRawText(t *testing.T) {
 		t.Fatalf("script content mishandled: %+v", script.Children)
 	}
 	// The "<" inside script must not have eaten the following div.
-	if doc.First("div") == nil {
+	if first(doc, "div", "") == nil {
 		t.Fatal("div after script lost")
 	}
 	// Script content is excluded from Text().
-	body := doc.First("body")
+	body := first(doc, "body", "")
 	if got := body.Text(); got != "ok" {
 		t.Fatalf("body text = %q", got)
 	}
@@ -116,7 +164,7 @@ func TestParseScriptAndStyleRawText(t *testing.T) {
 
 func TestParseComments(t *testing.T) {
 	doc := mustParse(t, `<div><!-- hidden $9.99 --><span>visible</span></div>`)
-	div := doc.First("div")
+	div := first(doc, "div", "")
 	if got := div.Text(); got != "visible" {
 		t.Fatalf("text = %q (comment leaked?)", got)
 	}
@@ -134,14 +182,14 @@ func TestParseComments(t *testing.T) {
 
 func TestParseUnquotedAndSingleQuotedAttrs(t *testing.T) {
 	doc := mustParse(t, `<div id=main class='a b'><input type=checkbox checked></div>`)
-	div := doc.First("div")
+	div := first(doc, "div", "")
 	if div.ID() != "main" {
 		t.Fatalf("id = %q", div.ID())
 	}
 	if !div.HasClass("a") || !div.HasClass("b") {
 		t.Fatal("classes not parsed")
 	}
-	input := doc.First("input")
+	input := first(doc, "input", "")
 	if _, ok := input.Attr("checked"); !ok {
 		t.Fatal("boolean attribute lost")
 	}
@@ -149,10 +197,10 @@ func TestParseUnquotedAndSingleQuotedAttrs(t *testing.T) {
 
 func TestParseSelfClosingAndStrayClose(t *testing.T) {
 	doc := mustParse(t, `<div><br/><span>x</span></div></section><p>tail</p>`)
-	if doc.First("span") == nil || doc.First("p") == nil {
+	if first(doc, "span", "") == nil || first(doc, "p", "") == nil {
 		t.Fatal("stray close tag broke parsing")
 	}
-	if got := doc.First("p").Text(); got != "tail" {
+	if got := first(doc, "p", "").Text(); got != "tail" {
 		t.Fatalf("tail = %q", got)
 	}
 }
@@ -160,7 +208,7 @@ func TestParseSelfClosingAndStrayClose(t *testing.T) {
 func TestParseMisnestedTags(t *testing.T) {
 	// </div> closes the div even though a <span> is still open.
 	doc := mustParse(t, `<div><span>a</div><p>b</p>`)
-	p := doc.First("p")
+	p := first(doc, "p", "")
 	if p == nil || p.Text() != "b" {
 		t.Fatal("recovery from misnesting failed")
 	}
@@ -168,35 +216,19 @@ func TestParseMisnestedTags(t *testing.T) {
 
 func TestTextWhitespaceCollapsing(t *testing.T) {
 	doc := mustParse(t, "<div>  a \n\t b  <b> c</b>d </div>")
-	if got := doc.First("div").Text(); got != "a b cd" && got != "a b c d" {
+	if got := first(doc, "div", "").Text(); got != "a b cd" && got != "a b c d" {
 		t.Fatalf("text = %q", got)
 	}
 }
 
 func TestAdjacentTextMerged(t *testing.T) {
 	doc := mustParse(t, `<p>a&amp;b</p>`)
-	p := doc.First("p")
+	p := first(doc, "p", "")
 	if len(p.Children) != 1 {
 		t.Fatalf("text nodes = %d, want 1 (merged)", len(p.Children))
 	}
 	if p.Children[0].Data != "a&b" {
 		t.Fatalf("data = %q", p.Children[0].Data)
-	}
-}
-
-func TestElementIndexAndRoot(t *testing.T) {
-	doc := mustParse(t, samplePage)
-	lis := doc.FindAll("li.rec")
-	if len(lis) != 3 {
-		t.Fatalf("lis = %d", len(lis))
-	}
-	for i, li := range lis {
-		if got := li.ElementIndex(); got != i {
-			t.Errorf("li[%d].ElementIndex = %d", i, got)
-		}
-		if li.Root() != doc {
-			t.Error("Root() wrong")
-		}
 	}
 }
 
@@ -221,7 +253,7 @@ func TestParseDeepNesting(t *testing.T) {
 		b.WriteString("</div>")
 	}
 	doc := mustParse(t, b.String())
-	n := doc.First("#deep")
+	n := findByID(doc, "deep")
 	if n == nil || n.Text() != "x" {
 		t.Fatal("deep nesting failed")
 	}
@@ -254,9 +286,9 @@ func TestRawTextCloseTagOnInvalidUTF8(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := mustParse(t, tc.src)
-			el := doc.First("script")
+			el := first(doc, "script", "")
 			if el == nil {
-				el = doc.First("style")
+				el = first(doc, "style", "")
 			}
 			if el == nil || len(el.Children) != 1 || el.Children[0].Data != tc.script {
 				t.Fatalf("raw-text body = %+v, want %q", el, tc.script)
@@ -264,7 +296,7 @@ func TestRawTextCloseTagOnInvalidUTF8(t *testing.T) {
 			if tc.p == "" {
 				return
 			}
-			if p := doc.First("p"); p == nil || p.Text() != tc.p {
+			if p := first(doc, "p", ""); p == nil || p.Text() != tc.p {
 				t.Fatalf("element after the raw text = %v, want %q", p, tc.p)
 			}
 		})

@@ -7,7 +7,7 @@ import (
 
 func TestPathOfTruncatesAtID(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	price := doc.First("span.main-price")
+	price := first(doc, "span", "main-price")
 	p := PathOf(price)
 	if len(p) == 0 {
 		t.Fatal("empty path")
@@ -23,27 +23,27 @@ func TestPathOfTruncatesAtID(t *testing.T) {
 
 func TestPathResolveRoundTrip(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	for _, expr := range []string{
-		"span.main-price", "h1", "ul#recs", "li.rec", "p", "img", "div.price-box",
+	for _, el := range []struct{ tag, class string }{
+		{"span", "main-price"}, {"h1", ""}, {"ul", ""}, {"li", "rec"}, {"p", ""}, {"img", ""}, {"div", "price-box"},
 	} {
-		n := doc.First(expr)
+		n := first(doc, el.tag, el.class)
 		if n == nil {
-			t.Fatalf("no match for %q", expr)
+			t.Fatalf("no match for %v", el)
 		}
 		p := PathOf(n)
 		got, ok := p.Resolve(doc)
 		if !ok {
-			t.Fatalf("Resolve(%s) failed for %q", p, expr)
+			t.Fatalf("Resolve(%s) failed for %v", p, el)
 		}
 		if got != n {
-			t.Fatalf("Resolve(%s) = %v, want the original node for %q", p, got, expr)
+			t.Fatalf("Resolve(%s) = %v, want the original node for %v", p, got, el)
 		}
 	}
 }
 
 func TestPathResolveAllRecommendationItems(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	lis := doc.FindAll("li.rec")
+	lis := findAll(doc, "li", "rec")
 	for i, li := range lis {
 		p := PathOf(li)
 		got, ok := p.Resolve(doc)
@@ -69,7 +69,7 @@ func TestPathResolveOnVariantPage(t *testing.T) {
 	</div></body></html>`
 	docA := mustParse(t, samplePage)
 	docB := mustParse(t, pageB)
-	p := PathOf(docA.First("span.main-price"))
+	p := PathOf(first(docA, "span", "main-price"))
 	got, ok := p.Resolve(docB)
 	if !ok {
 		t.Fatalf("cross-page resolve failed for %s", p)
@@ -86,7 +86,7 @@ func TestPathResolveSurvivesInsertedSibling(t *testing.T) {
 	<div class="price-box"><span class="price main-price">$10.00</span></div></div>`
 	docA := mustParse(t, `<div id="main">
 	<div class="price-box"><span class="price main-price">$12.00</span></div></div>`)
-	p := PathOf(docA.First("span.main-price"))
+	p := PathOf(first(docA, "span", "main-price"))
 	got, ok := p.Resolve(mustParse(t, pageB))
 	if !ok {
 		t.Fatalf("resolve failed: %s", p)
@@ -98,7 +98,7 @@ func TestPathResolveSurvivesInsertedSibling(t *testing.T) {
 
 func TestPathStringParseRoundTrip(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	nodes := doc.FindAll("span.price")
+	nodes := findAll(doc, "span", "price")
 	for _, n := range nodes {
 		p := PathOf(n)
 		s := p.String()
@@ -141,7 +141,7 @@ func TestPathResolveFailsOnMissingStructure(t *testing.T) {
 
 func TestPathOfTextNodeUsesElementAncestor(t *testing.T) {
 	doc := mustParse(t, samplePage)
-	price := doc.First("span.main-price")
+	price := first(doc, "span", "main-price")
 	textChild := price.Children[0]
 	if textChild.Type != TextNode {
 		t.Fatal("expected text child")
@@ -156,7 +156,7 @@ func TestPathOfTextNodeUsesElementAncestor(t *testing.T) {
 func TestPathDeterministic(t *testing.T) {
 	f := func(seed uint8) bool {
 		doc := mustParse(t, samplePage)
-		n := doc.FindAll("span.price")[int(seed)%4]
+		n := findAll(doc, "span", "price")[int(seed)%4]
 		return PathOf(n).String() == PathOf(n).String()
 	}
 	if err := quick.Check(f, nil); err != nil {

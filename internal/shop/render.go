@@ -18,9 +18,6 @@ var trackerSnippets = map[string]string{
 	"twitter":     `<script src="http://platform.twitter.com/widgets.js"></script>`,
 }
 
-// TrackerKeys lists the canonical tracker identifiers.
-var TrackerKeys = []string{"ga", "doubleclick", "facebook", "pinterest", "twitter"}
-
 func (r *Retailer) trackerHTML() string {
 	var b strings.Builder
 	for _, t := range r.cfg.Trackers {
