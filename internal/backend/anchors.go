@@ -12,11 +12,9 @@ import (
 // later process without redoing the crowd campaign (cmd/crawl pairs the
 // dataset with an anchor sidecar).
 func (b *Backend) SaveAnchors(w io.Writer) error {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(b.anchors); err != nil {
+	if err := enc.Encode(b.Anchors()); err != nil {
 		return fmt.Errorf("backend: save anchors: %w", err)
 	}
 	return nil
@@ -32,7 +30,7 @@ func (b *Backend) LoadAnchors(r io.Reader) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for d, a := range m {
-		b.anchors[d] = a
+		b.anchors[d] = a.Parse()
 	}
 	return nil
 }

@@ -21,8 +21,10 @@ import (
 	"net/http"
 	"net/netip"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sheriff/internal/extract"
@@ -40,6 +42,7 @@ type Backend struct {
 	clock    *netsim.Clock
 	market   *fx.Market
 	vps      []geo.VantagePoint
+	uas      []string // vps[i]'s User-Agent, rendered once
 	store    store.Backend
 	geodb    *geo.DB
 
@@ -51,22 +54,27 @@ type Backend struct {
 	pages *pageCache
 
 	mu      sync.RWMutex
-	anchors map[string]extract.Anchor // per domain
+	anchors map[string]extract.Parsed // per domain
 	checks  int
 }
 
 // New assembles the backend. The store receives one observation per
 // vantage point per check.
 func New(reg *netsim.Registry, clk *netsim.Clock, market *fx.Market, vps []geo.VantagePoint, st store.Backend) *Backend {
+	uas := make([]string, len(vps))
+	for i, vp := range vps {
+		uas[i] = vp.Browser.UserAgent()
+	}
 	return &Backend{
 		registry: reg,
 		clock:    clk,
 		market:   market,
 		vps:      vps,
+		uas:      uas,
 		store:    st,
 		geodb:    geo.NewDB(),
 		pages:    newPageCache(),
-		anchors:  make(map[string]extract.Anchor),
+		anchors:  make(map[string]extract.Parsed),
 	}
 }
 
@@ -157,10 +165,11 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 	if err != nil {
 		return CheckResult{}, fmt.Errorf("backend: user-side parse: %w", err)
 	}
-	anchor, err := extract.Derive(userDoc, req.Highlight, userCur)
+	derived, err := extract.Derive(userDoc, req.Highlight, userCur)
 	if err != nil {
 		return CheckResult{}, fmt.Errorf("backend: %w", err)
 	}
+	anchor := derived.Parse()
 
 	b.mu.Lock()
 	b.anchors[domain] = anchor
@@ -169,25 +178,42 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 
 	// Synchronized fan-out: every vantage point fetches at the same
 	// simulated instant (the clock only moves between checks), which is
-	// the paper's defence against temporal noise. Each row records the
-	// originating user's country, so crowd demographics survive into the
-	// dataset.
+	// the paper's defence against temporal noise. The instant, not the
+	// scheduling, synchronizes the fetches, and fabric fetches do no I/O
+	// and never sleep, so the fan-out runs on at most GOMAXPROCS workers
+	// (the calling goroutine among them) that take vantage points by
+	// index.
+	// Each row lands at its vantage point's index whichever worker
+	// measured it, and records the originating user's country, so crowd
+	// demographics survive into the dataset.
 	obs := make([]store.Observation, len(b.vps))
-	var wg sync.WaitGroup
-	for i, vp := range b.vps {
-		obs[i] = store.Observation{
-			Domain: domain, SKU: sku, URL: req.URL,
-			Time: now, Round: -1, Source: store.SourceCrowd,
-			UserCountry: userLoc.Country.Code,
-			Tenant:      req.Tenant,
+	var next atomic.Int64
+	measure := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(b.vps) {
+				return
+			}
+			vp := b.vps[i]
+			obs[i] = store.Observation{
+				Domain: domain, SKU: sku, URL: req.URL,
+				Time: now, Round: -1, Source: store.SourceCrowd,
+				UserCountry: userLoc.Country.Code,
+				Tenant:      req.Tenant,
+			}
+			page, err := b.fetch(now, req.URL, vp.Addr, b.uas[i])
+			Measure(&obs[i], vp, page, err, anchor)
 		}
-		wg.Add(1)
-		go func(o *store.Observation, vp geo.VantagePoint) {
-			defer wg.Done()
-			page, err := b.fetch(now, req.URL, vp.Addr, vp.Browser.UserAgent())
-			Measure(o, vp, page, err, anchor)
-		}(&obs[i], vp)
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(b.vps)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			measure()
+		}()
+	}
+	measure()
 	wg.Wait()
 
 	// Show the user each row with its price at the day's mid fixing, and
@@ -219,12 +245,13 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 // the vantage point's ID, label, country and city onto o, then fills
 // either the price the anchor extracts in the vantage point's currency,
 // or the text of the error that stopped it: the fetch's or the
-// extraction's. The page goes through Anchor.ExtractPage, which builds no
-// tree when the anchor's path resolves in one streamed pass. Crowd
+// extraction's. The page goes through Parsed.ExtractPage, which builds no
+// tree when the anchor's path resolves in one streamed pass; the caller
+// parses the anchor's path once for all its pages. Crowd
 // checks, the crawler and the login and persona
 // experiments all record their rows through Measure, so the campaigns the
 // paper compares turn a page into a price the same way.
-func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Anchor) {
+func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Parsed) {
 	o.VP, o.VPLabel = vp.ID, vp.Label
 	o.Country, o.City = vp.Location.Country.Code, vp.Location.City
 	err := fetchErr
@@ -245,7 +272,7 @@ func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr er
 // (URL, source, UA, instant), so duplicates within the instant are served
 // without touching the registry.
 func (b *Backend) fetch(now time.Time, rawURL string, src netip.Addr, ua string) (string, error) {
-	key := pageKey{url: rawURL, src: src.String(), ua: ua}
+	key := pageKey{url: rawURL, src: src, ua: ua}
 	return b.pages.do(now, key, func() (string, error) {
 		tr := netsim.NewTransport(b.registry, b.clock, src)
 		return doGet(tr.Client(nil), rawURL, ua)
@@ -265,14 +292,19 @@ func doGet(c *http.Client, rawURL, ua string) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("backend: GET %s: status %d", rawURL, resp.StatusCode)
 	}
-	return string(body), nil
+	// Read the body straight into the page string: one buffer, no copy
+	// from a byte slice into a string.
+	var page strings.Builder
+	if resp.ContentLength > 0 {
+		page.Grow(int(resp.ContentLength))
+	}
+	if _, err := io.Copy(&page, resp.Body); err != nil {
+		return "", err
+	}
+	return page.String(), nil
 }
 
 // locate resolves a fabric address to its location and local currency.
@@ -289,7 +321,7 @@ func (b *Backend) Anchor(domain string) (extract.Anchor, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	a, ok := b.anchors[domain]
-	return a, ok
+	return a.Anchor, ok
 }
 
 // Anchors returns a copy of all learned anchors keyed by domain.
@@ -298,7 +330,7 @@ func (b *Backend) Anchors() map[string]extract.Anchor {
 	defer b.mu.RUnlock()
 	out := make(map[string]extract.Anchor, len(b.anchors))
 	for d, a := range b.anchors {
-		out[d] = a
+		out[d] = a.Anchor
 	}
 	return out
 }

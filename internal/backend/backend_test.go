@@ -3,7 +3,10 @@ package backend
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net/netip"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -282,7 +285,7 @@ func TestMeasure(t *testing.T) {
 	for source, label := range labels {
 		for _, tc := range cases {
 			o := label
-			Measure(&o, vp, tc.page, tc.fetchErr, anchor)
+			Measure(&o, vp, tc.page, tc.fetchErr, anchor.Parse())
 			want := label
 			want.VP, want.VPLabel, want.Country, want.City = "de-ber", "Germany - Berlin", "DE", "Berlin"
 			want.PriceUnits, want.Currency, want.OK, want.Err = tc.units, tc.currency, tc.err == "", tc.err
@@ -290,5 +293,47 @@ func TestMeasure(t *testing.T) {
 				t.Errorf("%s, %s:\n got %+v\nwant %+v", source, tc.name, o, want)
 			}
 		}
+	}
+}
+
+// TestCheckRowsIndependentOfGOMAXPROCS runs the same check with one
+// fan-out worker and with four: the instant, not the scheduling,
+// synchronizes the fan-out, so the stored rows and their sequence
+// numbers must be identical and in vantage-point order.
+func TestCheckRowsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rows := func(procs int) []store.Observation {
+		runtime.GOMAXPROCS(procs)
+		w := newTestWorld(t)
+		sku := w.vary.Catalog().Products()[0].SKU
+		if _, err := w.backend.Check(CheckRequest{
+			URL:       "http://vary.example.com/product/" + sku,
+			Highlight: highlightFor(t, w.vary, sku, "US", "Boston", w.clk),
+			UserAddr:  addrOf(userAddr(t, "US", "Boston")),
+			UserID:    "u1",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var out []store.Observation
+		for seq, o := range w.st.ScanRange(store.Query{Round: -1}, 0, math.MaxUint64) {
+			if seq != uint64(len(out)+1) {
+				t.Fatalf("GOMAXPROCS %d: row %d has sequence %d", procs, len(out), seq)
+			}
+			out = append(out, o)
+		}
+		return out
+	}
+	one, four := rows(1), rows(4)
+	vps := geo.VantagePoints()
+	if len(one) != len(vps) {
+		t.Fatalf("stored %d rows, want %d", len(one), len(vps))
+	}
+	for i, o := range one {
+		if o.VP != vps[i].ID {
+			t.Fatalf("row %d is from %s, want %s", i, o.VP, vps[i].ID)
+		}
+	}
+	if !slices.Equal(one, four) {
+		t.Fatalf("rows differ by GOMAXPROCS:\n 1: %+v\n 4: %+v", one, four)
 	}
 }

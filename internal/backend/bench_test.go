@@ -18,17 +18,17 @@ import (
 type measureCase struct {
 	vp     geo.VantagePoint
 	page   string
-	anchor extract.Anchor
+	anchor extract.Parsed
 	want   money.Amount
 }
 
-// BenchmarkMeasure turns the product pages of the four shop templates, as
-// each of the 14 vantage points sees them, into rows: the per-page work a
-// crowd check's fan-out does after its fetches. One op is one page.
-func BenchmarkMeasure(b *testing.B) {
+// measureCases renders the product pages of the four shop templates as
+// each of the 14 vantage points sees them, with the anchor derived from a
+// US visitor's page.
+func measureCases(tb testing.TB) []measureCase {
 	home, err := geo.LocationOf("US", "Boston")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	market := fx.NewMarket(1)
 	day := time.Date(2013, 2, 1, 12, 0, 0, 0, time.UTC)
@@ -46,25 +46,55 @@ func BenchmarkMeasure(b *testing.B) {
 		truth := r.DisplayPrice(p, user)
 		doc, err := htmlx.ParseString(r.RenderProduct(p, user))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		anchor, err := extract.Derive(doc, money.Format(truth, truth.Currency.Style()), money.USD)
 		if err != nil {
-			b.Fatalf("%s: Derive: %v", tmpl, err)
+			tb.Fatalf("%s: Derive: %v", tmpl, err)
 		}
 		for _, vp := range geo.VantagePoints() {
 			v := shop.Visit{Loc: vp.Location, Time: day, IP: vp.Addr.String(), Browser: vp.Browser}
-			cases = append(cases, measureCase{vp: vp, page: r.RenderProduct(p, v), anchor: anchor, want: r.DisplayPrice(p, v)})
+			cases = append(cases, measureCase{vp: vp, page: r.RenderProduct(p, v), anchor: anchor.Parse(), want: r.DisplayPrice(p, v)})
 		}
 	}
+	return cases
+}
+
+// measure records one case's page and fails unless the row holds the
+// displayed price.
+func (c *measureCase) measure(tb testing.TB) {
+	var o store.Observation
+	Measure(&o, c.vp, c.page, nil, c.anchor)
+	if !o.OK || o.PriceUnits != c.want.Units || o.Currency != c.want.Currency.Code {
+		tb.Fatalf("%s: row %+v, want %v", c.vp.ID, o, c.want)
+	}
+}
+
+// BenchmarkMeasure turns the product pages of the four shop templates, as
+// each of the 14 vantage points sees them, into rows: the per-page work a
+// crowd check's fan-out does after its fetches. One op is one page.
+func BenchmarkMeasure(b *testing.B) {
+	cases := measureCases(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := &cases[i%len(cases)]
-		var o store.Observation
-		Measure(&o, c.vp, c.page, nil, c.anchor)
-		if !o.OK || o.PriceUnits != c.want.Units || o.Currency != c.want.Currency.Code {
-			b.Fatalf("%s: row %+v, want %v", c.vp.ID, o, c.want)
+		cases[i%len(cases)].measure(b)
+	}
+}
+
+// TestMeasureAllocs pins what BenchmarkMeasure costs in allocations, so
+// the saving holds in the ordinary test run: a streamed page allocates
+// the tokenizer's two stacks and the price element's text, and nothing
+// per token, per price or per path step.
+func TestMeasureAllocs(t *testing.T) {
+	const maxAllocsPerPage = 3
+	cases := measureCases(t)
+	perRun := testing.AllocsPerRun(20, func() {
+		for i := range cases {
+			cases[i].measure(t)
 		}
+	})
+	if perPage := perRun / float64(len(cases)); perPage > maxAllocsPerPage {
+		t.Fatalf("Measure allocates %.2f times per page, want at most %d", perPage, maxAllocsPerPage)
 	}
 }

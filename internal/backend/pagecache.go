@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -35,8 +36,8 @@ type pageCache struct {
 // pageKey identifies one deterministic fetch.
 type pageKey struct {
 	url string
-	src string // source address — distinct per vantage point and per user
-	ua  string // User-Agent — fingerprint-pricing retailers render by it
+	src netip.Addr // source address — distinct per vantage point and per user
+	ua  string     // User-Agent — fingerprint-pricing retailers render by it
 }
 
 // pageCall is one fetch, in flight or complete. done closes when the

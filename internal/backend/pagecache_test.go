@@ -3,6 +3,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func TestPageCacheDedupesWithinInstant(t *testing.T) {
 	c := newPageCache()
 	now := time.Date(2013, 2, 1, 12, 0, 0, 0, time.UTC)
-	key := pageKey{url: "http://a/product/1", src: "10.0.0.1", ua: "Mozilla/5.0"}
+	key := pageKey{url: "http://a/product/1", src: netip.MustParseAddr("10.0.0.1"), ua: "Mozilla/5.0"}
 	fetches := 0
 	fetch := func() (string, error) { fetches++; return "page", nil }
 
@@ -42,10 +43,10 @@ func TestPageCacheKeysAreExact(t *testing.T) {
 	c := newPageCache()
 	now := time.Unix(0, 0)
 	keys := []pageKey{
-		{url: "http://a/1", src: "10.0.0.1", ua: "ff"},
-		{url: "http://a/2", src: "10.0.0.1", ua: "ff"},
-		{url: "http://a/1", src: "10.0.0.2", ua: "ff"},
-		{url: "http://a/1", src: "10.0.0.1", ua: "safari"},
+		{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1"), ua: "ff"},
+		{url: "http://a/2", src: netip.MustParseAddr("10.0.0.1"), ua: "ff"},
+		{url: "http://a/1", src: netip.MustParseAddr("10.0.0.2"), ua: "ff"},
+		{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1"), ua: "safari"},
 	}
 	fetches := 0
 	for _, k := range keys {
@@ -66,7 +67,7 @@ func TestPageCacheKeysAreExact(t *testing.T) {
 // invalidates everything: prices drift per day, so must the cache.
 func TestPageCacheGenerationReset(t *testing.T) {
 	c := newPageCache()
-	key := pageKey{url: "http://a/1", src: "10.0.0.1"}
+	key := pageKey{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1")}
 	day1 := time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC)
 	day2 := day1.AddDate(0, 0, 1)
 	fetches := 0
@@ -87,7 +88,7 @@ func TestPageCacheGenerationReset(t *testing.T) {
 func TestPageCacheCachesErrors(t *testing.T) {
 	c := newPageCache()
 	now := time.Unix(0, 0)
-	key := pageKey{url: "http://a/1", src: "10.0.0.1"}
+	key := pageKey{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1")}
 	boom := errors.New("status 503")
 	fetches := 0
 
@@ -110,7 +111,7 @@ func TestPageCacheCachesErrors(t *testing.T) {
 func TestPageCacheSingleFlight(t *testing.T) {
 	c := newPageCache()
 	now := time.Unix(0, 0)
-	key := pageKey{url: "http://a/1", src: "10.0.0.1"}
+	key := pageKey{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1")}
 	var fetches int32
 	started := make(chan struct{})
 
@@ -225,7 +226,7 @@ func TestCheckConcurrentStress(t *testing.T) {
 func TestPageCachePanickingFetch(t *testing.T) {
 	c := newPageCache()
 	now := time.Unix(0, 0)
-	key := pageKey{url: "http://a/1", src: "10.0.0.1"}
+	key := pageKey{url: "http://a/1", src: netip.MustParseAddr("10.0.0.1")}
 
 	release := make(chan struct{})
 	var waiterErr error

@@ -196,7 +196,7 @@ func (w *World) RunLoginExperiment(domain string, products int, accounts []strin
 
 // observeLogin fetches one product under one account state and returns
 // the observation.
-func (w *World) observeLogin(b *browser.Browser, r *shop.Retailer, p shop.Product, vp geo.VantagePoint, anchor extract.Anchor, account string) store.Observation {
+func (w *World) observeLogin(b *browser.Browser, r *shop.Retailer, p shop.Product, vp geo.VantagePoint, anchor extract.Parsed, account string) store.Observation {
 	o := store.Observation{
 		Domain: r.Domain(), SKU: p.SKU,
 		URL:  "http://" + r.Domain() + "/product/" + p.SKU,
@@ -210,19 +210,24 @@ func (w *World) observeLogin(b *browser.Browser, r *shop.Retailer, p shop.Produc
 
 // learnAnchor derives an extraction anchor from a product page rendered
 // for a vantage point, using the ground-truth display price as the
-// highlight (the experimenter's eyes).
-func (w *World) learnAnchor(r *shop.Retailer, p shop.Product, vp geo.VantagePoint) (extract.Anchor, error) {
+// highlight (the experimenter's eyes). The anchor comes back parsed, for
+// the loop that applies it to every account state's pages.
+func (w *World) learnAnchor(r *shop.Retailer, p shop.Product, vp geo.VantagePoint) (extract.Parsed, error) {
 	if a, ok := w.Backend.Anchor(r.Domain()); ok {
-		return a, nil
+		return a.Parse(), nil
 	}
 	visit := shop.Visit{Loc: vp.Location, Time: w.Clock.Now(), IP: vp.Addr.String()}
 	page := r.RenderProduct(p, visit)
 	doc, err := htmlx.ParseString(page)
 	if err != nil {
-		return extract.Anchor{}, err
+		return extract.Parsed{}, err
 	}
 	amt := r.DisplayPrice(p, visit)
-	return extract.Derive(doc, money.Format(amt, amt.Currency.Style()), vp.Location.Country.Currency)
+	a, err := extract.Derive(doc, money.Format(amt, amt.Currency.Style()), vp.Location.Country.Currency)
+	if err != nil {
+		return extract.Parsed{}, err
+	}
+	return a.Parse(), nil
 }
 
 // PersonaReport summarizes the affluent-vs-budget experiment: how many
@@ -274,7 +279,8 @@ func (w *World) RunPersonaExperiment(domains []string, products int) (*PersonaRe
 		if len(ps) > products {
 			ps = ps[:products]
 		}
-		anchor, _ := w.Backend.Anchor(domain) // none: heuristic layers only
+		known, _ := w.Backend.Anchor(domain) // none: heuristic layers only
+		anchor := known.Parse()
 		for _, p := range ps {
 			url := "http://" + domain + "/product/" + p.SKU
 			pageA, errA := affluent.Get(url)

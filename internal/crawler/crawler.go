@@ -61,7 +61,7 @@ type Crawler struct {
 	clock    *netsim.Clock
 	vps      []geo.VantagePoint
 	store    store.Backend
-	anchors  map[string]extract.Anchor
+	anchors  map[string]extract.Parsed // per domain, each path parsed once
 }
 
 // New builds a crawler. The anchors map (domain → anchor) comes from the
@@ -69,10 +69,11 @@ type Crawler struct {
 // back to the extraction heuristics and may fail on hard templates, which
 // is faithful to the paper's pipeline ordering.
 func New(reg *netsim.Registry, clk *netsim.Clock, vps []geo.VantagePoint, st store.Backend, anchors map[string]extract.Anchor) *Crawler {
-	if anchors == nil {
-		anchors = map[string]extract.Anchor{}
+	parsed := make(map[string]extract.Parsed, len(anchors))
+	for d, a := range anchors {
+		parsed[d] = a.Parse()
 	}
-	return &Crawler{registry: reg, clock: clk, vps: vps, store: st, anchors: anchors}
+	return &Crawler{registry: reg, clock: clk, vps: vps, store: st, anchors: parsed}
 }
 
 // Report summarizes a finished crawl.
@@ -144,7 +145,7 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 			for _, productURL := range products[domain] {
 				wg.Add(1)
 				sem <- struct{}{}
-				go func(domain, productURL string, anchor extract.Anchor, round int) {
+				go func(domain, productURL string, anchor extract.Parsed, round int) {
 					defer wg.Done()
 					defer func() { <-sem }()
 					dsem <- struct{}{}
@@ -167,7 +168,7 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 
 // crawlProduct fetches one product from every vantage point and stores the
 // extractions. It returns (successes, failures).
-func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Anchor, round int, unsync bool) (okCount, failCount int) {
+func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Parsed, round int, unsync bool) (okCount, failCount int) {
 	now := c.clock.Now()
 	sku := skuOf(productURL)
 	var wg sync.WaitGroup
@@ -202,7 +203,7 @@ func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Anchor,
 
 // fetchOne performs a single (product, vantage point) measurement at the
 // given simulated instant.
-func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Anchor, vp geo.VantagePoint, round int, at time.Time) store.Observation {
+func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Parsed, vp geo.VantagePoint, round int, at time.Time) store.Observation {
 	o := store.Observation{
 		Domain: domain, SKU: sku, URL: productURL,
 		Time: at, Round: round, Source: store.SourceCrawl,

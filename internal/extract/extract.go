@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"sheriff/internal/htmlx"
 	"sheriff/internal/money"
@@ -59,6 +60,26 @@ type Anchor struct {
 	Context string
 }
 
+// Parsed is an Anchor with its path parsed, ready to apply to many pages.
+// Anchor stays the comparable wire form that SaveAnchors writes; the
+// parsed path lives beside it, so whoever keeps an anchor for reuse (the
+// backend's table, the crawler's per-domain map, an experiment's loop)
+// parses its path once instead of once per page.
+type Parsed struct {
+	Anchor
+	path htmlx.Path // nil when Anchor.Path does not parse
+}
+
+// Parse parses the anchor's path. An anchor whose path does not parse
+// still extracts, through the contextual and heuristic layers.
+func (a Anchor) Parse() Parsed {
+	p, err := htmlx.ParsePath(a.Path)
+	if err != nil {
+		p = nil
+	}
+	return Parsed{Anchor: a, path: p}
+}
+
 // Derive builds an Anchor from a user highlight: the exact price text the
 // user selected on the page. The hint currency is the locale the page was
 // rendered for (the highlighting user's own locale).
@@ -67,11 +88,10 @@ func Derive(doc *htmlx.Node, highlight string, hint money.Currency) (Anchor, err
 	if err != nil {
 		return Anchor{}, fmt.Errorf("extract: highlight %q does not parse as a price: %w", highlight, err)
 	}
-	el := deepestContaining(doc, strings.Join(strings.Fields(highlight), " "))
+	el, text := doc.DeepestContaining(strings.Join(strings.Fields(highlight), " "))
 	if el == nil {
 		return Anchor{}, ErrHighlightNotFound
 	}
-	text := el.Text()
 	matches := money.ParseAll(text, hint)
 	if len(matches) == 0 {
 		return Anchor{}, fmt.Errorf("extract: element text %q has no parseable price", text)
@@ -97,37 +117,6 @@ func Derive(doc *htmlx.Node, highlight string, hint money.Currency) (Anchor, err
 	}, nil
 }
 
-// deepestContaining returns the deepest element whose collapsed text
-// contains needle.
-func deepestContaining(doc *htmlx.Node, needle string) *htmlx.Node {
-	if needle == "" {
-		return nil
-	}
-	var best *htmlx.Node
-	bestDepth := -1
-	doc.Walk(func(n *htmlx.Node) bool {
-		if n.Type != htmlx.ElementNode {
-			return true
-		}
-		if !strings.Contains(n.Text(), needle) {
-			return false // children cannot contain it either
-		}
-		if d := depth(n); d > bestDepth {
-			best, bestDepth = n, d
-		}
-		return true
-	})
-	return best
-}
-
-func depth(n *htmlx.Node) int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // leadingContext captures up to contextLen bytes of text before the match,
 // trimmed to whole words.
 const contextLen = 24
@@ -136,6 +125,11 @@ func leadingContext(text string, start int) string {
 	lo := start - contextLen
 	if lo < 0 {
 		lo = 0
+	}
+	// Start the window on a rune, so the context stays valid UTF-8 and
+	// survives a JSON round trip unchanged.
+	for lo > 0 && !utf8.RuneStart(text[lo]) {
+		lo++
 	}
 	ctx := strings.TrimSpace(text[lo:start])
 	if lo > 0 {
@@ -152,12 +146,21 @@ func leadingContext(text string, start int) string {
 // country currency); it denominates bare numbers and disambiguates
 // separators.
 func (a Anchor) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, error) {
+	return a.Parse().Extract(doc, hint)
+}
+
+// ExtractPage applies the anchor to an unparsed page; see
+// Parsed.ExtractPage.
+func (a Anchor) ExtractPage(page string, hint money.Currency) (money.Amount, error) {
+	return a.Parse().ExtractPage(page, hint)
+}
+
+// Extract is Anchor.Extract with the path already parsed.
+func (a Parsed) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, error) {
 	// Layer 1: structural.
-	if p, err := htmlx.ParsePath(a.Path); err == nil {
-		if el, ok := p.Resolve(doc); ok {
-			if amt, ok := priceInText(el.Text(), a.MatchIndex, hint); ok {
-				return amt, nil
-			}
+	if el, ok := a.path.Resolve(doc); ok {
+		if amt, ok := priceInText(el.Text(), a.MatchIndex, hint); ok {
+			return amt, nil
 		}
 	}
 	// Layer 2: contextual.
@@ -180,12 +183,10 @@ func (a Anchor) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, err
 // built. Only when that pass cannot commit to Resolve's answer, or the
 // target's text holds no price, does it parse the page and run all three
 // layers on the tree.
-func (a Anchor) ExtractPage(page string, hint money.Currency) (money.Amount, error) {
-	if p, err := htmlx.ParsePath(a.Path); err == nil {
-		if text, ok := p.ResolveText(page); ok {
-			if amt, ok := priceInText(text, a.MatchIndex, hint); ok {
-				return amt, nil
-			}
+func (a Parsed) ExtractPage(page string, hint money.Currency) (money.Amount, error) {
+	if text, ok := a.path.ResolveText(page); ok {
+		if amt, ok := priceInText(text, a.MatchIndex, hint); ok {
+			return amt, nil
 		}
 	}
 	doc, err := htmlx.ParseString(page)
@@ -195,18 +196,12 @@ func (a Anchor) ExtractPage(page string, hint money.Currency) (money.Amount, err
 	return a.Extract(doc, hint)
 }
 
-// priceInText parses an anchored element's text and picks the idx-th
-// price, falling back to the first when the element has fewer prices than
-// the original had.
+// priceInText picks the idx-th price of an anchored element's text,
+// falling back to the first when the element has fewer prices than the
+// original had.
 func priceInText(text string, idx int, hint money.Currency) (money.Amount, bool) {
-	matches := money.ParseAll(text, hint)
-	if len(matches) == 0 {
-		return money.Amount{}, false
-	}
-	if idx >= 0 && idx < len(matches) {
-		return matches[idx].Amount, true
-	}
-	return matches[0].Amount, true
+	m, ok := money.Nth(text, idx, hint)
+	return m.Amount, ok
 }
 
 // priceAfterContext finds the first element whose text contains the

@@ -20,8 +20,10 @@ package htmlx
 
 import (
 	"html"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // NodeType discriminates DOM node kinds.
@@ -63,15 +65,21 @@ type Node struct {
 	Children []*Node
 }
 
-// voidElements never have children in HTML.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// isVoid reports whether the element never has children in HTML.
+func isVoid(tag string) bool {
+	switch tag {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input",
+		"link", "meta", "param", "source", "track", "wbr":
+		return true
+	}
+	return false
 }
 
-// rawTextElements swallow everything until their matching close tag.
-var rawTextElements = map[string]bool{"script": true, "style": true}
+// isRawText reports whether the element swallows everything until its
+// matching close tag.
+func isRawText(tag string) bool {
+	return tag == "script" || tag == "style"
+}
 
 // ParseString parses an HTML document from a string.
 func ParseString(s string) (*Node, error) {
@@ -190,29 +198,145 @@ func hasClass(attrs []Attr, class string) bool {
 // whitespace collapsed to single spaces and the result trimmed — the way a
 // browser's selection would read.
 func (n *Node) Text() string {
-	var b strings.Builder
-	n.appendText(&b)
-	return collapseSpace(b.String())
+	var w textWriter
+	w.node(n, 0)
+	return w.b.String()
 }
 
-// collapseSpace collapses runs of whitespace to single spaces and trims.
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// DeepestContaining returns the deepest element of n's subtree whose Text
+// contains needle, the first in document order among equally deep ones,
+// and that element's Text. It returns nil when needle is empty or no
+// element's text holds it.
+//
+// It builds the subtree's text once. Every text node ends a word, so an
+// element's Text is the run of that text from its first word to its last,
+// and the element contains needle when an occurrence of needle lies
+// inside its run.
+func (n *Node) DeepestContaining(needle string) (*Node, string) {
+	if needle == "" {
+		return nil, ""
+	}
+	var (
+		best           *Node
+		bestDepth      = -1
+		bestLo, bestHi int
+		occ            []int // starts of needle in w.b found so far, ascending
+		from           int   // where the search for the next occurrence starts
+		w              textWriter
+	)
+	// Elements close in post order, so an element closes after every
+	// occurrence inside it is written, and of two equally deep elements,
+	// neither inside the other, the earlier in document order closes first.
+	w.closed = func(el *Node, depth, lo, hi int) {
+		if depth <= bestDepth {
+			return
+		}
+		for {
+			j := strings.Index(w.b.String()[from:], needle)
+			if j < 0 {
+				from = max(from, w.b.Len()-len(needle)+1)
+				break
+			}
+			occ = append(occ, from+j)
+			from += j + 1
+		}
+		k, _ := slices.BinarySearch(occ, lo)
+		if k < len(occ) && occ[k]+len(needle) <= hi {
+			best, bestDepth, bestLo, bestHi = el, depth, lo, hi
+		}
+	}
+	w.node(n, 0)
+	if best == nil {
+		return nil, ""
+	}
+	// Clone the span, so a caller that keeps part of it does not keep
+	// the whole document's text.
+	return best, strings.Clone(w.b.String()[bestLo:bestHi])
 }
 
-func (n *Node) appendText(b *strings.Builder) {
+// textWriter accumulates Text: it collapses each run of whitespace to one
+// space as it writes, and drops leading and trailing whitespace, so b
+// always holds the words of everything written so far, joined by single
+// spaces.
+type textWriter struct {
+	b   strings.Builder
+	gap bool // whitespace was written since the last byte kept in b
+	// closed, when set, is called as each element with a non-empty Text
+	// closes, with the element's depth below the root of the walk and
+	// the span of b that is its Text.
+	closed func(el *Node, depth, lo, hi int)
+}
+
+// writeString writes s, collapsing whitespace the way strings.Fields
+// splits it.
+func (w *textWriter) writeString(s string) {
+	for i := 0; i < len(s); {
+		if sp, size := spaceAt(s, i); sp {
+			w.gap = true
+			i += size
+			continue
+		}
+		j := i
+		for j < len(s) {
+			sp, size := spaceAt(s, j)
+			if sp {
+				break
+			}
+			j += size
+		}
+		w.keep(s[i:j])
+		i = j
+	}
+}
+
+// spaceAt reports whether the rune at s[i] is whitespace, and its size.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
+	}
+	r, size := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), size
+}
+
+// keep appends a non-space run, preceded by one space when whitespace
+// separates it from the text before.
+func (w *textWriter) keep(s string) {
+	if w.gap && w.b.Len() > 0 {
+		w.b.WriteByte(' ')
+	}
+	w.gap = false
+	w.b.WriteString(s)
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// node writes the text of n's subtree: each text node ends a word, and
+// comments, doctypes and the bodies of script and style are skipped.
+func (w *textWriter) node(n *Node, depth int) {
 	switch n.Type {
 	case TextNode:
-		b.WriteString(n.Data)
-		b.WriteByte(' ')
+		w.writeString(n.Data)
+		w.gap = true
+		return
 	case CommentNode, DoctypeNode:
 		return
+	case ElementNode:
+		if isRawText(n.Tag) {
+			return
+		}
 	}
-	if n.Type == ElementNode && rawTextElements[n.Tag] {
-		return
-	}
+	start := w.b.Len()
 	for _, c := range n.Children {
-		c.appendText(b)
+		w.node(c, depth+1)
+	}
+	if n.Type == ElementNode && w.closed != nil && w.b.Len() > start {
+		// Whatever came before the element ended a word, so its first
+		// word follows a separating space unless it opens the text.
+		lo := start
+		if lo > 0 {
+			lo++
+		}
+		w.closed(n, depth, lo, w.b.Len())
 	}
 }
 

@@ -175,7 +175,8 @@ func (p Path) ResolveText(src string) (text string, ok bool) {
 			return "", false
 		}
 	}
-	z := tokenizer{src: src}
+	// Presized for typical nesting and attribute counts; both grow.
+	z := tokenizer{src: src, open: make([]string, 0, 16), attrs: make([]Attr, 0, 8)}
 	k := 0    // the step being matched
 	at := 0   // depth of step k's parent: its children start at this depth
 	seen := 0 // step k's same-tag children passed so far
@@ -223,7 +224,8 @@ func (p Path) ResolveText(src string) (text string, ok bool) {
 // and returns what the element's Text() will be once its subtree is
 // complete: when a close tag pops it, or at the end of the page.
 func textUntilClose(z *tokenizer) string {
-	var b strings.Builder
+	var w textWriter
+	w.b.Grow(128) // a price element's text fits, with a sentence around it
 	depth := z.tok.depth
 	cur := depth
 	// merge mirrors the tree builder: a text token joins the text node
@@ -239,9 +241,9 @@ func textUntilClose(z *tokenizer) string {
 				continue
 			}
 			if !merge {
-				b.WriteByte(' ')
+				w.gap = true // a new text node starts a new word
 			}
-			b.WriteString(s)
+			w.writeString(s)
 			merge = true
 		case endToken:
 			if tok.depth < cur {
@@ -256,7 +258,7 @@ func textUntilClose(z *tokenizer) string {
 			break
 		}
 	}
-	return collapseSpace(b.String())
+	return w.b.String()
 }
 
 // findByID searches the subtree for the element with the given id.

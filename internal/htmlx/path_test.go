@@ -191,7 +191,7 @@ func TestResolveTextMatchesResolveForEveryElement(t *testing.T) {
 		}
 		p := PathOf(el)
 		text, ok := resolveTextAgrees(t, samplePage, p)
-		opens := !voidElements[el.Tag] && !rawTextElements[el.Tag]
+		opens := !isVoid(el.Tag) && !isRawText(el.Tag)
 		if ok != opens {
 			t.Fatalf("ResolveText(%s) ok = %v, want %v", p, ok, opens)
 		}

@@ -118,8 +118,8 @@ func (z *tokenizer) next() bool {
 				// A bare '<' that is not a tag: literal text.
 				return z.emit(textToken, "<")
 			}
-			opens := !selfClose && !voidElements[name]
-			if opens && rawTextElements[name] {
+			opens := !selfClose && !isVoid(name)
+			if opens && isRawText(name) {
 				opens, z.raw = false, name
 			}
 			if opens {

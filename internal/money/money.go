@@ -68,10 +68,43 @@ var All = []Currency{
 
 // ByCode returns the predefined currency with the given ISO code.
 func ByCode(code string) (Currency, bool) {
-	for _, c := range All {
-		if c.Code == code {
-			return c, true
-		}
+	switch code {
+	case "USD":
+		return USD, true
+	case "EUR":
+		return EUR, true
+	case "GBP":
+		return GBP, true
+	case "BRL":
+		return BRL, true
+	case "PLN":
+		return PLN, true
+	case "SEK":
+		return SEK, true
+	case "CHF":
+		return CHF, true
+	case "JPY":
+		return JPY, true
+	case "CAD":
+		return CAD, true
+	case "MXN":
+		return MXN, true
+	case "AUD":
+		return AUD, true
+	case "NOK":
+		return NOK, true
+	case "DKK":
+		return DKK, true
+	case "CZK":
+		return CZK, true
+	case "HUF":
+		return HUF, true
+	case "TRY":
+		return TRY, true
+	case "INR":
+		return INR, true
+	case "RUB":
+		return RUB, true
 	}
 	return Currency{}, false
 }

@@ -30,6 +30,18 @@ var symbolTable = []struct {
 	{"¥", JPY}, {"₺", TRY}, {"₹", INR}, {"₽", RUB},
 }
 
+// markerStart marks the bytes a currency marker can start with: the first
+// byte of every symbol in symbolTable, and A–Z for ISO codes.
+var markerStart = func() (t [256]bool) {
+	for _, e := range symbolTable {
+		t[e.sym[0]] = true
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c] = true
+	}
+	return t
+}()
+
 // Match is one price found inside free text.
 type Match struct {
 	// Amount is the parsed price.
@@ -71,17 +83,53 @@ func ParseWithHint(text string, hint Currency) (Amount, error) {
 // hint currency is supplied.
 func ParseAll(text string, hint Currency) []Match {
 	var out []Match
-	i := 0
-	for i < len(text) {
-		m, next, ok := scanPrice(text, i, hint)
-		if !ok {
-			i = next
-			continue
-		}
+	s := scanner{text: text, hint: hint}
+	for m, ok := s.next(); ok; m, ok = s.next() {
 		out = append(out, m)
-		i = m.End
 	}
 	return out
+}
+
+// Nth returns the n-th price in text (0-based, in ParseAll's order), or the
+// first when text holds n or fewer prices or n is negative. ok is false
+// when text holds no price. The scan stops at the n-th price.
+func Nth(text string, n int, hint Currency) (m Match, ok bool) {
+	s := scanner{text: text, hint: hint}
+	first, ok := s.next()
+	if !ok {
+		return Match{}, false
+	}
+	m = first
+	for i := 0; i < n && ok; i++ {
+		m, ok = s.next()
+	}
+	if !ok {
+		return first, true
+	}
+	return m, true
+}
+
+// scanner walks the prices of a text in order of appearance. It is the one
+// price scan: ParseAll collects every price it yields, Nth stops at the
+// one it wants.
+type scanner struct {
+	text string
+	hint Currency
+	pos  int
+}
+
+// next returns the next price, or ok false once the text is exhausted.
+func (s *scanner) next() (Match, bool) {
+	for s.pos < len(s.text) {
+		m, next, ok := scanPrice(s.text, s.pos, s.hint)
+		if !ok {
+			s.pos = next
+			continue
+		}
+		s.pos = m.End
+		return m, true
+	}
+	return Match{}, false
 }
 
 func hasDigit(s string) bool {
@@ -96,21 +144,26 @@ func hasDigit(s string) bool {
 // scanPrice tries to read one price starting at or after pos. On failure it
 // returns the position scanning should resume from.
 func scanPrice(text string, pos int, hint Currency) (Match, int, bool) {
-	// Find the next digit, currency symbol, or ISO code.
+	// Find the next digit, currency symbol, or ISO code. The scan steps
+	// byte by byte but tries a marker only where markerStart allows one:
+	// every marker starts with an ASCII byte or a UTF-8 lead byte, never a
+	// continuation byte, so these are exactly the rune starts a rune-wise
+	// scan would try.
 	start := pos
 	for start < len(text) {
 		c := text[start]
 		if c >= '0' && c <= '9' {
 			break
 		}
-		if _, _, ok := symbolAt(text, start); ok {
-			break
+		if markerStart[c] {
+			if _, _, ok := symbolAt(text, start); ok {
+				break
+			}
+			if _, _, ok := isoCodeAt(text, start); ok {
+				break
+			}
 		}
-		if _, _, ok := isoCodeAt(text, start); ok {
-			break
-		}
-		_, size := utf8.DecodeRuneInString(text[start:])
-		start += size
+		start++
 	}
 	if start >= len(text) {
 		return Match{}, len(text), false
@@ -276,7 +329,8 @@ func scanNumber(text string, pos int, cur Currency) (int64, int, bool) {
 		index int // byte index in text
 		after int // digits after this separator before the next one/end
 	}
-	var seps []sep
+	var sepBuf [8]sep // most numbers have one or two separators
+	seps := sepBuf[:0]
 	digits := 0
 	for i < len(text) {
 		c := text[i]
@@ -317,15 +371,20 @@ done:
 	// the lookahead, but keep the invariant obvious).
 	// Decide which separator, if any, is the decimal point.
 	decIdx := -1 // index into seps
-	counts := map[byte]int{}
-	for _, s := range seps {
-		counts[s.ch]++
+	count := func(ch byte) int {
+		n := 0
+		for _, s := range seps {
+			if s.ch == ch {
+				n++
+			}
+		}
+		return n
 	}
 	last := len(seps) - 1
 	switch {
 	case len(seps) == 0:
 		// plain integer
-	case counts['.'] > 0 && counts[','] > 0:
+	case count('.') > 0 && count(',') > 0:
 		// Right-most of the two kinds is decimal (rule 1).
 		if seps[last].ch == '.' || seps[last].ch == ',' {
 			decIdx = last
@@ -335,7 +394,7 @@ done:
 		if s.ch == ' ' || s.ch == '\'' {
 			break // rule 3: grouping
 		}
-		if counts[s.ch] > 1 {
+		if count(s.ch) > 1 {
 			break // rule 2: grouping
 		}
 		switch {
@@ -370,42 +429,40 @@ done:
 		}
 	}
 
-	// Assemble major and minor digit strings.
-	var major, minor strings.Builder
-	target := &major
-	for j := numStart; j < end; j++ {
-		c := text[j]
-		if c >= '0' && c <= '9' {
-			target.WriteByte(c)
-			continue
-		}
-		for k, s := range seps {
-			if s.index == j && k == decIdx {
-				target = &minor
-			}
-		}
-	}
+	// Accumulate the digits before the decimal separator, then at most
+	// exp digits after it (dropping sub-minor precision), then pad the
+	// minor units to exp digits.
+	//
 	// maxSaneUnits rejects digit runs too large to be prices (serial
 	// numbers, timestamps) and guards the accumulation against int64
 	// overflow: 10^15 minor units is ten trillion dollars.
 	const maxSaneUnits = int64(1e15)
-	var units int64
-	for j := 0; j < major.Len(); j++ {
-		units = units*10 + int64(major.String()[j]-'0')
-		if units > maxSaneUnits {
-			return 0, pos, false
-		}
+	decAt := -1
+	if decIdx >= 0 {
+		decAt = seps[decIdx].index
 	}
 	exp := cur.Exponent
-	mstr := minor.String()
-	if len(mstr) > exp {
-		mstr = mstr[:exp] // drop sub-minor precision
-	}
-	for j := 0; j < exp; j++ {
-		units *= 10
-		if j < len(mstr) {
-			units += int64(mstr[j] - '0')
+	var units int64
+	minor := -1 // digits taken after the decimal separator; -1 before it
+	for j := numStart; j < end; j++ {
+		c := text[j]
+		switch {
+		case j == decAt:
+			minor = 0
+		case c < '0' || c > '9':
+			// a grouping separator
+		case minor < 0:
+			units = units*10 + int64(c-'0')
+			if units > maxSaneUnits {
+				return 0, pos, false
+			}
+		case minor < exp:
+			units = units*10 + int64(c-'0')
+			minor++
 		}
+	}
+	for j := max(minor, 0); j < exp; j++ {
+		units *= 10
 	}
 	if units > maxSaneUnits*100 {
 		return 0, pos, false
