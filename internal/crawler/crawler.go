@@ -62,6 +62,9 @@ type Crawler struct {
 	vps      []geo.VantagePoint
 	store    store.Backend
 	anchors  map[string]extract.Parsed // per domain, each path parsed once
+	// uas holds each vantage point's User-Agent, rendered once, at the
+	// vantage point's index.
+	uas []string
 }
 
 // New builds a crawler. The anchors map (domain → anchor) comes from the
@@ -73,7 +76,11 @@ func New(reg *netsim.Registry, clk *netsim.Clock, vps []geo.VantagePoint, st sto
 	for d, a := range anchors {
 		parsed[d] = a.Parse()
 	}
-	return &Crawler{registry: reg, clock: clk, vps: vps, store: st, anchors: parsed}
+	uas := make([]string, len(vps))
+	for i, vp := range vps {
+		uas[i] = vp.Browser.UserAgent()
+	}
+	return &Crawler{registry: reg, clock: clk, vps: vps, store: st, anchors: parsed, uas: uas}
 }
 
 // Report summarizes a finished crawl.
@@ -183,7 +190,7 @@ func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Parsed,
 				// temporal drift pollute cross-location comparisons.
 				at = now.Add(time.Duration(i) * 90 * time.Minute)
 			}
-			results[i] = c.fetchOne(domain, productURL, sku, anchor, vp, round, at)
+			results[i] = c.fetchOne(domain, productURL, sku, anchor, vp, c.uas[i], round, at)
 		}(i, vp)
 	}
 	wg.Wait()
@@ -202,8 +209,8 @@ func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Parsed,
 }
 
 // fetchOne performs a single (product, vantage point) measurement at the
-// given simulated instant.
-func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Parsed, vp geo.VantagePoint, round int, at time.Time) store.Observation {
+// given simulated instant, sending the vantage point's User-Agent ua.
+func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Parsed, vp geo.VantagePoint, ua string, round int, at time.Time) store.Observation {
 	o := store.Observation{
 		Domain: domain, SKU: sku, URL: productURL,
 		Time: at, Round: round, Source: store.SourceCrawl,
@@ -214,7 +221,7 @@ func (c *Crawler) fetchOne(domain, productURL, sku string, anchor extract.Parsed
 	if !at.Equal(c.clock.Now()) {
 		clk = netsim.NewClock(at)
 	}
-	page, err := fetch(c.registry, clk, vp, productURL)
+	page, err := fetch(c.registry, clk, vp, ua, productURL)
 	backend.Measure(&o, vp, page, err, anchor)
 	return o
 }
@@ -298,42 +305,47 @@ func links(doc *htmlx.Node, class string) []*htmlx.Node {
 // fetchResilient tries the preferred vantage point first, then every other
 // one (a different egress evades per-client transient failures).
 func (c *Crawler) fetchResilient(preferred geo.VantagePoint, rawURL string) (string, error) {
-	page, err := fetch(c.registry, c.clock, preferred, rawURL)
+	page, err := fetch(c.registry, c.clock, preferred, preferred.Browser.UserAgent(), rawURL)
 	if err == nil {
 		return page, nil
 	}
-	for _, vp := range c.vps {
+	for i, vp := range c.vps {
 		if vp.ID == preferred.ID {
 			continue
 		}
-		if page, err2 := fetch(c.registry, c.clock, vp, rawURL); err2 == nil {
+		if page, err2 := fetch(c.registry, c.clock, vp, c.uas[i], rawURL); err2 == nil {
 			return page, nil
 		}
 	}
 	return "", err
 }
 
-// fetch retrieves a URL as a vantage point.
-func fetch(reg *netsim.Registry, clk *netsim.Clock, vp geo.VantagePoint, rawURL string) (string, error) {
+// fetch retrieves a URL as a vantage point sending User-Agent ua. The
+// status is checked before the body is read, and the body is read
+// straight into the page string: one buffer, no copy from a byte slice.
+func fetch(reg *netsim.Registry, clk *netsim.Clock, vp geo.VantagePoint, ua, rawURL string) (string, error) {
 	tr := netsim.NewTransport(reg, clk, vp.Addr)
 	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("User-Agent", vp.Browser.UserAgent())
+	req.Header.Set("User-Agent", ua)
 	resp, err := tr.RoundTrip(req)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("crawler: GET %s: status %d", rawURL, resp.StatusCode)
 	}
-	return string(body), nil
+	var page strings.Builder
+	if resp.ContentLength > 0 {
+		page.Grow(int(resp.ContentLength))
+	}
+	if _, err := io.Copy(&page, resp.Body); err != nil {
+		return "", err
+	}
+	return page.String(), nil
 }
 
 // skuOf extracts the SKU path element from a product URL.

@@ -106,35 +106,41 @@ func (s *Store) dumpBucket(start int64, emit func(uint64, *Observation) error) e
 // rebuildWithout builds a fresh store holding every row except those in
 // the dropped buckets, preserving each surviving row's original sequence
 // number — live cursors keep meaning the same rows, holes in the
-// sequence space are invisible to every read path. The sequence counter
-// (as the watermark too), observer hook and scan counters carry over.
-// The caller must exclude writers (the durable engine holds its write
-// gate); concurrent readers of the old store are safe — it is never
-// mutated.
+// sequence space are invisible to every read path. Each shard walks its
+// own seq-sorted order list, skips the dropped buckets and fills its
+// counterpart, in parallel (see fanOut): a row stays in its shard. The
+// sequence counter (as the watermark too), observer hook and scan
+// counters carry over. The caller must exclude writers (the durable
+// engine holds its write gate); concurrent readers of the old store are
+// safe — it is never mutated.
 func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	ns := newBucketed(s.bucketSecs)
-	var prunedRows uint64
-	err := s.dumpOrdered(shardOrder, func(seq uint64, o *Observation) error {
-		if _, drop := dropped[bucketOf(o.Time, s.bucketSecs)]; drop {
-			prunedRows++
-			return nil
+	var pruned [numShards]uint64
+	fanOut(numShards, func() func(int) {
+		return func(si int) {
+			sh := &s.shards[si]
+			sh.mu.RLock()
+			refs := make([]seqRef, 0, len(sh.order))
+			for _, r := range sh.order {
+				o := r.obs()
+				if _, drop := dropped[bucketOf(o.Time, s.bucketSecs)]; drop {
+					pruned[si]++
+					continue
+				}
+				refs = append(refs, seqRef{seq: r.seq(), obs: o})
+			}
+			sh.mu.RUnlock()
+			maxUnixUpdate(&ns.maxUnix, ns.shards[si].fill(refs, s.bucketSecs))
 		}
-		ns.addDirect(*o, seq)
-		return nil
 	})
-	_ = err // the emit above never fails
+	var prunedRows uint64
+	for _, n := range pruned {
+		prunedRows += n
+	}
 	ns.seq.Store(s.seq.Load())
 	ns.applied.Store(s.seq.Load())
 	ns.observer = s.observer
 	ns.segScanned.Store(s.segScanned.Load())
 	ns.segSkipped.Store(s.segSkipped.Load())
 	return ns, prunedRows
-}
-
-// addDirect appends one row under an explicit, caller-owned sequence
-// number, bypassing reservation. Single-threaded rebuild use only.
-func (s *Store) addDirect(o Observation, seq uint64) {
-	sh := &s.shards[shardIdx(o.Domain)]
-	sh.add(o, seq, bucketOf(o.Time, s.bucketSecs))
-	maxUnixUpdate(&s.maxUnix, o.Time.Unix())
 }

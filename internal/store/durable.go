@@ -351,13 +351,21 @@ func OpenReadOnly(dir string) (*Store, RecoveryReport, error) {
 // recoverDir rebuilds the dataset a directory holds at bucket width
 // width (0 keeps the manifest's): the manifest's live buckets plus the
 // log tail's complete records, all carrying their original sequence
-// numbers, pushed as seq-sorted runs and put back into exact admission
-// order by the k-way merge every ordered read shares. The rebuilt store
-// keeps every row's original sequence number and resumes the counter at
-// the recovered maximum — replication resumes by sequence, so a restart
-// must never renumber rows out from under a follower's cursor. Pruned
-// buckets are simply absent from the manifest: nothing here ever sees
-// them.
+// numbers, put back into exact admission order by the k-way merge every
+// ordered read shares. The rebuilt store keeps every row's original
+// sequence number and resumes the counter at the recovered maximum —
+// replication resumes by sequence, so a restart must never renumber
+// rows out from under a follower's cursor. Pruned buckets are simply
+// absent from the manifest: nothing here ever sees them.
+//
+// Both halves run in parallel (see fanOut). Every live segment and
+// every shard log is one decode unit, and each worker interns into a
+// table of its own. The results are then read in a fixed order —
+// segments in manifest order, then logs in shard order — so the report
+// and the first error do not depend on the schedule. Last, each shard
+// merges and places its own rows: a row's shard follows from its
+// domain and a sequence number names one row, so the shards' merges
+// together place what one global merge would.
 func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, error) {
 	man, err := readManifest(dir)
 	if err != nil {
@@ -371,82 +379,139 @@ func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, err
 	if width <= 0 {
 		width = man.BucketSeconds
 	}
-	// One intern table for the whole load, so recovered rows share their
-	// repeated strings (domains, VPs, URLs, ...).
-	strs := make(map[string]string)
 
-	rows := make([]segRow, 0, man.Rows)
+	var units []recoveryUnit
+	for bi := range man.Buckets {
+		for si := range man.Buckets[bi].Segments {
+			units = append(units, recoveryUnit{seg: &man.Buckets[bi].Segments[si]})
+		}
+	}
+	for shard := 0; shard < numShards; shard++ {
+		units = append(units, recoveryUnit{shard: shard})
+	}
+	fanOut(len(units), func() func(int) {
+		// One intern table per worker, so recovered rows share their
+		// repeated strings (domains, VPs, URLs, ...).
+		strs := make(map[string]string)
+		return func(i int) { units[i].load(dir, man.Generation, strs) }
+	})
+
+	var runs [numShards]refRuns
+	next := 0
 	for _, b := range man.Buckets {
 		rep.SnapshotBuckets++
 		if b.Compressed {
 			rep.CompressedBuckets++
 		}
-		for _, info := range b.Segments {
-			lost, err := loadSegment(dir, info, &rows, strs)
-			if err != nil {
-				return nil, nil, rep, err
+		for range b.Segments {
+			u := &units[next]
+			next++
+			if u.err != nil {
+				return nil, nil, rep, u.err
 			}
-			rep.SegmentRowsLost += lost
-			rep.SnapshotRows += info.Rows - lost
+			rep.SegmentRowsLost += u.lost
+			rep.SnapshotRows += u.seg.Rows - u.lost
+			for i := range u.rows {
+				o := &u.rows[i].Obs
+				runs[shardIdx(o.Domain)].push(u.rows[i].Seq, o)
+			}
 		}
 	}
-	rr := refRuns{refs: make([]seqRef, 0, len(rows))}
-	for i := range rows {
-		rr.push(rows[i].Seq, &rows[i].Obs)
-	}
-
 	// Only rows logged after the snapshot qualify: the manifest records
 	// the sequence counter at its commit (MaxSeq), and every later batch
 	// reserved above it. Retention can leave holes below MaxSeq, which is
 	// why the cut is the counter, not the row count. A shard's records
 	// are not seq-sorted — concurrent writers log in lock order — so push
 	// cuts a run wherever the sequence falls.
-	for shard := 0; shard < numShards; shard++ {
-		data, err := os.ReadFile(filepath.Join(dir, walFile(man.Generation, shard)))
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // no log for this shard: nothing was written there
+	for ; next < len(units); next++ {
+		u := &units[next]
+		if u.err != nil {
+			return nil, nil, rep, u.err
 		}
-		if err != nil {
-			// A log that exists but cannot be read is NOT an empty log:
-			// skipping it would recover a silently truncated dataset and
-			// a writable open would then commit (and sweep) the loss.
-			return nil, nil, rep, fmt.Errorf("store: read wal: %w", err)
-		}
-		recs, discarded := replayWAL(data, strs)
-		rep.WALBytesDiscarded += discarded
-		rep.WALRecords += len(recs)
-		for _, rec := range recs {
+		rep.WALBytesDiscarded += u.discarded
+		rep.WALRecords += len(u.recs)
+		for _, rec := range u.recs {
 			for i, seq := range rec.Seqs {
 				if seq > man.MaxSeq {
-					rr.push(seq, &rec.Obs[i])
+					runs[shardIdx(rec.Obs[i].Domain)].push(seq, &rec.Obs[i])
 					rep.WALRows++
 				}
 			}
 		}
 	}
-	rr.cut()
 
-	// Replay under the original sequence numbers (recovery runs
-	// single-threaded, so addDirect is safe). A sequence number names one
-	// row: merge emits ties adjacently, so a repeat of the last one placed
-	// (a manifest naming a segment twice) is a copy, skipped and uncounted.
+	// Replay under the original sequence numbers. A sequence number
+	// names one row: merge emits ties adjacently, so a repeat of the last
+	// one kept (a manifest naming a segment twice) is a copy, skipped and
+	// uncounted.
 	mem := newBucketed(width)
-	var last uint64
-	rr.merge(func(r seqRef) bool {
-		switch {
-		case r.seq != last:
-			mem.addDirect(*r.obs, r.seq)
-			last = r.seq
-		case r.seq > man.MaxSeq:
-			rep.WALRows--
-		default:
-			rep.SnapshotRows--
+	var last [numShards]uint64
+	var walRepeats, snapRepeats [numShards]int
+	fanOut(numShards, func() func(int) {
+		return func(si int) {
+			rr := &runs[si]
+			rr.cut()
+			refs := make([]seqRef, 0, len(rr.refs))
+			rr.merge(func(r seqRef) bool {
+				switch {
+				case r.seq != last[si]:
+					refs = append(refs, r)
+					last[si] = r.seq
+				case r.seq > man.MaxSeq:
+					walRepeats[si]++
+				default:
+					snapRepeats[si]++
+				}
+				return true
+			})
+			maxUnixUpdate(&mem.maxUnix, mem.shards[si].fill(refs, width))
 		}
-		return true
 	})
-	mem.seq.Store(max(man.MaxSeq, last))
-	mem.applied.Store(mem.seq.Load())
+	newest := man.MaxSeq
+	for si := range last {
+		rep.WALRows -= walRepeats[si]
+		rep.SnapshotRows -= snapRepeats[si]
+		newest = max(newest, last[si])
+	}
+	mem.seq.Store(newest)
+	mem.applied.Store(newest)
 	return mem, man, rep, nil
+}
+
+// recoveryUnit is one file recovery decodes on its own: a live segment
+// (seg set) or one shard's log. load fills in what the file held.
+type recoveryUnit struct {
+	seg   *segmentInfo
+	shard int
+
+	rows []segRow // a segment's rows
+	lost int      // a segment's rows lost to damage
+
+	recs      []walRecord // a log's complete records
+	discarded int64       // a log's torn-tail bytes
+
+	err error
+}
+
+// load decodes the unit, interning its strings in strs.
+func (u *recoveryUnit) load(dir string, gen uint64, strs map[string]string) {
+	if u.seg != nil {
+		u.rows = make([]segRow, 0, u.seg.Rows)
+		u.lost, u.err = loadSegment(dir, *u.seg, &u.rows, strs)
+		return
+	}
+	data, err := os.ReadFile(filepath.Join(dir, walFile(gen, u.shard)))
+	if errors.Is(err, fs.ErrNotExist) {
+		return // no log for this shard: nothing was written there
+	}
+	if err != nil {
+		// A log that exists but cannot be read is NOT an empty log:
+		// skipping it would recover a silently truncated dataset and a
+		// writable open would then commit (and sweep) the loss.
+		u.err = fmt.Errorf("store: read wal: %w", err)
+		return
+	}
+	u.recs, u.discarded = replayWAL(data, strs)
 }
 
 // checkpointLocked commits the memory engine's current state as a new

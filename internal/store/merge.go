@@ -5,10 +5,10 @@ import (
 	"slices"
 )
 
-// Every ordered read — ScanRange, WriteJSONL, the segment writer, the
-// retention rebuild and recovery — is one shape: gather refs as
-// seq-sorted runs (under the shard locks, from seq-sorted index lists;
-// or, in recovery, from loaded segment and log rows, cut wherever the
+// Every ordered read — ScanRange, WriteJSONL, the segment writer and
+// recovery — is one shape: gather refs as seq-sorted runs (under the
+// shard locks, from seq-sorted index lists; or, in recovery, one
+// refRuns per shard from loaded segment and log rows, cut wherever the
 // sequence falls); then k-way merge the runs by sequence number. No
 // read path sorts rows.
 
@@ -128,8 +128,7 @@ func siftDown(h [][]seqRef, i int) {
 
 // dumpOrdered feeds every row of the index lists pick selects, one per
 // shard, to emit in global sequence order with its sequence number — the
-// shared core of WriteJSONL, the segment writer (dumpBucket) and the
-// retention rebuild. The refs are gathered under every shard's read lock
+// shared core of WriteJSONL and the segment writer (dumpBucket). The refs are gathered under every shard's read lock
 // at once, so the dump is one globally consistent snapshot; the locks
 // are released before the first emit, so emit may call into the store.
 func (s *Store) dumpOrdered(pick func(*shard) []gref, emit func(uint64, *Observation) error) error {

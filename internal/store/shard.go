@@ -1,8 +1,10 @@
 package store
 
 import (
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // shardBits fixes the shard count. 16 shards keep lock contention
@@ -154,6 +156,98 @@ func (sh *shard) add(o Observation, seq uint64, bucket int64) {
 			sh.okByTenant[o.Tenant]++
 		}
 	}
+}
+
+// fill places rows into an empty shard that no other goroutine can see
+// yet, so it takes no lock: refs are in ascending sequence order and
+// name each sequence once (recovery's merge and the retention rebuild
+// both hand it such a list). It first counts the rows of every group,
+// group source, domain, campaign source and bucket, so each list is
+// allocated once at its final size and add appends within capacity. A
+// later append grows a list as it would any other. fill returns the
+// newest observation time placed, in unix seconds (noObservations when
+// refs is empty).
+func (sh *shard) fill(refs []seqRef, bucketSecs int64) int64 {
+	newest := noObservations
+	if len(refs) == 0 {
+		return newest
+	}
+	type groupSource struct {
+		k      Key
+		source string
+	}
+	perGroupSource := make(map[groupSource]int)
+	perBucket := make(map[int64]int)
+	for _, r := range refs {
+		o := r.obs
+		perGroupSource[groupSource{Key{Domain: o.Domain, SKU: o.SKU}, o.Source}]++
+		perBucket[bucketOf(o.Time, bucketSecs)]++
+		newest = max(newest, o.Time.Unix())
+	}
+	perGroup := make(map[Key]int, len(perGroupSource))
+	perSource := make(map[string]int)
+	for gs, n := range perGroupSource {
+		perGroup[gs.k] += n
+		perSource[gs.source] += n
+	}
+	type domainCount struct{ rows, skus int }
+	perDomain := make(map[string]domainCount)
+	sh.groups = make(map[Key]*keyGroup, len(perGroup))
+	for k, n := range perGroup {
+		sh.groups[k] = &keyGroup{
+			obs:      make([]Observation, 0, n),
+			seqs:     make([]uint64, 0, n),
+			bySource: make(map[string][]int32),
+		}
+		dc := perDomain[k.Domain]
+		perDomain[k.Domain] = domainCount{rows: dc.rows + n, skus: dc.skus + 1}
+	}
+	for gs, n := range perGroupSource {
+		sh.groups[gs.k].bySource[gs.source] = make([]int32, 0, n)
+	}
+	for d, dc := range perDomain {
+		sh.byDomain[d] = &domainIndex{order: make([]gref, 0, dc.rows), skus: make(map[string]struct{}, dc.skus)}
+	}
+	for source, n := range perSource {
+		sh.bySource[source] = make([]gref, 0, n)
+	}
+	for b, n := range perBucket {
+		sh.byBucket[b] = make([]gref, 0, n)
+	}
+	sh.order = make([]gref, 0, len(refs))
+	for _, r := range refs {
+		sh.add(*r.obs, r.seq, bucketOf(r.obs.Time, bucketSecs))
+	}
+	return newest
+}
+
+// fanOut runs n independent units of work on min(GOMAXPROCS, n)
+// workers, the calling goroutine among them. Each worker calls worker
+// once for its own do (so per-worker state, such as an intern table,
+// lives in that closure) and then takes unit indexes by an atomic
+// counter until none is left.
+func fanOut(n int, worker func() (do func(i int))) {
+	var next atomic.Int64
+	run := func() {
+		do := worker()
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			do(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // searchSeq returns the index of the first entry of a seq-sorted list
