@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sheriff/internal/extract"
@@ -33,6 +32,7 @@ import (
 	"sheriff/internal/htmlx"
 	"sheriff/internal/money"
 	"sheriff/internal/netsim"
+	"sheriff/internal/par"
 	"sheriff/internal/store"
 )
 
@@ -180,20 +180,14 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 	// simulated instant (the clock only moves between checks), which is
 	// the paper's defence against temporal noise. The instant, not the
 	// scheduling, synchronizes the fetches, and fabric fetches do no I/O
-	// and never sleep, so the fan-out runs on at most GOMAXPROCS workers
-	// (the calling goroutine among them) that take vantage points by
-	// index.
+	// and never sleep, so the fan-out runs on GOMAXPROCS bounded workers
+	// (par.Do).
 	// Each row lands at its vantage point's index whichever worker
 	// measured it, and records the originating user's country, so crowd
 	// demographics survive into the dataset.
 	obs := make([]store.Observation, len(b.vps))
-	var next atomic.Int64
-	measure := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(b.vps) {
-				return
-			}
+	par.Do(runtime.GOMAXPROCS(0), len(b.vps), func() func(int) {
+		return func(i int) {
 			vp := b.vps[i]
 			obs[i] = store.Observation{
 				Domain: domain, SKU: sku, URL: req.URL,
@@ -204,17 +198,7 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 			page, err := b.fetch(now, req.URL, vp.Addr, b.uas[i])
 			Measure(&obs[i], vp, page, err, anchor)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(b.vps)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			measure()
-		}()
-	}
-	measure()
-	wg.Wait()
+	})
 
 	// Show the user each row with its price at the day's mid fixing, and
 	// apply the currency filter to the prices that were extracted.

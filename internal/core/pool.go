@@ -1,54 +1,18 @@
 package core
 
-import "sync"
+import "sheriff/internal/par"
 
-// This file holds the bounded worker pool the campaign engine runs on.
-// The paper's workloads are embarrassingly parallel — scenario worlds are
-// fully isolated, crowd checks touch disjoint state behind the backend's
-// own synchronization — so the pool's only jobs are to bound concurrency
-// and to keep results addressable by index, which is what lets callers
-// merge them back in deterministic order.
-
-// runIndexed executes fn(0) … fn(n-1) on at most `workers` goroutines and
-// waits for all of them. Every index runs exactly once even when one
-// fails; the error returned is the failing call with the lowest index, so
-// error reporting does not depend on goroutine scheduling. workers <= 1
-// degenerates to a plain sequential loop (no goroutines at all), which
-// keeps single-worker runs easy to reason about under -race.
+// runIndexed executes fn(0) … fn(n-1) on at most `workers` goroutines
+// (par.Do) and waits for all of them. Every index runs exactly once even
+// when one fails; each call's error lands in its own slot and the slots
+// are read in index order, so the error returned is the failing call with
+// the lowest index whatever the schedule. workers <= 1 runs every call on
+// the caller, in order.
 func runIndexed(workers, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-
-	idx := make(chan int)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.Do(workers, n, func() func(int) {
+		return func(i int) { errs[i] = fn(i) }
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

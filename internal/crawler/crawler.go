@@ -21,9 +21,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sheriff/internal/backend"
@@ -31,6 +31,7 @@ import (
 	"sheriff/internal/geo"
 	"sheriff/internal/htmlx"
 	"sheriff/internal/netsim"
+	"sheriff/internal/par"
 	"sheriff/internal/store"
 )
 
@@ -47,13 +48,16 @@ type Plan struct {
 	// Unsynchronized, when set, staggers vantage-point fetches across the
 	// day instead of synchronizing them — the ablation mode.
 	Unsynchronized bool
-	// Parallelism bounds concurrent product fetch groups (default 4).
-	Parallelism int
-	// PerDomainParallelism bounds concurrent fetch groups against any one
-	// retailer (default 2) — politeness: a measurement study must not
-	// hammer the sites it studies.
-	PerDomainParallelism int
 }
+
+const (
+	// productWorkers bounds concurrent product fetch groups.
+	productWorkers = 4
+	// perDomainWorkers bounds concurrent fetch groups against any one
+	// retailer — politeness: a measurement study must not hammer the
+	// sites it studies.
+	perDomainWorkers = 2
+)
 
 // Crawler executes plans against the fabric.
 type Crawler struct {
@@ -110,12 +114,6 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 	if plan.RoundInterval <= 0 {
 		plan.RoundInterval = 24 * time.Hour
 	}
-	if plan.Parallelism <= 0 {
-		plan.Parallelism = 4
-	}
-	if plan.PerDomainParallelism <= 0 {
-		plan.PerDomainParallelism = 2
-	}
 
 	rep := &Report{ProductsPerDomain: map[string]int{}, Rounds: plan.Rounds}
 
@@ -138,34 +136,34 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 		rep.ProductsPerDomain[domain] = len(urls)
 	}
 
-	var mu sync.Mutex
+	// Each round crawls every (domain, product) pair on productWorkers
+	// workers. A pair holds its domain's semaphore while it fetches and
+	// writes its counts into its own slot, summed after the round.
+	type item struct{ domain, url string }
+	var items []item
 	domainSem := map[string]chan struct{}{}
 	for _, domain := range plan.Domains {
-		domainSem[domain] = make(chan struct{}, plan.PerDomainParallelism)
-	}
-	for round := 0; round < plan.Rounds; round++ {
-		sem := make(chan struct{}, plan.Parallelism)
-		var wg sync.WaitGroup
-		for _, domain := range plan.Domains {
-			anchor := c.anchors[domain]
-			dsem := domainSem[domain]
-			for _, productURL := range products[domain] {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(domain, productURL string, anchor extract.Parsed, round int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					dsem <- struct{}{}
-					defer func() { <-dsem }()
-					ok, fail := c.crawlProduct(domain, productURL, anchor, round, plan.Unsynchronized)
-					mu.Lock()
-					rep.Extracted += ok
-					rep.Failed += fail
-					mu.Unlock()
-				}(domain, productURL, anchor, round)
-			}
+		domainSem[domain] = make(chan struct{}, perDomainWorkers)
+		for _, productURL := range products[domain] {
+			items = append(items, item{domain, productURL})
 		}
-		wg.Wait()
+	}
+	extracted := make([]int, len(items))
+	failed := make([]int, len(items))
+	for round := 0; round < plan.Rounds; round++ {
+		par.Do(productWorkers, len(items), func() func(int) {
+			return func(i int) {
+				it := items[i]
+				dsem := domainSem[it.domain]
+				dsem <- struct{}{}
+				extracted[i], failed[i] = c.crawlProduct(it.domain, it.url, c.anchors[it.domain], round, plan.Unsynchronized)
+				<-dsem
+			}
+		})
+		for i := range items {
+			rep.Extracted += extracted[i]
+			rep.Failed += failed[i]
+		}
 		if round < plan.Rounds-1 {
 			c.clock.Advance(plan.RoundInterval)
 		}
@@ -174,26 +172,23 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 }
 
 // crawlProduct fetches one product from every vantage point and stores the
-// extractions. It returns (successes, failures).
+// extractions. It returns (successes, failures). Fabric fetches never
+// sleep, so the vantage points run on GOMAXPROCS bounded workers.
 func (c *Crawler) crawlProduct(domain, productURL string, anchor extract.Parsed, round int, unsync bool) (okCount, failCount int) {
 	now := c.clock.Now()
 	sku := skuOf(productURL)
-	var wg sync.WaitGroup
 	results := make([]store.Observation, len(c.vps))
-	for i, vp := range c.vps {
-		wg.Add(1)
-		go func(i int, vp geo.VantagePoint) {
-			defer wg.Done()
+	par.Do(runtime.GOMAXPROCS(0), len(c.vps), func() func(int) {
+		return func(i int) {
 			at := now
 			if unsync {
 				// Stagger VPs across the day — the ablation that lets
 				// temporal drift pollute cross-location comparisons.
 				at = now.Add(time.Duration(i) * 90 * time.Minute)
 			}
-			results[i] = c.fetchOne(domain, productURL, sku, anchor, vp, c.uas[i], round, at)
-		}(i, vp)
-	}
-	wg.Wait()
+			results[i] = c.fetchOne(domain, productURL, sku, anchor, c.vps[i], c.uas[i], round, at)
+		}
+	})
 	// One batch append per product-round: the 14 per-VP rows share the
 	// product's domain, so this takes a single shard lock and concurrent
 	// product groups on other retailers never contend.

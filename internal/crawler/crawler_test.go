@@ -1,7 +1,11 @@
 package crawler
 
 import (
+	"encoding/json"
 	"net/http"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,48 +240,120 @@ func TestRunErrors(t *testing.T) {
 }
 
 // trackingHandler wraps a shop server counting concurrent in-flight
-// requests, to verify politeness limits.
+// requests, and the distinct product pages among them, to verify
+// politeness limits.
 type trackingHandler struct {
-	inner interface {
-		ServeHTTP(http.ResponseWriter, *http.Request)
-	}
-	mu       sync.Mutex
-	inflight int
-	peak     int
+	inner http.Handler
+	mu    sync.Mutex
+	// inflight counts requests in flight and peak its maximum.
+	inflight, peak int
+	// pages counts in-flight requests per product page; peakPages is the
+	// most distinct product pages ever in flight at once.
+	pages     map[string]int
+	peakPages int
 }
 
 func (h *trackingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	page := ""
+	if strings.HasPrefix(r.URL.Path, "/product/") {
+		page = r.URL.Path
+	}
 	h.mu.Lock()
 	h.inflight++
-	if h.inflight > h.peak {
-		h.peak = h.inflight
+	h.peak = max(h.peak, h.inflight)
+	if page != "" {
+		h.pages[page]++
+		h.peakPages = max(h.peakPages, len(h.pages))
 	}
 	h.mu.Unlock()
 	defer func() {
 		h.mu.Lock()
 		h.inflight--
+		if page != "" {
+			if h.pages[page]--; h.pages[page] == 0 {
+				delete(h.pages, page)
+			}
+		}
 		h.mu.Unlock()
 	}()
 	h.inner.ServeHTTP(w, r)
 }
 
+// TestPerDomainPoliteness checks no more than perDomainWorkers product
+// groups of one retailer are ever in flight. At GOMAXPROCS 16 each
+// product's fan-out runs all its vantage points at once, so the request
+// peak is bounded by perDomainWorkers full fan-outs.
 func TestPerDomainPoliteness(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	w := newCrawlWorld(t, shop.Config{Seed: 39, ProductCount: 24})
 	// Re-register the retailer behind the concurrency tracker.
 	srv := shop.NewServer(w.retailer, geo.NewDB())
-	tracker := &trackingHandler{inner: srv}
+	tracker := &trackingHandler{inner: srv, pages: map[string]int{}}
 	w.reg.Register(w.retailer.Domain(), tracker)
 
-	c := New(w.reg, w.clk, geo.VantagePoints(), w.st, w.anchors)
+	vps := geo.VantagePoints()
+	c := New(w.reg, w.clk, vps, w.st, w.anchors)
 	if _, err := c.Run(Plan{
-		Domains: []string{w.retailer.Domain()}, MaxProducts: 24,
-		Rounds: 1, Parallelism: 8, PerDomainParallelism: 1,
+		Domains: []string{w.retailer.Domain()}, MaxProducts: 24, Rounds: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// One product group at a time means at most 14 concurrent VP fetches.
-	if tracker.peak > 14 {
-		t.Fatalf("peak in-flight = %d; politeness cap violated", tracker.peak)
+	if tracker.peakPages > perDomainWorkers {
+		t.Fatalf("peak product pages in flight = %d; politeness cap %d violated", tracker.peakPages, perDomainWorkers)
+	}
+	if limit := perDomainWorkers * len(vps); tracker.peak > limit {
+		t.Fatalf("peak in-flight = %d; politeness cap %d violated", tracker.peak, limit)
+	}
+}
+
+// TestCrawlIndependentOfGOMAXPROCS crawls the same two retailers at
+// GOMAXPROCS 1 and 4, synchronized and not: the simulated clock, not
+// the scheduling, decides every row, so both runs must store the same
+// rows (in any order, under any sequence numbers) and report the same
+// counts.
+func TestCrawlIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	crawl := func(procs int, unsync bool) ([]string, *Report) {
+		runtime.GOMAXPROCS(procs)
+		w := newCrawlWorld(t, shop.Config{Seed: 41, ProductCount: 12, Localize: true, VariedFraction: 1})
+		// A second retailer without an anchor: heuristic extraction on
+		// the classic template, crawled alongside the first.
+		second := shop.New(shop.Config{
+			Seed: 42, Domain: "second.example.com", Label: "Second", ProductCount: 9,
+			Categories: []shop.Category{shop.CatShoes}, PriceLo: 20, PriceHi: 200, Template: "classic",
+		}, w.market)
+		w.reg.Register(second.Domain(), shop.NewServer(second, geo.NewDB()))
+		c := New(w.reg, w.clk, geo.VantagePoints(), w.st, w.anchors)
+		rep, err := c.Run(Plan{
+			Domains:     []string{w.retailer.Domain(), second.Domain()},
+			MaxProducts: 12, Rounds: 2, Unsynchronized: unsync,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, o := range w.st.Filter(store.Query{Round: -1}) {
+			b, err := json.Marshal(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, string(b))
+		}
+		slices.Sort(rows)
+		return rows, rep
+	}
+	for _, unsync := range []bool{false, true} {
+		oneRows, oneRep := crawl(1, unsync)
+		fourRows, fourRep := crawl(4, unsync)
+		if want := (12 + 9) * 14 * 2; len(oneRows) != want {
+			t.Fatalf("unsync=%v: stored %d rows, want %d", unsync, len(oneRows), want)
+		}
+		if !slices.Equal(oneRows, fourRows) {
+			t.Fatalf("unsync=%v: rows differ by GOMAXPROCS", unsync)
+		}
+		if !reflect.DeepEqual(oneRep, fourRep) {
+			t.Fatalf("unsync=%v: report differs by GOMAXPROCS:\n 1: %+v\n 4: %+v", unsync, oneRep, fourRep)
+		}
 	}
 }
 

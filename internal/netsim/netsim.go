@@ -16,7 +16,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -107,60 +106,6 @@ func (r *Registry) Domains() []string {
 	return out
 }
 
-// Stats aggregates fabric-level counters, useful to assert dataset sizes
-// ("188K extracted prices") and for the throughput benchmarks.
-type Stats struct {
-	mu       sync.Mutex
-	requests map[string]int64
-	failures map[string]int64
-}
-
-// Requests returns the request count per domain.
-func (s *Stats) Requests() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.requests))
-	for k, v := range s.requests {
-		out[k] = v
-	}
-	return out
-}
-
-// Total returns the total request count across domains.
-func (s *Stats) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, v := range s.requests {
-		n += v
-	}
-	return n
-}
-
-// Failures returns the injected-failure count per domain.
-func (s *Stats) Failures() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.failures))
-	for k, v := range s.failures {
-		out[k] = v
-	}
-	return out
-}
-
-func (s *Stats) record(domain string, failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.requests == nil {
-		s.requests = make(map[string]int64)
-		s.failures = make(map[string]int64)
-	}
-	s.requests[domain]++
-	if failed {
-		s.failures[domain]++
-	}
-}
-
 // Transport is an http.RoundTripper bound to a source IP on the virtual
 // fabric. It resolves the request's host through the Registry, stamps the
 // request with the source address and simulated time, and invokes the
@@ -172,14 +117,6 @@ type Transport struct {
 	Clock *Clock
 	// Source is the client's egress IP; retailers geo-locate it.
 	Source netip.Addr
-	// FailureRate injects a 503 on this fraction of requests (0 disables).
-	// Failures are deterministic per seed.
-	FailureRate float64
-	// Stats, if non-nil, aggregates counters across requests.
-	Stats *Stats
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // Header names the fabric stamps onto requests. Handlers read them instead
@@ -197,14 +134,6 @@ func NewTransport(reg *Registry, clk *Clock, src netip.Addr) *Transport {
 	return &Transport{Registry: reg, Clock: clk, Source: src}
 }
 
-// WithFailures returns the transport with deterministic failure injection
-// enabled at the given rate and seed.
-func (t *Transport) WithFailures(rate float64, seed int64) *Transport {
-	t.FailureRate = rate
-	t.rng = rand.New(rand.NewSource(seed))
-	return t
-}
-
 // RoundTrip implements http.RoundTripper on the virtual fabric.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.Registry == nil || t.Clock == nil {
@@ -213,26 +142,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Hostname()
 	h, ok := t.Registry.Lookup(host)
 	if !ok {
-		if t.Stats != nil {
-			t.Stats.record(host, true)
-		}
 		return nil, &NXDomainError{Domain: host}
-	}
-
-	if t.FailureRate > 0 {
-		t.mu.Lock()
-		fail := t.rng != nil && t.rng.Float64() < t.FailureRate
-		t.mu.Unlock()
-		if fail {
-			if t.Stats != nil {
-				t.Stats.record(host, true)
-			}
-			rec := httptest.NewRecorder()
-			rec.WriteHeader(http.StatusServiceUnavailable)
-			resp := rec.Result()
-			resp.Request = req
-			return resp, nil
-		}
 	}
 
 	// Clone the request so handler-side mutation cannot leak back.
@@ -248,9 +158,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h.ServeHTTP(rec, hreq)
 	resp := rec.Result()
 	resp.Request = req
-	if t.Stats != nil {
-		t.Stats.record(host, false)
-	}
 	return resp, nil
 }
 

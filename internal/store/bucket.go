@@ -9,8 +9,11 @@ package store
 // slicing follow that clock, never the wall clock of the host.
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
+
+	"sheriff/internal/par"
 )
 
 // DefaultBucketSeconds is the default bucket width: one simulated day.
@@ -108,7 +111,7 @@ func (s *Store) dumpBucket(start int64, emit func(uint64, *Observation) error) e
 // number — live cursors keep meaning the same rows, holes in the
 // sequence space are invisible to every read path. Each shard walks its
 // own seq-sorted order list, skips the dropped buckets and fills its
-// counterpart, in parallel (see fanOut): a row stays in its shard. The
+// counterpart, in parallel (par.Do): a row stays in its shard. The
 // sequence counter (as the watermark too), observer hook and scan
 // counters carry over. The caller must exclude writers (the durable
 // engine holds its write gate); concurrent readers of the old store are
@@ -116,7 +119,7 @@ func (s *Store) dumpBucket(start int64, emit func(uint64, *Observation) error) e
 func (s *Store) rebuildWithout(dropped map[int64]struct{}) (*Store, uint64) {
 	ns := newBucketed(s.bucketSecs)
 	var pruned [numShards]uint64
-	fanOut(numShards, func() func(int) {
+	par.Do(runtime.GOMAXPROCS(0), numShards, func() func(int) {
 		return func(si int) {
 			sh := &s.shards[si]
 			sh.mu.RLock()

@@ -8,11 +8,14 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sheriff/internal/par"
 )
 
 // Durable is the crash-safe observation backend: the in-memory sharded
@@ -358,7 +361,7 @@ func OpenReadOnly(dir string) (*Store, RecoveryReport, error) {
 // rows out from under a follower's cursor. Pruned buckets are simply
 // absent from the manifest: nothing here ever sees them.
 //
-// Both halves run in parallel (see fanOut). Every live segment and
+// Both halves run in parallel (par.Do). Every live segment and
 // every shard log is one decode unit, and each worker interns into a
 // table of its own. The results are then read in a fixed order —
 // segments in manifest order, then logs in shard order — so the report
@@ -389,7 +392,7 @@ func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, err
 	for shard := 0; shard < numShards; shard++ {
 		units = append(units, recoveryUnit{shard: shard})
 	}
-	fanOut(len(units), func() func(int) {
+	par.Do(runtime.GOMAXPROCS(0), len(units), func() func(int) {
 		// One intern table per worker, so recovered rows share their
 		// repeated strings (domains, VPs, URLs, ...).
 		strs := make(map[string]string)
@@ -447,7 +450,7 @@ func recoverDir(dir string, width int64) (*Store, *manifest, RecoveryReport, err
 	mem := newBucketed(width)
 	var last [numShards]uint64
 	var walRepeats, snapRepeats [numShards]int
-	fanOut(numShards, func() func(int) {
+	par.Do(runtime.GOMAXPROCS(0), numShards, func() func(int) {
 		return func(si int) {
 			rr := &runs[si]
 			rr.cut()

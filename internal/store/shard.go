@@ -1,10 +1,8 @@
 package store
 
 import (
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // shardBits fixes the shard count. 16 shards keep lock contention
@@ -219,35 +217,6 @@ func (sh *shard) fill(refs []seqRef, bucketSecs int64) int64 {
 		sh.add(*r.obs, r.seq, bucketOf(r.obs.Time, bucketSecs))
 	}
 	return newest
-}
-
-// fanOut runs n independent units of work on min(GOMAXPROCS, n)
-// workers, the calling goroutine among them. Each worker calls worker
-// once for its own do (so per-worker state, such as an intern table,
-// lives in that closure) and then takes unit indexes by an atomic
-// counter until none is left.
-func fanOut(n int, worker func() (do func(i int))) {
-	var next atomic.Int64
-	run := func() {
-		do := worker()
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			do(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
 }
 
 // searchSeq returns the index of the first entry of a seq-sorted list
