@@ -77,7 +77,7 @@ func (aw *ablationWorld) crawl(t *testing.T, rounds int, unsync bool) {
 		map[string]extract.Anchor{aw.r.Domain(): aw.anchor})
 	if _, err := c.Run(crawler.Plan{
 		Domains: []string{aw.r.Domain()}, MaxProducts: 20,
-		Rounds: rounds, RoundInterval: 24 * time.Hour, Unsynchronized: unsync,
+		Rounds: rounds, Unsynchronized: unsync,
 	}); err != nil {
 		t.Fatal(err)
 	}

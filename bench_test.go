@@ -933,7 +933,7 @@ func BenchmarkDetectIncrementalVsFull(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep := analysis.DetectStrategies(st, market, "dense00.example.com", analysis.DetectOptions{})
+			rep := analysis.DetectStrategies(st, market, "dense00.example.com")
 			if len(rep.Evidence) == 0 {
 				b.Fatal("empty verdict")
 			}

@@ -44,12 +44,16 @@ type Options struct {
 	BaseBackoff time.Duration
 	// UserAgent identifies the client in server logs.
 	UserAgent string
-	// MaxFollowerLag bounds how stale a follower's answer may be (in
-	// sequence numbers, per the X-Sheriff-Lag response header) before a
-	// read routed to it falls back to the primary (default 8192). Only
-	// meaningful on clients built with WithFollowers.
-	MaxFollowerLag uint64
 }
+
+// maxFollowerLag bounds how stale a follower's answer may be (in
+// sequence numbers, per the X-Sheriff-Lag response header) before a read
+// routed to it falls back to the primary: the server's own readiness
+// bound (sheriffd -ready-max-lag default).
+const maxFollowerLag = 8192
+
+// maxBackoff caps the retry delay.
+const maxBackoff = 2 * time.Second
 
 // Client talks to one sheriffd — or, when built with WithFollowers, to a
 // primary plus read replicas. Safe for concurrent use.
@@ -82,17 +86,14 @@ func New(baseURL string, opts Options) *Client {
 	if opts.UserAgent == "" {
 		opts.UserAgent = "sheriff-client/1"
 	}
-	if opts.MaxFollowerLag == 0 {
-		opts.MaxFollowerLag = 8192
-	}
 	return &Client{base: strings.TrimRight(baseURL, "/"), opts: opts}
 }
 
 // WithFollowers returns a client that routes idempotent GETs across the
 // given read replicas round-robin, with writes (and every fallback)
 // going to the primary. A follower that is unreachable, failing
-// server-side, or reporting replication lag above Options.MaxFollowerLag
-// is skipped for that call — the primary answers instead, in the same
+// server-side, or reporting replication lag above 8192 (sheriffd's
+// -ready-max-lag default) is skipped for that call — the primary answers instead, in the same
 // attempt. The receiver is unchanged.
 func (c *Client) WithFollowers(urls ...string) *Client {
 	nc := &Client{base: c.base, opts: c.opts, apiKey: c.apiKey}
@@ -168,11 +169,13 @@ func (c *Client) backoffDelay(attempt int, retryAfter string) time.Duration {
 	if secs, err := strconv.Atoi(retryAfter); err == nil && secs > 0 {
 		return time.Duration(secs) * time.Second
 	}
-	d := c.opts.BaseBackoff << attempt
-	if max := 2 * time.Second; d > max {
-		d = max
+	// Double below the cap only: a shift past it overflows
+	// time.Duration for large attempt counts.
+	d := c.opts.BaseBackoff
+	for ; attempt > 0 && d < maxBackoff; attempt-- {
+		d <<= 1
 	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // do runs one HTTP call with retries and returns the response on any
@@ -203,7 +206,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, accep
 			base = c.followers[int(c.next.Add(1)-1)%len(c.followers)]
 		}
 		resp, err := c.send(ctx, base, method, path, body, accept)
-		if base != c.base && !followerUsable(resp, err, c.opts.MaxFollowerLag) {
+		if base != c.base && !followerUsable(resp, err) {
 			// The follower cannot answer this call (unreachable, 5xx, or
 			// lagging past the freshness bound): ask the primary now —
 			// the caller should not pay a backoff for replica staleness.
@@ -264,11 +267,11 @@ func (c *Client) send(ctx context.Context, base, method, path string, body []byt
 // X-Sheriff-Lag header every sheriffd response carries. Client-side
 // statuses (404, 400...) are real answers — a follower saying not_found
 // is as authoritative as the primary saying it.
-func followerUsable(resp *http.Response, err error, maxLag uint64) bool {
+func followerUsable(resp *http.Response, err error) bool {
 	if err != nil || resp.StatusCode >= 500 {
 		return false
 	}
-	if lag, perr := strconv.ParseUint(resp.Header.Get("X-Sheriff-Lag"), 10, 64); perr == nil && lag > maxLag {
+	if lag, perr := strconv.ParseUint(resp.Header.Get("X-Sheriff-Lag"), 10, 64); perr == nil && lag > maxFollowerLag {
 		return false
 	}
 	return true

@@ -140,7 +140,7 @@ func main() {
 			domains = []string{"www.digitalrev.com", "www.energie.it"}
 		}
 		for _, d := range domains {
-			series := analysis.Fig6(st, market, d, 5)
+			series := analysis.Fig6(st, market, d)
 			rows := [][2]string{}
 			for _, s := range series {
 				desc := fmt.Sprintf("%s factor=%.3f rmse=%.4f", s.Fit.Kind, s.Fit.Factor, s.Fit.RMSE)

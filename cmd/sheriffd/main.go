@@ -202,13 +202,9 @@ func main() {
 		RateLimit:         *rateLimit,
 		RateBurst:         *rateBurst,
 		TrustProxyHeaders: *trustProxy,
+		Follower:          follower,
 		ReadyMaxLag:       *readyMaxLag,
 		Tenants:           tenants,
-	}
-	if follower != nil {
-		apiOpts.ReadOnly = true
-		apiOpts.PrimaryURL = follower.Primary()
-		apiOpts.Follower = follower
 	}
 	api := sheriff.NewAPIWithOptions(w, apiOpts)
 

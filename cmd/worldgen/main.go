@@ -126,7 +126,7 @@ func emitScenario(seed int64, label string, days int) {
 		}
 		log.Fatalf("unknown scenario %q; presets: %s", label, strings.Join(labels, ", "))
 	}
-	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: seed, Configs: []shop.Config{cfg}, FetchFailureRate: -1})
+	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: seed, Configs: []shop.Config{cfg}})
 	r := w.Retailers[cfg.Domain]
 	dyn := r.Dynamics()
 	loc, err := geo.LocationOf("US", "Boston")

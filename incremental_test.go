@@ -41,7 +41,7 @@ func assertEquivalent(t *testing.T, label string, eng *aggregate.Engine, st sher
 		t.Errorf("%s: report bytes diverged\n aggregate %s\n full      %s", label, gb, wb)
 	}
 	gotRep := eng.StrategyReport(domain)
-	wantRep := analysis.DetectStrategies(st, market, domain, analysis.DetectOptions{})
+	wantRep := analysis.DetectStrategies(st, market, domain)
 	if !reflect.DeepEqual(gotRep.Evidence, wantRep.Evidence) {
 		t.Errorf("%s: strategy verdict diverged\n aggregate %+v\n full      %+v",
 			label, gotRep.Evidence, wantRep.Evidence)
@@ -81,10 +81,9 @@ func TestIncrementalEquivalenceScenarioMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := sheriff.NewWorld(sheriff.WorldOptions{
-				Seed:             5,
-				Configs:          []sheriff.ShopConfig{cfg},
-				FetchFailureRate: -1,
-				Store:            d,
+				Seed:    5,
+				Configs: []sheriff.ShopConfig{cfg},
+				Store:   d,
 			})
 			if err := w.EnsureAnchors(w.Crawled); err != nil {
 				t.Fatal(err)

@@ -76,20 +76,14 @@ func shardIdx(domain string) uint32 {
 	return h & (numShards - 1)
 }
 
-// DefaultVariationThreshold is the conservative ratio at which a product
+// variationThreshold is the conservative ratio at which a product
 // group's variation fires a TypeVariation event: 5% above what the
 // day's extreme fixings could explain — comfortably past the currency
 // filter, the paper's "interesting domain" neighbourhood.
-const DefaultVariationThreshold = 1.05
+const variationThreshold = 1.05
 
-// Options tunes the engine; zero values take the defaults.
+// Options configures the engine.
 type Options struct {
-	// Detect tunes the strategy detector (defaults as DetectStrategies).
-	Detect analysis.DetectOptions
-	// VariationThreshold is the folded group ratio at which a variation
-	// event fires (default DefaultVariationThreshold; values <= 1 fire
-	// on any real variation).
-	VariationThreshold float64
 	// Log is the first event sink; nil builds a fresh one under epoch 0.
 	// A recovered durable store passes a log under its epoch (see
 	// Restart).
@@ -219,12 +213,11 @@ type aggShard struct {
 // Engine maintains the aggregates. Safe for concurrent use once
 // constructed; construct (New) before concurrent writers start.
 type Engine struct {
-	st        store.Reader
-	market    *fx.Market
-	det       *analysis.Detector
-	threshold float64
-	log       atomic.Pointer[events.Log]
-	shards    [numShards]aggShard
+	st     store.Reader
+	market *fx.Market
+	det    *analysis.Detector
+	log    atomic.Pointer[events.Log]
+	shards [numShards]aggShard
 
 	folded   atomic.Uint64 // observations folded (writes + rebuild)
 	hits     atomic.Uint64 // DomainSummary served from cache
@@ -257,17 +250,13 @@ func NewReader(st store.Reader, market *fx.Market, opts Options) *Engine {
 }
 
 func newEngine(st store.Reader, market *fx.Market, opts Options) *Engine {
-	if opts.VariationThreshold == 0 {
-		opts.VariationThreshold = DefaultVariationThreshold
-	}
 	if opts.Log == nil {
 		opts.Log = events.NewLog(0)
 	}
 	e := &Engine{
-		st:        st,
-		market:    market,
-		det:       analysis.NewDetector(market, opts.Detect),
-		threshold: opts.VariationThreshold,
+		st:     st,
+		market: market,
+		det:    analysis.NewDetector(market),
 	}
 	e.log.Store(opts.Log)
 	for i := range e.shards {
@@ -383,7 +372,7 @@ func (e *Engine) foldDomain(domain string, obs []store.Observation) {
 					g.minHigh = hi
 				}
 				if !g.crossed {
-					if r, real := g.ratio(); real && r >= e.threshold {
+					if r, real := g.ratio(); real && r >= variationThreshold {
 						g.crossed = true
 						e.log.Load().Append(events.Event{
 							Time: o.Time, Type: events.TypeVariation,

@@ -90,7 +90,7 @@ func TestUnknownDomain(t *testing.T) {
 		t.Fatal("DomainSummary on an empty engine returned ok")
 	}
 	got := eng.StrategyReport("never.example")
-	want := analysis.DetectStrategies(st, market, "never.example", analysis.DetectOptions{})
+	want := analysis.DetectStrategies(st, market, "never.example")
 	if fmt.Sprintf("%+v", got.Evidence) != fmt.Sprintf("%+v", want.Evidence) {
 		t.Errorf("StrategyReport evidence:\n aggregate %+v\n full      %+v", got.Evidence, want.Evidence)
 	}
@@ -319,7 +319,7 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 			t.Errorf("%s diverged:\n aggregate %+v\n full      %+v", d, sum, want)
 		}
 		gotRep := eng.StrategyReport(d)
-		wantRep := analysis.DetectStrategies(st, market, d, analysis.DetectOptions{})
+		wantRep := analysis.DetectStrategies(st, market, d)
 		if fmt.Sprintf("%+v", gotRep.Evidence) != fmt.Sprintf("%+v", wantRep.Evidence) {
 			t.Errorf("%s strategy diverged:\n aggregate %+v\n full      %+v", d, gotRep.Evidence, wantRep.Evidence)
 		}

@@ -40,7 +40,7 @@ var (
 func scenarioLog(t *testing.T) scenarioRun {
 	t.Helper()
 	scenarioOnce.Do(func() {
-		w := core.NewWorld(core.WorldOptions{Seed: 5, Configs: shop.ScenarioConfigs(5), FetchFailureRate: -1})
+		w := core.NewWorld(core.WorldOptions{Seed: 5, Configs: shop.ScenarioConfigs(5)})
 		if scenarioErr = w.EnsureAnchors(w.Crawled); scenarioErr != nil {
 			return
 		}
@@ -176,7 +176,7 @@ func assertDetectorVerdicts(t *testing.T, name string, eng *aggregate.Engine, st
 	t.Helper()
 	for _, d := range run.domains {
 		got := eng.StrategyReport(d)
-		want := analysis.DetectStrategies(st, run.market, d, analysis.DetectOptions{})
+		want := analysis.DetectStrategies(st, run.market, d)
 		if !reflect.DeepEqual(got.Evidence, want.Evidence) {
 			t.Errorf("%s: %s verdict diverged\n engine %+v\n full   %+v", name, d, got.Evidence, want.Evidence)
 		}

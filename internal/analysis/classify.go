@@ -55,10 +55,14 @@ type StrategyFit struct {
 	RMSE float64
 }
 
+// fig6MinPoints is the fewest ratio points a vantage point needs for a
+// series and a fit.
+const fig6MinPoints = 5
+
 // Fig6 builds per-vantage-point ratio series and strategy fits for one
-// crawled domain. Only vantage points with at least minPoints points are
-// returned.
-func Fig6(st store.Reader, market *fx.Market, domain string, minPoints int) []VPSeries {
+// crawled domain. Only vantage points with at least fig6MinPoints points
+// are returned.
+func Fig6(st store.Reader, market *fx.Market, domain string) []VPSeries {
 	pointsByVP := map[string][]RatioPoint{}
 	labels := map[string]string{}
 	for _, obs := range st.DomainGroups(domain, store.SourceCrawl) {
@@ -87,7 +91,7 @@ func Fig6(st store.Reader, market *fx.Market, domain string, minPoints int) []VP
 	}
 	var out []VPSeries
 	for vp, pts := range pointsByVP {
-		if len(pts) < minPoints {
+		if len(pts) < fig6MinPoints {
 			continue
 		}
 		sort.Slice(pts, func(i, j int) bool { return pts[i].MinUSD < pts[j].MinUSD })

@@ -62,7 +62,7 @@ func TestFig6BuildsSeriesPerVP(t *testing.T) {
 			"fi-tam": {country: "FI", units: base * 128 / 100},
 		})
 	}
-	series := Fig6(st, market, "photo.com", 5)
+	series := Fig6(st, market, "photo.com")
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -97,7 +97,7 @@ func TestFig6AdditiveLocationDetected(t *testing.T) {
 			"uk-lon": {country: "GB", units: uk},
 		})
 	}
-	series := Fig6(st, market, "clothes.com", 5)
+	series := Fig6(st, market, "clothes.com")
 	byVP := map[string]VPSeries{}
 	for _, s := range series {
 		byVP[s.VP] = s

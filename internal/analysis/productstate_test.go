@@ -15,14 +15,14 @@ import (
 // Product over the same rounds — on every product of every scenario
 // retailer, so every family's signature is exercised.
 func TestProductStateMatchesProduct(t *testing.T) {
-	w := core.NewWorld(core.WorldOptions{Seed: 5, Configs: shop.ScenarioConfigs(5), FetchFailureRate: -1})
+	w := core.NewWorld(core.WorldOptions{Seed: 5, Configs: shop.ScenarioConfigs(5)})
 	if err := w.EnsureAnchors(w.Crawled); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.RunCrawl(core.CrawlOptions{MaxProducts: 4, Rounds: 14}); err != nil {
 		t.Fatal(err)
 	}
-	det := analysis.NewDetector(w.Market, analysis.DetectOptions{})
+	det := analysis.NewDetector(w.Market)
 	affected := map[shop.StrategyFamily]int{}
 	for _, rows := range w.Store.Groups(store.SourceCrawl) {
 		byRound := map[int][]store.Observation{}

@@ -156,7 +156,7 @@ func TestMarketRepricingNotTemporal(t *testing.T) {
 		}
 	}
 
-	mkt := DetectStrategies(st, market, "market.test", DetectOptions{})
+	mkt := DetectStrategies(st, market, "market.test")
 	if !mkt.Flagged(shop.FamilyCompetitive) {
 		t.Fatalf("competitive repricing not flagged: %s", mkt)
 	}
@@ -167,7 +167,7 @@ func TestMarketRepricingNotTemporal(t *testing.T) {
 		}
 	}
 
-	wd := DetectStrategies(st, market, "weekday.test", DetectOptions{})
+	wd := DetectStrategies(st, market, "weekday.test")
 	if !wd.Flagged(shop.FamilyTemporal) {
 		t.Fatalf("weekday pricing lost its temporal flag: %s", wd)
 	}
@@ -201,7 +201,7 @@ func TestDemandRepricingNotTemporal(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "demand.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "demand.test")
 	if !rep.Flagged(shop.FamilyDemand) {
 		t.Fatalf("demand repricing not flagged: %s", rep)
 	}
@@ -229,7 +229,7 @@ func TestShortMarketSeriesStaysTemporal(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "short.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "short.test")
 	if !rep.Flagged(shop.FamilyTemporal) {
 		t.Fatalf("short moving series not reported temporal: %s", rep)
 	}

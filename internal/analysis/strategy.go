@@ -50,31 +50,17 @@ import (
 // The scenario matrix (internal/core) scores these verdicts against the
 // ground-truth rule families each scenario retailer compiled.
 
-// DetectOptions tunes DetectStrategies; zero values take the defaults.
-type DetectOptions struct {
-	// MinProducts is the minimum number of affected products before a
-	// family is flagged (default 3).
-	MinProducts int
-	// MinFraction is the minimum affected share of eligible products
-	// (default 0.08).
-	MinFraction float64
-	// MinFailRounds is how many rounds a vantage point must persistently
-	// fail (while another succeeds) to count as withheld (default 3).
-	MinFailRounds int
-}
-
-func (o DetectOptions) withDefaults() DetectOptions {
-	if o.MinProducts <= 0 {
-		o.MinProducts = 3
-	}
-	if o.MinFraction <= 0 {
-		o.MinFraction = 0.08
-	}
-	if o.MinFailRounds <= 0 {
-		o.MinFailRounds = 3
-	}
-	return o
-}
+// The detector's thresholds, one set for every retailer.
+const (
+	// minProducts is the minimum number of affected products before a
+	// family is flagged.
+	minProducts = 3
+	// minFraction is the minimum affected share of eligible products.
+	minFraction = 0.08
+	// minFailRounds is how many rounds a vantage point must persistently
+	// fail (while another succeeds) to count as withheld.
+	minFailRounds = 3
+)
 
 // FamilyEvidence is one family's verdict for a domain.
 type FamilyEvidence struct {
@@ -192,25 +178,21 @@ func (v ProductVerdict) Of(f shop.StrategyFamily) FamilyContribution {
 }
 
 // Detector is the per-product strategy detector with its controls
-// resolved once: the vantage-point metadata, the pair filters and the
-// thresholds. DetectStrategies wraps it for whole-domain full
-// recomputation; the incremental engine (internal/aggregate) keeps a
-// ProductState per crawled product, absorbs each product-round as it is
-// folded and sums the Verdicts' contributions itself — both paths run
-// the identical fold, which is what the equivalence contract rests on.
+// resolved once: the vantage-point metadata and the pair filters.
+// DetectStrategies wraps it for whole-domain full recomputation; the
+// incremental engine (internal/aggregate) keeps a ProductState per
+// crawled product, absorbs each product-round as it is folded and sums
+// the Verdicts' contributions itself — both paths run the identical
+// fold, which is what the equivalence contract rests on.
 type Detector struct {
 	market *fx.Market
-	opts   DetectOptions
 	meta   map[string]vpMeta
 }
 
-// NewDetector builds a detector; zero-valued options take the defaults.
-func NewDetector(market *fx.Market, opts DetectOptions) *Detector {
-	return &Detector{market: market, opts: opts.withDefaults(), meta: vantageMeta()}
+// NewDetector builds a detector.
+func NewDetector(market *fx.Market) *Detector {
+	return &Detector{market: market, meta: vantageMeta()}
 }
-
-// Options returns the detector's resolved options.
-func (d *Detector) Options() DetectOptions { return d.opts }
 
 // acceptGeo admits pairs that share a fingerprint across locations.
 func (d *Detector) acceptGeo(a, b string) bool {
@@ -386,7 +368,7 @@ func (s *ProductState) Verdict() ProductVerdict {
 		v.Demand.Eligible = true
 		v.Demand.Affected = shape == shapeDemand
 	}
-	// Disclosure: a VP that failed extraction in >= MinFailRounds
+	// Disclosure: a VP that failed extraction in >= minFailRounds
 	// rounds and never succeeded, while another VP succeeded at least
 	// as often. Transient 503s re-roll per day and cannot sustain this.
 	maxOK := 0
@@ -395,10 +377,10 @@ func (s *ProductState) Verdict() ProductVerdict {
 			maxOK = n
 		}
 	}
-	if maxOK >= s.d.opts.MinFailRounds {
+	if maxOK >= minFailRounds {
 		v.Disclosure.Eligible = true
 		for vp, fails := range s.failRounds {
-			if fails >= s.d.opts.MinFailRounds && s.okRounds[vp] == 0 {
+			if fails >= minFailRounds && s.okRounds[vp] == 0 {
 				v.Disclosure.Affected = true
 				break
 			}
@@ -412,16 +394,16 @@ func (s *ProductState) Verdict() ProductVerdict {
 // report cannot diverge on it.
 func (d *Detector) Evidence(f shop.StrategyFamily, affected, eligible int) FamilyEvidence {
 	e := FamilyEvidence{Family: f, Affected: affected, Eligible: eligible}
-	e.Flagged = affected >= d.opts.MinProducts &&
-		eligible > 0 && float64(affected)/float64(eligible) >= d.opts.MinFraction
+	e.Flagged = affected >= minProducts &&
+		eligible > 0 && float64(affected)/float64(eligible) >= minFraction
 	return e
 }
 
 // DetectStrategies attributes a domain's crawl variation to strategy
 // families. It reads SourceCrawl observations only — one Product verdict
 // per crawled product, summed and flagged by the Detector's rule.
-func DetectStrategies(st store.Reader, market *fx.Market, domain string, opts DetectOptions) StrategyReport {
-	d := NewDetector(market, opts)
+func DetectStrategies(st store.Reader, market *fx.Market, domain string) StrategyReport {
+	d := NewDetector(market)
 	type familyCount struct{ affected, eligible int }
 	counts := map[shop.StrategyFamily]*familyCount{}
 	for _, f := range DetectableFamilies {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sheriff/internal/extract"
 	"sheriff/internal/money"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
@@ -62,7 +63,7 @@ func TestDetectGeoPricing(t *testing.T) {
 			crawlObs(st, "geo.test", sku, "br-sao", r, at, 13000, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "geo.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "geo.test")
 	if !rep.Flagged(shop.FamilyGeo) {
 		t.Fatalf("geo not flagged: %s", rep)
 	}
@@ -91,7 +92,7 @@ func TestDetectFingerprintPricing(t *testing.T) {
 			crawlObs(st, "fp.test", sku, "es-win", r, at, eurUnits(t, 10300, at), "EUR")
 		}
 	}
-	rep := DetectStrategies(st, market, "fp.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "fp.test")
 	if !rep.Flagged(shop.FamilyFingerprint) {
 		t.Fatalf("fingerprint not flagged: %s", rep)
 	}
@@ -119,7 +120,7 @@ func TestDetectSelectiveDisclosure(t *testing.T) {
 			crawlObs(st, "disc.test", sku, "us-nyc", r, at, 10000, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "disc.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "disc.test")
 	if !rep.Flagged(shop.FamilyDisclosure) {
 		t.Fatalf("disclosure not flagged: %s", rep)
 	}
@@ -142,7 +143,7 @@ func TestDetectTemporalPricing(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "temp.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "temp.test")
 	if !rep.Flagged(shop.FamilyTemporal) {
 		t.Fatalf("temporal not flagged: %s", rep)
 	}
@@ -167,7 +168,7 @@ func TestABChurnNotFlaggedAsGeo(t *testing.T) {
 			crawlObs(st, "ab.test", sku, "br-sao", r, at, lo, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "ab.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "ab.test")
 	if rep.Flagged(shop.FamilyGeo) {
 		t.Fatalf("A/B churn flagged as geo: %s", rep)
 	}
@@ -184,10 +185,74 @@ func TestDetectNothingOnCleanShop(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "clean.test", DetectOptions{})
+	rep := DetectStrategies(st, market, "clean.test")
 	for _, f := range DetectableFamilies {
 		if rep.Flagged(f) {
 			t.Errorf("%s flagged on a uniform shop: %s", f, rep)
+		}
+	}
+}
+
+// TestEvidenceFlagRuleEdges pins the flag rule's thresholds: at least 3
+// affected products and an affected share of at least 0.08 of a nonzero
+// eligible count.
+func TestEvidenceFlagRuleEdges(t *testing.T) {
+	d := NewDetector(market)
+	for _, c := range []struct {
+		affected, eligible int
+		want               bool
+	}{
+		{2, 10, false},
+		{3, 10, true},
+		{79, 1000, false},
+		{80, 1000, true},
+		{3, 38, false}, // 0.0789
+		{3, 37, true},  // 0.0811
+		{0, 0, false},
+		{3, 0, false},
+	} {
+		e := d.Evidence(shop.FamilyGeo, c.affected, c.eligible)
+		if e.Flagged != c.want || e.Affected != c.affected || e.Eligible != c.eligible {
+			t.Errorf("Evidence(%d, %d) = %+v, want flagged %v", c.affected, c.eligible, e, c.want)
+		}
+	}
+}
+
+// TestDisclosureFailRoundsEdge pins the disclosure rule's 3-round edge:
+// a vantage point that shows no price in 3 rounds and never a price,
+// while another reads one in at least 3 rounds, is withholding; 2
+// rounds of either are not enough.
+func TestDisclosureFailRoundsEdge(t *testing.T) {
+	d := NewDetector(market)
+	for _, c := range []struct {
+		okRounds, failRounds int
+		eligible, affected   bool
+	}{
+		{3, 3, true, true},
+		{3, 2, true, false},
+		{2, 2, false, false},
+		{4, 3, true, true},
+	} {
+		var obs []store.Observation
+		for r := 0; r < max(c.okRounds, c.failRounds); r++ {
+			at := roundTime(r)
+			if r < c.okRounds {
+				obs = append(obs, store.Observation{
+					Domain: "edge.test", SKU: "E-1", VP: "us-chi", Time: at, Round: r,
+					Source: store.SourceCrawl, OK: true, PriceUnits: 10000, Currency: "USD",
+				})
+			}
+			if r < c.failRounds {
+				obs = append(obs, store.Observation{
+					Domain: "edge.test", SKU: "E-1", VP: "us-bos", Time: at, Round: r,
+					Source: store.SourceCrawl, Err: extract.ErrNoPrice.Error(),
+				})
+			}
+		}
+		got := d.NewProductState(obs).Verdict().Disclosure
+		if got.Eligible != c.eligible || got.Affected != c.affected {
+			t.Errorf("%d ok rounds, %d failed rounds: %+v, want eligible %v affected %v",
+				c.okRounds, c.failRounds, got, c.eligible, c.affected)
 		}
 	}
 }

@@ -45,15 +45,13 @@ func pumpStores(t *testing.T, primary, follower *store.Store, upto uint64) {
 }
 
 // newFollowerServer builds a read-only follower world + API over the
-// given store, fronting the (possibly nil) replication engine.
-func newFollowerServer(t *testing.T, fst *store.Store, primaryURL string, fol *sheriff.Follower) *testServer {
+// given store, fronting the replication engine fol (started or not).
+func newFollowerServer(t *testing.T, fst *store.Store, fol *sheriff.Follower) *testServer {
 	t.Helper()
 	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: 1, LongTail: 6, Store: fst})
 	srv := httptest.NewServer(sheriff.NewAPIWithOptions(w, sheriff.APIOptions{
-		Logger:     log.New(io.Discard, "", 0),
-		ReadOnly:   true,
-		PrimaryURL: primaryURL,
-		Follower:   fol,
+		Logger:   log.New(io.Discard, "", 0),
+		Follower: fol,
 	}))
 	t.Cleanup(srv.Close)
 	return &testServer{w: w, srv: srv}
@@ -149,7 +147,7 @@ func TestV1ReplicationWALStream(t *testing.T) {
 
 func TestV1FollowerReadOnly(t *testing.T) {
 	fst := store.New()
-	ts := newFollowerServer(t, fst, "http://primary.example:8317", nil)
+	ts := newFollowerServer(t, fst, sheriff.NewFollower("http://primary.example:8317", fst, sheriff.FollowerOptions{}))
 
 	// v1 write → typed read_only with a Location at the primary.
 	status, body, hdr := doReq(t, http.MethodPost, ts.srv.URL+"/api/v1/checks", validCheckBody(t, ts.w), nil)
@@ -196,7 +194,7 @@ func TestV1FollowerStatsAndReadyz(t *testing.T) {
 
 	fst := store.New()
 	fol := replica.New(stub.URL, fst, replica.Options{})
-	ts := newFollowerServer(t, fst, stub.URL, fol)
+	ts := newFollowerServer(t, fst, fol)
 
 	// Before the stream connects: alive but unready, disconnected reason.
 	status, body, _ := doReq(t, http.MethodGet, ts.srv.URL+"/api/v1/readyz", "", nil)
@@ -281,7 +279,7 @@ func TestV1LaggingFollowerReads(t *testing.T) {
 	if applied == 0 || applied >= 60 {
 		t.Fatalf("lagging follower applied %d rows, want a strict prefix", applied)
 	}
-	ts := newFollowerServer(t, fst, "http://primary.example:8317", nil)
+	ts := newFollowerServer(t, fst, sheriff.NewFollower("http://primary.example:8317", fst, sheriff.FollowerOptions{}))
 
 	// Paginate the lagging follower to exhaustion, keeping the first
 	// page's cursor for the resume half of the test.

@@ -158,13 +158,7 @@ type ReplicationStats struct {
 // replicationStats assembles the node's replication view.
 func (s *Server) replicationStats() ReplicationStats {
 	if s.follower == nil {
-		role := "primary"
-		if s.opts.ReadOnly {
-			// Read-only without a stream engine: still a follower-shaped
-			// node (it rejects writes), just not replicating.
-			role = "follower"
-		}
-		return ReplicationStats{Role: role, Watermark: s.store.Watermark(), Primary: s.opts.PrimaryURL}
+		return ReplicationStats{Role: "primary", Watermark: s.store.Watermark()}
 	}
 	st := s.follower.Status()
 	return ReplicationStats{
@@ -242,10 +236,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeReadOnly(w http.ResponseWriter, r *http.Request) {
 	e := errf(http.StatusForbidden, CodeReadOnly,
 		"this node is a read-only follower; send writes to the primary")
-	if s.opts.PrimaryURL != "" {
-		w.Header().Set("Location", s.opts.PrimaryURL+r.URL.RequestURI())
-		e.Detail = "primary: " + s.opts.PrimaryURL
-	}
+	primary := s.follower.Primary()
+	w.Header().Set("Location", primary+r.URL.RequestURI())
+	e.Detail = "primary: " + primary
 	writeError(w, s.opts.Logger, e)
 }
 
@@ -254,10 +247,8 @@ func (s *Server) writeReadOnly(w http.ResponseWriter, r *http.Request) {
 // judge staleness from any response instead of polling stats.
 func (s *Server) roleHeaders(next http.Handler) http.Handler {
 	role, lag := "primary", func() uint64 { return 0 }
-	if s.opts.ReadOnly || s.follower != nil {
-		role = "follower"
-	}
 	if s.follower != nil {
+		role = "follower"
 		lag = func() uint64 { return s.follower.Status().Lag }
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

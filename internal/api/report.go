@@ -111,7 +111,7 @@ func FullDomainReport(st store.Reader, market *fx.Market, domain string) DomainR
 
 	// Strategy attribution: which discrimination families the fleet's
 	// structure pins the variation on.
-	verdict := analysis.DetectStrategies(st, market, domain, analysis.DetectOptions{})
+	verdict := analysis.DetectStrategies(st, market, domain)
 	fams := make([]string, 0, len(verdict.Evidence))
 	for f := range verdict.Evidence {
 		fams = append(fams, string(f))

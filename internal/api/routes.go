@@ -121,7 +121,7 @@ func (s *Server) dispatch(rts []route) http.Handler {
 				"%s requires %s", r.URL.Path, strings.Join(methods, " or ")))
 			return
 		}
-		if hit.write && s.opts.ReadOnly {
+		if hit.write && s.follower != nil {
 			s.writeReadOnly(w, r)
 			return
 		}

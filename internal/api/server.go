@@ -43,14 +43,11 @@ type Options struct {
 	// Now is the wall clock the rate limiter refills on; nil uses
 	// time.Now. Injectable for tests.
 	Now func() time.Time
-	// ReadOnly rejects every write endpoint with the typed read_only
-	// envelope — follower mode. PrimaryURL, when set, rides along in the
-	// rejection's Location header and error detail.
-	ReadOnly   bool
-	PrimaryURL string
 	// Follower is the replication engine this server fronts; it feeds the
 	// stats replication block, the readiness probe and the role headers.
-	// Nil means the node is a primary.
+	// A node with a Follower is read-only: every write endpoint answers
+	// the typed read_only envelope, naming the follower's primary in the
+	// Location header and error detail. Nil means the node is a primary.
 	Follower *replica.Follower
 	// ReadyMaxLag is the lag (in sequence numbers) past which a
 	// follower's /api/v1/readyz flips unready (default 8192).

@@ -476,9 +476,8 @@ func TestFollowerTenantReads(t *testing.T) {
 	fst := sheriff.NewStore()
 	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: 1, LongTail: 6, Store: fst})
 	fsrv := newHTTPServer(t, sheriff.NewAPIWithOptions(w, sheriff.APIOptions{
-		ReadOnly:   true,
-		PrimaryURL: primary.srv.URL,
-		Tenants:    freg,
+		Follower: sheriff.NewFollower(primary.srv.URL, fst, sheriff.FollowerOptions{}),
+		Tenants:  freg,
 	}))
 
 	// The sync loop authenticates with an admin key: the snapshot is

@@ -79,7 +79,6 @@ func (w *World) RunCrawl(opts CrawlOptions) (*crawler.Report, error) {
 		Domains:        domains,
 		MaxProducts:    opts.MaxProducts,
 		Rounds:         opts.Rounds,
-		RoundInterval:  24 * time.Hour,
 		Unsynchronized: opts.Unsynchronized,
 	})
 }

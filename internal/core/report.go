@@ -30,7 +30,7 @@ func (w *World) Fig5() []analysis.PricePoint { return analysis.Fig5(w.Store, w.M
 
 // Fig6 computes per-VP ratio series and strategy fits for one domain.
 func (w *World) Fig6(domain string) []analysis.VPSeries {
-	return analysis.Fig6(w.Store, w.Market, domain, 5)
+	return analysis.Fig6(w.Store, w.Market, domain)
 }
 
 // Fig7 computes per-location ratio boxplots.

@@ -42,8 +42,6 @@ type MatrixOptions struct {
 	// merged report is byte-identical to a sequential run regardless of
 	// the worker count. 0 means GOMAXPROCS; 1 forces sequential.
 	Workers int
-	// Detect tunes the detector.
-	Detect analysis.DetectOptions
 }
 
 // ScenarioOutcome is one scenario's ground truth vs detection.
@@ -209,9 +207,8 @@ func RunScenarioMatrix(opts MatrixOptions) (*MatrixReport, error) {
 // unit of work the matrix pool executes.
 func runScenario(opts MatrixOptions, cfg shop.Config) (ScenarioOutcome, error) {
 	w := NewWorld(WorldOptions{
-		Seed:             opts.Seed,
-		Configs:          []shop.Config{cfg},
-		FetchFailureRate: -1,
+		Seed:    opts.Seed,
+		Configs: []shop.Config{cfg},
 	})
 	if err := w.EnsureAnchors(w.Crawled); err != nil {
 		return ScenarioOutcome{}, fmt.Errorf("core: scenario %s: %w", cfg.Label, err)
@@ -226,7 +223,7 @@ func runScenario(opts MatrixOptions, cfg shop.Config) (ScenarioOutcome, error) {
 
 	r := w.Retailers[cfg.Domain]
 	truthAll := r.Families()
-	det := analysis.DetectStrategies(w.Store, w.Market, cfg.Domain, opts.Detect)
+	det := analysis.DetectStrategies(w.Store, w.Market, cfg.Domain)
 
 	out := ScenarioOutcome{
 		Scenario: cfg.Label, Domain: cfg.Domain,

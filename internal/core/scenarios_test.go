@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net/http"
 	"reflect"
 	"sort"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"sheriff/internal/crowd"
+	"sheriff/internal/geo"
+	"sheriff/internal/netsim"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
 )
@@ -161,7 +164,7 @@ func TestMarketWorldUnderCrowdLoad(t *testing.T) {
 	// then order them by insertion — which concurrency legitimately varies.
 	key := func(o store.Observation) string { return fmt.Sprintf("%+v", o) }
 	run := func() (*crowd.LoadReport, []store.Observation) {
-		w := NewWorld(WorldOptions{Seed: 11, Configs: cfgs, FetchFailureRate: -1})
+		w := NewWorld(WorldOptions{Seed: 11, Configs: cfgs})
 		rep, err := w.RunLoad(crowd.LoadOptions{
 			Users: 6, Requests: 72, Rounds: 4, RoundStep: 24 * time.Hour,
 		})
@@ -214,7 +217,7 @@ func TestMarketWorldUnderCrowdLoad(t *testing.T) {
 // given retailers, no extras, no tail, no failure injection.
 func TestScenarioWorldIsolated(t *testing.T) {
 	cfg := shop.ScenarioConfigs(1)[0]
-	w := NewWorld(WorldOptions{Seed: 1, Configs: []shop.Config{cfg}, FetchFailureRate: -1})
+	w := NewWorld(WorldOptions{Seed: 1, Configs: []shop.Config{cfg}})
 	if len(w.Crawled) != 1 || w.Crawled[0] != cfg.Domain {
 		t.Fatalf("Crawled = %v", w.Crawled)
 	}
@@ -234,5 +237,44 @@ func TestScenarioWorldIsolated(t *testing.T) {
 func TestScenarioMatrixUnknownScenario(t *testing.T) {
 	if _, err := RunScenarioMatrix(MatrixOptions{Seed: 1, Scenarios: []string{"nope"}}); err == nil {
 		t.Fatal("unknown scenario did not error")
+	}
+}
+
+// TestConfigsWorldInjectsNoFailures: a world built from Configs answers
+// every product page with 200 from all 14 vantage points on every
+// simulated day, so detector scoring sees only the behaviour under test.
+// Paper worlds fail ~8.5% of fetches (TestEndToEndCrawlVolume).
+func TestConfigsWorldInjectsNoFailures(t *testing.T) {
+	w := NewWorld(WorldOptions{Seed: 3, Configs: shop.ScenarioConfigs(3)[:2]})
+	vps := geo.VantagePoints()
+	if len(vps) != 14 {
+		t.Fatalf("%d vantage points, want 14", len(vps))
+	}
+	fetches := 0
+	for day := 0; day < 5; day++ {
+		for _, d := range w.Crawled {
+			for _, p := range w.Retailers[d].Catalog().Products()[:6] {
+				for _, vp := range vps {
+					req, err := http.NewRequest(http.MethodGet, "http://"+d+"/product/"+p.SKU, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Header.Set("User-Agent", vp.Browser.UserAgent())
+					resp, err := netsim.NewTransport(w.Registry, w.Clock, vp.Addr).RoundTrip(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("day %d %s/%s from %s: status %d", day, d, p.SKU, vp.ID, resp.StatusCode)
+					}
+					fetches++
+				}
+			}
+		}
+		w.Clock.Advance(24 * time.Hour)
+	}
+	if fetches != 5*2*6*14 {
+		t.Fatalf("%d fetches, want %d", fetches, 5*2*6*14)
 	}
 }

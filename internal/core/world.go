@@ -27,23 +27,17 @@ type WorldOptions struct {
 	// are bit-for-bit identical.
 	Seed int64
 	// Configs, when non-empty, replaces the paper's retailer roster: the
-	// given shops become the crawled (and interesting) set and no extra
-	// crowd domains are added. Scenario worlds (core.RunScenarioMatrix)
-	// are built this way — one purpose-built retailer per world. Empty
-	// means the paper's 21 crawled + 9 crowd-extra retailers.
+	// given shops become the crawled (and interesting) set, no extra
+	// crowd domains are added and no fetch failures are injected, so
+	// detector scoring sees only the behaviour under test. Scenario
+	// worlds (core.RunScenarioMatrix) are built this way — one
+	// purpose-built retailer per world. Empty means the paper's 21
+	// crawled + 9 crowd-extra retailers, whose fetches fail at
+	// fetchFailureRate.
 	Configs []shop.Config
 	// LongTail is the number of no-variation long-tail domains
 	// (default 580 for paper worlds, 0 for Configs worlds).
 	LongTail int
-	// Start is the simulated campaign start (default 2013-01-10, the
-	// beginning of the paper's Jan–May window).
-	Start time.Time
-	// FetchFailureRate injects deterministic per-request 503s at the
-	// named retailers (default 0.085, which turns the crawl's ~206K
-	// attempts into the paper's ~188K extracted prices). Negative
-	// disables injection entirely — scenario worlds do this so detector
-	// scoring sees only the behaviour under test.
-	FetchFailureRate float64
 	// SegmentPricingDomain, when set, plants browsing-history price
 	// discrimination at that retailer (affluent visitors pay 8% more).
 	// The paper found no such retailer in the wild; planting one lets the
@@ -57,6 +51,15 @@ type WorldOptions struct {
 	// dir) is fine: campaigns append after what is already there.
 	Store store.Backend
 }
+
+// campaignStart is the simulated campaign start: the beginning of the
+// paper's Jan–May window.
+var campaignStart = time.Date(2013, 1, 10, 8, 0, 0, 0, time.UTC)
+
+// fetchFailureRate is the share of paper-world fetches answered with a
+// deterministic 503; it turns the crawl's ~206K attempts into the
+// paper's ~188K extracted prices.
+const fetchFailureRate = 0.085
 
 // World is a fully wired simulation.
 type World struct {
@@ -96,12 +99,6 @@ func NewWorld(opts WorldOptions) *World {
 	if opts.LongTail == 0 && len(opts.Configs) == 0 {
 		opts.LongTail = 580
 	}
-	if opts.Start.IsZero() {
-		opts.Start = time.Date(2013, 1, 10, 8, 0, 0, 0, time.UTC)
-	}
-	if opts.FetchFailureRate == 0 {
-		opts.FetchFailureRate = 0.085
-	}
 
 	st := opts.Store
 	if st == nil {
@@ -109,7 +106,7 @@ func NewWorld(opts WorldOptions) *World {
 	}
 	w := &World{
 		Opts:      opts,
-		Clock:     netsim.NewClock(opts.Start),
+		Clock:     netsim.NewClock(campaignStart),
 		Registry:  netsim.NewRegistry(),
 		GeoDB:     geo.NewDB(),
 		Market:    fx.NewMarket(opts.Seed),
@@ -173,12 +170,8 @@ func (w *World) addRetailer(cfg shop.Config, flaky bool) {
 	r := shop.New(cfg, w.Market)
 	w.Retailers[cfg.Domain] = r
 	var h http.Handler = shop.NewServer(r, w.GeoDB)
-	if flaky && w.Opts.FetchFailureRate > 0 {
-		h = &flakyHandler{
-			inner: h,
-			rate:  w.Opts.FetchFailureRate,
-			seed:  w.Opts.Seed,
-		}
+	if flaky && len(w.Opts.Configs) == 0 {
+		h = &flakyHandler{inner: h, seed: w.Opts.Seed}
 	}
 	w.Registry.Register(cfg.Domain, h)
 }
@@ -195,7 +188,6 @@ func (w *World) DomainCount() int {
 // later day succeed, like real transient failures.
 type flakyHandler struct {
 	inner http.Handler
-	rate  float64
 	seed  int64
 }
 
@@ -206,7 +198,7 @@ func (f *flakyHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		day = day[:10]
 	}
 	key := fmt.Sprintf("%s|%s|%s|%s", req.Host, req.URL.Path, req.Header.Get(netsim.HeaderClientIP), day)
-	if f.hash01(key) < f.rate {
+	if f.hash01(key) < fetchFailureRate {
 		http.Error(rw, "service unavailable", http.StatusServiceUnavailable)
 		return
 	}

@@ -41,23 +41,18 @@ type Plan struct {
 	Domains []string
 	// MaxProducts caps products per domain (the paper's 100).
 	MaxProducts int
-	// Rounds is the number of daily visits (the paper's 7).
+	// Rounds is the number of daily visits (the paper's 7), one
+	// simulated day apart.
 	Rounds int
-	// RoundInterval is the simulated time between rounds (a day).
-	RoundInterval time.Duration
 	// Unsynchronized, when set, staggers vantage-point fetches across the
 	// day instead of synchronizing them — the ablation mode.
 	Unsynchronized bool
 }
 
-const (
-	// productWorkers bounds concurrent product fetch groups.
-	productWorkers = 4
-	// perDomainWorkers bounds concurrent fetch groups against any one
-	// retailer — politeness: a measurement study must not hammer the
-	// sites it studies.
-	perDomainWorkers = 2
-)
+// perDomainWorkers bounds concurrent product fetch groups, and so those
+// against any one retailer — politeness: a measurement study must not
+// hammer the sites it studies.
+const perDomainWorkers = 2
 
 // Crawler executes plans against the fabric.
 type Crawler struct {
@@ -111,9 +106,6 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 	if plan.Rounds <= 0 {
 		plan.Rounds = 1
 	}
-	if plan.RoundInterval <= 0 {
-		plan.RoundInterval = 24 * time.Hour
-	}
 
 	rep := &Report{ProductsPerDomain: map[string]int{}, Rounds: plan.Rounds}
 
@@ -136,14 +128,12 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 		rep.ProductsPerDomain[domain] = len(urls)
 	}
 
-	// Each round crawls every (domain, product) pair on productWorkers
-	// workers. A pair holds its domain's semaphore while it fetches and
-	// writes its counts into its own slot, summed after the round.
+	// Each round crawls every (domain, product) pair on perDomainWorkers
+	// workers. A pair writes its counts into its own slot, summed after
+	// the round.
 	type item struct{ domain, url string }
 	var items []item
-	domainSem := map[string]chan struct{}{}
 	for _, domain := range plan.Domains {
-		domainSem[domain] = make(chan struct{}, perDomainWorkers)
 		for _, productURL := range products[domain] {
 			items = append(items, item{domain, productURL})
 		}
@@ -151,13 +141,10 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 	extracted := make([]int, len(items))
 	failed := make([]int, len(items))
 	for round := 0; round < plan.Rounds; round++ {
-		par.Do(productWorkers, len(items), func() func(int) {
+		par.Do(perDomainWorkers, len(items), func() func(int) {
 			return func(i int) {
 				it := items[i]
-				dsem := domainSem[it.domain]
-				dsem <- struct{}{}
 				extracted[i], failed[i] = c.crawlProduct(it.domain, it.url, c.anchors[it.domain], round, plan.Unsynchronized)
-				<-dsem
 			}
 		})
 		for i := range items {
@@ -165,7 +152,7 @@ func (c *Crawler) Run(plan Plan) (*Report, error) {
 			rep.Failed += failed[i]
 		}
 		if round < plan.Rounds-1 {
-			c.clock.Advance(plan.RoundInterval)
+			c.clock.Advance(24 * time.Hour)
 		}
 	}
 	return rep, nil

@@ -102,7 +102,7 @@ func TestRunProducesObservations(t *testing.T) {
 	c := New(w.reg, w.clk, geo.VantagePoints(), w.st, w.anchors)
 	rep, err := c.Run(Plan{
 		Domains: []string{w.retailer.Domain()}, MaxProducts: 10,
-		Rounds: 3, RoundInterval: 24 * time.Hour,
+		Rounds: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRunRoundsAdvanceSimulatedDays(t *testing.T) {
 	start := w.clk.Now()
 	if _, err := c.Run(Plan{
 		Domains: []string{w.retailer.Domain()}, MaxProducts: 4,
-		Rounds: 7, RoundInterval: 24 * time.Hour,
+		Rounds: 7,
 	}); err != nil {
 		t.Fatal(err)
 	}

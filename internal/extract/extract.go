@@ -17,10 +17,10 @@
 //  3. heuristic: take the first element with a price-suggesting class
 //     ("price", "amount", ...) whose text parses to exactly one price.
 //
-// ExtractPage applies an anchor to an unparsed page. It streams layer 1
-// through htmlx's one tokenizer, which also feeds the tree builder, and
-// parses the page for layers 1–3 only when the streamed pass cannot
-// commit to the tree's answer.
+// Parsed.ExtractPage applies an anchor to an unparsed page. It streams
+// layer 1 through htmlx's one tokenizer, which also feeds the tree
+// builder, and parses the page for layers 1–3 only when the streamed pass
+// cannot commit to the tree's answer.
 //
 // The naive whole-page scan (NaiveFirst) exists only as the ablation
 // baseline; product pages deliberately carry decoy prices that defeat it.
@@ -147,12 +147,6 @@ func leadingContext(text string, start int) string {
 // separators.
 func (a Anchor) Extract(doc *htmlx.Node, hint money.Currency) (money.Amount, error) {
 	return a.Parse().Extract(doc, hint)
-}
-
-// ExtractPage applies the anchor to an unparsed page; see
-// Parsed.ExtractPage.
-func (a Anchor) ExtractPage(page string, hint money.Currency) (money.Amount, error) {
-	return a.Parse().ExtractPage(page, hint)
 }
 
 // Extract is Anchor.Extract with the path already parsed.

@@ -13,7 +13,7 @@ import (
 // unless they return the same amount and the same error.
 func extractBoth(t *testing.T, a Anchor, page string, hint money.Currency) (money.Amount, error) {
 	t.Helper()
-	got, gotErr := a.ExtractPage(page, hint)
+	got, gotErr := a.Parse().ExtractPage(page, hint)
 	want, wantErr := a.Extract(parse(t, page), hint)
 	if got != want || (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("anchor %+v: ExtractPage = %v, %v; Extract(ParseString) = %v, %v", a, got, gotErr, want, wantErr)

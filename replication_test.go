@@ -34,9 +34,8 @@ type clusterPair struct {
 func newClusterPair(t *testing.T, cfg sheriff.ShopConfig) *clusterPair {
 	t.Helper()
 	opts := sheriff.WorldOptions{
-		Seed:             5,
-		Configs:          []sheriff.ShopConfig{cfg},
-		FetchFailureRate: -1,
+		Seed:    5,
+		Configs: []sheriff.ShopConfig{cfg},
 	}
 	w := sheriff.NewWorld(opts)
 	if err := w.EnsureAnchors(w.Crawled); err != nil {
@@ -68,10 +67,8 @@ func follow(t *testing.T, w *sheriff.World, opts sheriff.WorldOptions) *clusterP
 		t.Fatal(err)
 	}
 	follower := httptest.NewServer(sheriff.NewAPIWithOptions(fw, sheriff.APIOptions{
-		Logger:     discard,
-		ReadOnly:   true,
-		PrimaryURL: primary.URL,
-		Follower:   fol,
+		Logger:   discard,
+		Follower: fol,
 	}))
 	t.Cleanup(follower.Close)
 	return &clusterPair{primary: primary, follower: follower, w: w, fw: fw, fol: fol}

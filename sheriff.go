@@ -47,8 +47,9 @@ import (
 type World = core.World
 
 // WorldOptions configures NewWorld; the zero value reproduces the paper's
-// scale parameters (580 long-tail domains, 8.5% transient failures,
-// January 2013 start).
+// scale parameters (580 long-tail domains, 8.5% transient failures).
+// Every world starts on 10 January 2013; a world built from Configs
+// injects no failures.
 type WorldOptions = core.WorldOptions
 
 // NewWorld builds a deterministic world. Equal options give identical
@@ -220,8 +221,8 @@ func NewFollower(primaryURL string, target *Store, opts FollowerOptions) *Follow
 type (
 	// AnalysisEngine maintains the per-domain aggregates and event log.
 	AnalysisEngine = aggregate.Engine
-	// AnalysisOptions tunes the engine (detector options, variation
-	// threshold, an external event log).
+	// AnalysisOptions configures the engine: an external event log.
+	// Its detector and variation thresholds are constants.
 	AnalysisOptions = aggregate.Options
 	// Event is one analysis event: a product group's variation ratio
 	// crossing the threshold, or a strategy family flipping.
