@@ -105,7 +105,7 @@ func main() {
 		}
 		fmt.Println("== Crowd-load harness — Backend.Check under concurrency ==")
 		fmt.Println(rep)
-		hits, misses := w.Backend.PageCacheStats()
+		hits, misses, _ := w.Backend.PageCacheStats()
 		total := hits + misses
 		if total > 0 {
 			fmt.Printf("page cache: %d hits / %d misses (%.0f%% of fetches deduped)\n",

@@ -426,6 +426,52 @@ func TestV1DomainReportContract(t *testing.T) {
 	})
 }
 
+// TestV1StatsCacheCounters checks the page-cache counters of three
+// identical checks: the first fetches the user page and 14 vantage
+// points, the repeats hit all 15, and the third is answered from the
+// pages' memos, one per page whose fetch succeeded.
+func TestV1StatsCacheCounters(t *testing.T) {
+	ts := newTestServer(t, sheriff.APIOptions{})
+	valid := validCheckBody(t, ts.w)
+	var res struct {
+		Prices []struct {
+			OK bool `json:"ok"`
+		} `json:"prices"`
+	}
+	for i := 0; i < 3; i++ {
+		status, body, _ := doReq(t, http.MethodPost, ts.srv.URL+"/api/v1/checks", valid, nil)
+		if status != http.StatusOK {
+			t.Fatalf("check %d failed: %d %s", i, status, body)
+		}
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ok := 0
+	for _, p := range res.Prices {
+		if p.OK {
+			ok++
+		}
+	}
+	status, body, _ := doReq(t, http.MethodGet, ts.srv.URL+"/api/v1/stats", "", nil)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, body)
+	}
+	var stats struct {
+		Cache struct {
+			Hits     uint64 `json:"hits"`
+			Misses   uint64 `json:"misses"`
+			MemoHits uint64 `json:"memo_hits"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if c := stats.Cache; c.Misses != 15 || c.Hits != 30 || c.MemoHits != uint64(1+ok) {
+		t.Fatalf("cache = %+v, want 15 misses, 30 hits, %d memo hits", c, 1+ok)
+	}
+}
+
 func TestV1StatsAndAnchorsContract(t *testing.T) {
 	ts := newTestServer(t, sheriff.APIOptions{})
 	valid := validCheckBody(t, ts.w)

@@ -336,6 +336,8 @@ type StatsResponse struct {
 	Cache    struct {
 		Hits   uint64 `json:"hits"`
 		Misses uint64 `json:"misses"`
+		// MemoHits counts answers served from a cached page's memo.
+		MemoHits uint64 `json:"memo_hits"`
 	} `json:"cache"`
 	Durable  *store.DurableStats `json:"durable,omitempty"`
 	Analysis *aggregate.Stats    `json:"analysis,omitempty"`
@@ -365,7 +367,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		OKPrices:     s.store.LenOK(),
 		Domains:      len(s.store.Domains()),
 	}
-	resp.Cache.Hits, resp.Cache.Misses = s.backend.PageCacheStats()
+	resp.Cache.Hits, resp.Cache.Misses, resp.Cache.MemoHits = s.backend.PageCacheStats()
 	for _, src := range []string{store.SourceCrowd, store.SourceCrawl, store.SourceLogin, store.SourcePersona} {
 		if total, ok := s.store.LenSource(src); total > 0 {
 			if resp.BySource == nil {

@@ -156,20 +156,21 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 
 	// Fetch the page as the user sees it and derive the anchor from the
 	// highlight (the extension does this client-side in the real system).
+	// A repeat check of a cached user page with the same highlight is
+	// answered from the page's memo, with no parse and no derive.
 	userLoc, userCur := b.locate(req.UserAddr)
-	userPage, err := b.fetch(now, req.URL, req.UserAddr, req.UserAgent)
-	if err != nil {
-		return CheckResult{}, fmt.Errorf("backend: user-side fetch: %w", err)
+	user, memo := b.fetch(now, req.URL, req.UserAddr, req.UserAgent)
+	if user.err != nil {
+		return CheckResult{}, fmt.Errorf("backend: user-side fetch: %w", user.err)
 	}
-	userDoc, err := htmlx.ParseString(userPage)
-	if err != nil {
-		return CheckResult{}, fmt.Errorf("backend: user-side parse: %w", err)
+	d := memo.ask(question{derive: true, highlight: req.Highlight}, func() pageMemo {
+		anchor, err := derive(user.page, req.Highlight, userCur)
+		return pageMemo{derived: anchor, err: err}
+	})
+	if d.err != nil {
+		return CheckResult{}, d.err
 	}
-	derived, err := extract.Derive(userDoc, req.Highlight, userCur)
-	if err != nil {
-		return CheckResult{}, fmt.Errorf("backend: %w", err)
-	}
-	anchor := derived.Parse()
+	anchor := d.derived
 
 	b.mu.Lock()
 	b.anchors[domain] = anchor
@@ -195,8 +196,8 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 				UserCountry: userLoc.Country.Code,
 				Tenant:      req.Tenant,
 			}
-			page, err := b.fetch(now, req.URL, vp.Addr, b.uas[i])
-			Measure(&obs[i], vp, page, err, anchor)
+			call, memo := b.fetch(now, req.URL, vp.Addr, b.uas[i])
+			measure(&obs[i], vp, call.page, call.err, anchor, memo)
 		}
 	})
 
@@ -231,17 +232,28 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 // or the text of the error that stopped it: the fetch's or the
 // extraction's. The page goes through Parsed.ExtractPage, which builds no
 // tree when the anchor's path resolves in one streamed pass; the caller
-// parses the anchor's path once for all its pages. Crowd
-// checks, the crawler and the login and persona
-// experiments all record their rows through Measure, so the campaigns the
-// paper compares turn a page into a price the same way.
+// parses the anchor's path once for all its pages. Crowd checks, the
+// crawler and the login and persona experiments all record their rows
+// through Measure, so the campaigns the paper compares turn a page into a
+// price the same way; a crowd check's cached pages may take the price
+// step's answer from their memo.
 func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Parsed) {
+	measure(o, vp, page, fetchErr, anchor, memoSlot{})
+}
+
+// measure is Measure on a page from the cache. On a hit, the page's memo
+// answers the price step when the page was last asked the same anchor.
+func measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr error, anchor extract.Parsed, memo memoSlot) {
 	o.VP, o.VPLabel = vp.ID, vp.Label
 	o.Country, o.City = vp.Location.Country.Code, vp.Location.City
 	err := fetchErr
 	var amt money.Amount
 	if err == nil {
-		amt, err = anchor.ExtractPage(page, vp.Location.Country.Currency)
+		m := memo.ask(question{anchor: anchor.Anchor}, func() pageMemo {
+			amt, err := anchor.ExtractPage(page, vp.Location.Country.Currency)
+			return pageMemo{price: amt, err: err}
+		})
+		amt, err = m.price, m.err
 	}
 	if err != nil {
 		o.Err = err.Error()
@@ -254,13 +266,32 @@ func Measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr er
 // User-Agent (empty sends none), through the single-flight page cache: on
 // the fabric the response is a deterministic function of exactly
 // (URL, source, UA, instant), so duplicates within the instant are served
-// without touching the registry.
-func (b *Backend) fetch(now time.Time, rawURL string, src netip.Addr, ua string) (string, error) {
+// without touching the registry. It returns the completed call and the
+// slot to ask about its page in.
+func (b *Backend) fetch(now time.Time, rawURL string, src netip.Addr, ua string) (call *pageCall, memo memoSlot) {
 	key := pageKey{url: rawURL, src: src, ua: ua}
-	return b.pages.do(now, key, func() (string, error) {
+	call, hit := b.pages.do(now, key, func() (string, error) {
 		tr := netsim.NewTransport(b.registry, b.clock, src)
 		return doGet(tr.Client(nil), rawURL, ua)
 	})
+	if hit {
+		memo = memoSlot{cache: b.pages, call: call}
+	}
+	return call, memo
+}
+
+// derive parses the user's page and derives, with its path parsed, the
+// anchor that the highlight marks on it.
+func derive(page, highlight string, hint money.Currency) (extract.Parsed, error) {
+	doc, err := htmlx.ParseString(page)
+	if err != nil {
+		return extract.Parsed{}, fmt.Errorf("backend: user-side parse: %w", err)
+	}
+	a, err := extract.Derive(doc, highlight, hint)
+	if err != nil {
+		return extract.Parsed{}, fmt.Errorf("backend: %w", err)
+	}
+	return a.Parse(), nil
 }
 
 func doGet(c *http.Client, rawURL, ua string) (string, error) {
@@ -327,8 +358,9 @@ func (b *Backend) Checks() int {
 }
 
 // PageCacheStats returns the single-flight page cache's cumulative
-// hit/miss counters — the dedupe ratio concurrent crowd load achieves.
-func (b *Backend) PageCacheStats() (hits, misses uint64) {
+// hit/miss counters — the dedupe ratio concurrent crowd load achieves —
+// and how many answers the pages' memos served.
+func (b *Backend) PageCacheStats() (hits, misses, memoHits uint64) {
 	return b.pages.stats()
 }
 

@@ -32,7 +32,7 @@ type testWorld struct {
 	flat    *shop.Retailer
 }
 
-func newTestWorld(t *testing.T) *testWorld {
+func newTestWorld(t testing.TB) *testWorld {
 	t.Helper()
 	market := fx.NewMarket(1)
 	geodb := geo.NewDB()
@@ -62,7 +62,7 @@ func newTestWorld(t *testing.T) *testWorld {
 
 // highlightFor computes the price string a user at loc would see — the
 // human-perception step of a crowd check.
-func highlightFor(t *testing.T, r *shop.Retailer, sku string, cc, city string, clk *netsim.Clock) string {
+func highlightFor(t testing.TB, r *shop.Retailer, sku string, cc, city string, clk *netsim.Clock) string {
 	t.Helper()
 	loc, err := geo.LocationOf(cc, city)
 	if err != nil {
@@ -76,7 +76,7 @@ func highlightFor(t *testing.T, r *shop.Retailer, sku string, cc, city string, c
 	return money.Format(amt, amt.Currency.Style())
 }
 
-func userAddr(t *testing.T, cc, city string) (addr [4]byte) {
+func userAddr(t testing.TB, cc, city string) (addr [4]byte) {
 	t.Helper()
 	loc, err := geo.LocationOf(cc, city)
 	if err != nil {

@@ -98,3 +98,31 @@ func TestMeasureAllocs(t *testing.T) {
 		t.Fatalf("Measure allocates %.2f times per page, want at most %d", perPage, maxAllocsPerPage)
 	}
 }
+
+// BenchmarkCheckMiss runs crowd checks whose pages all miss the page
+// cache: the clock steps a minute before every check, so each one
+// fetches, parses and derives the user's page and extracts the price from
+// 14 fetched vantage-point pages, with no memo. One op is one check.
+func BenchmarkCheckMiss(b *testing.B) {
+	w := newTestWorld(b)
+	ps := w.vary.Catalog().Products()
+	user := addrOf(userAddr(b, "US", "Boston"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.clk.Advance(time.Minute)
+		sku := ps[i%len(ps)].SKU
+		if _, err := w.backend.Check(CheckRequest{
+			URL:       "http://vary.example.com/product/" + sku,
+			Highlight: highlightFor(b, w.vary, sku, "US", "Boston", w.clk),
+			UserAddr:  user,
+			UserID:    "bench",
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if hits, _, _ := w.backend.PageCacheStats(); hits != 0 {
+		b.Fatalf("%d page-cache hits, want every page to miss", hits)
+	}
+}
