@@ -11,7 +11,7 @@
 // With -compare, benchjson is the CI bench-regression gate instead: it
 // reads two previously generated documents and fails (exit 1) when any
 // benchmark present in both regressed past the threshold on the gated
-// metric:
+// metric, or when the two hold identical results (a copied baseline):
 //
 //	benchjson -compare [-metric ns/op] [-threshold 25] [-filter regex] old.json new.json
 //
@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -93,6 +94,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
+		if sameResults(oldDoc, newDoc) {
+			fmt.Fprintf(os.Stderr, "benchjson: %s and %s hold identical results; a copy of the baseline is not a run and gates nothing\n",
+				flag.Arg(0), flag.Arg(1))
+			os.Exit(1)
+		}
 		if *filter != "" {
 			re, err := regexp.Compile(*filter)
 			if err != nil {
@@ -141,6 +147,14 @@ func filterDoc(doc *Doc, re *regexp.Regexp) {
 		}
 	}
 	doc.Benchmarks = kept
+}
+
+// sameResults reports whether two documents hold the same benchmark
+// results, every iteration count and metric included. Two real runs never
+// do, so the new document would be a copy of the baseline, and a gate
+// over it would pass whatever the code costs.
+func sameResults(a, b *Doc) bool {
+	return reflect.DeepEqual(a.Benchmarks, b.Benchmarks)
 }
 
 // readDoc loads a benchmark JSON artifact from disk.

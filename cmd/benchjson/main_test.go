@@ -1,6 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -315,4 +320,70 @@ func TestComparePairsAcrossProcs(t *testing.T) {
 	if len(rep.Regressions) != 1 {
 		t.Fatalf("regression across procs not flagged: %+v", rep.Regressions)
 	}
+}
+
+// TestCompareRefusesIdenticalDocuments runs the -compare gate as CI does:
+// a new document that repeats the baseline's results exits 1 instead of
+// passing vacuously, while a real second run passes.
+func TestCompareRefusesIdenticalDocuments(t *testing.T) {
+	if os.Getenv("BENCHJSON_MAIN") == "1" {
+		os.Args = append([]string{"benchjson"}, strings.Split(os.Getenv("BENCHJSON_ARGS"), "\n")...)
+		main()
+		os.Exit(0)
+	}
+	doc, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, d *Doc) string {
+		path := filepath.Join(dir, name)
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", doc)
+	copied := write("copy.json", doc)
+	doc.Benchmarks[0].Iterations++
+	doc.Benchmarks[0].Metrics["ns/op"]--
+	rerun := write("rerun.json", doc)
+
+	if !sameResults(mustRead(t, base), mustRead(t, copied)) || sameResults(mustRead(t, base), mustRead(t, rerun)) {
+		t.Fatal("sameResults must hold for the copy only")
+	}
+	run := func(newPath string) (int, string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCompareRefusesIdenticalDocuments$")
+		cmd.Env = append(os.Environ(), "BENCHJSON_MAIN=1", "BENCHJSON_ARGS=-compare\n"+base+"\n"+newPath)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), stderr.String()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 0, stderr.String()
+	}
+	if code, stderr := run(copied); code != 1 || !strings.Contains(stderr, "identical results") {
+		t.Fatalf("identical documents: exit %d, stderr %q; want exit 1 naming the copy", code, stderr)
+	}
+	if code, stderr := run(rerun); code != 0 {
+		t.Fatalf("a real rerun within the threshold: exit %d, stderr %q; want 0", code, stderr)
+	}
+}
+
+func mustRead(t *testing.T, path string) *Doc {
+	t.Helper()
+	d, err := readDoc(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

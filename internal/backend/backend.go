@@ -42,7 +42,7 @@ type Backend struct {
 	clock    *netsim.Clock
 	market   *fx.Market
 	vps      []geo.VantagePoint
-	uas      []string // vps[i]'s User-Agent, rendered once
+	egress   []egress // vps[i]'s fabric client, built once
 	store    store.Backend
 	geodb    *geo.DB
 
@@ -61,21 +61,34 @@ type Backend struct {
 // New assembles the backend. The store receives one observation per
 // vantage point per check.
 func New(reg *netsim.Registry, clk *netsim.Clock, market *fx.Market, vps []geo.VantagePoint, st store.Backend) *Backend {
-	uas := make([]string, len(vps))
-	for i, vp := range vps {
-		uas[i] = vp.Browser.UserAgent()
-	}
-	return &Backend{
+	b := &Backend{
 		registry: reg,
 		clock:    clk,
 		market:   market,
 		vps:      vps,
-		uas:      uas,
 		store:    st,
 		geodb:    geo.NewDB(),
 		pages:    newPageCache(),
 		anchors:  make(map[string]extract.Parsed),
 	}
+	b.egress = make([]egress, len(vps))
+	for i, vp := range vps {
+		b.egress[i] = egress{
+			src: vp.Addr, ua: vp.Browser.UserAgent(),
+			client: netsim.NewTransport(reg, clk, vp.Addr).Client(nil),
+		}
+	}
+	return b
+}
+
+// egress is where a fetch comes from: the source address, the User-Agent
+// it presents (empty sends none) and an HTTP client on a transport bound
+// to the address. A vantage point's client is built once; a user's is
+// nil and built for the fetch when the page cache misses.
+type egress struct {
+	src    netip.Addr
+	ua     string
+	client *http.Client
 }
 
 // CheckRequest is what the browser extension submits: the exact URI and
@@ -159,7 +172,7 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 	// A repeat check of a cached user page with the same highlight is
 	// answered from the page's memo, with no parse and no derive.
 	userLoc, userCur := b.locate(req.UserAddr)
-	user, memo := b.fetch(now, req.URL, req.UserAddr, req.UserAgent)
+	user, memo := b.fetch(now, req.URL, egress{src: req.UserAddr, ua: req.UserAgent})
 	if user.err != nil {
 		return CheckResult{}, fmt.Errorf("backend: user-side fetch: %w", user.err)
 	}
@@ -196,7 +209,7 @@ func (b *Backend) Check(req CheckRequest) (CheckResult, error) {
 				UserCountry: userLoc.Country.Code,
 				Tenant:      req.Tenant,
 			}
-			call, memo := b.fetch(now, req.URL, vp.Addr, b.uas[i])
+			call, memo := b.fetch(now, req.URL, b.egress[i])
 			measure(&obs[i], vp, call.page, call.err, anchor, memo)
 		}
 	})
@@ -262,17 +275,19 @@ func measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr er
 	o.PriceUnits, o.Currency, o.OK = amt.Units, amt.Currency.Code, true
 }
 
-// fetch retrieves a URL from a fabric address presenting the given
-// User-Agent (empty sends none), through the single-flight page cache: on
-// the fabric the response is a deterministic function of exactly
-// (URL, source, UA, instant), so duplicates within the instant are served
-// without touching the registry. It returns the completed call and the
-// slot to ask about its page in.
-func (b *Backend) fetch(now time.Time, rawURL string, src netip.Addr, ua string) (call *pageCall, memo memoSlot) {
-	key := pageKey{url: rawURL, src: src, ua: ua}
+// fetch retrieves a URL through an egress, via the single-flight page
+// cache: on the fabric the response is a deterministic function of
+// exactly (URL, source, UA, instant), so duplicates within the instant
+// are served without touching the registry. It returns the completed
+// call and the slot to ask about its page in.
+func (b *Backend) fetch(now time.Time, rawURL string, e egress) (call *pageCall, memo memoSlot) {
+	key := pageKey{url: rawURL, src: e.src, ua: e.ua}
 	call, hit := b.pages.do(now, key, func() (string, error) {
-		tr := netsim.NewTransport(b.registry, b.clock, src)
-		return doGet(tr.Client(nil), rawURL, ua)
+		c := e.client
+		if c == nil {
+			c = netsim.NewTransport(b.registry, b.clock, e.src).Client(nil)
+		}
+		return doGet(c, rawURL, e.ua)
 	})
 	if hit {
 		memo = memoSlot{cache: b.pages, call: call}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -444,5 +446,57 @@ func TestSegmentDetectorCleanWorld(t *testing.T) {
 	}
 	if findings[0].Flagged {
 		t.Error("clean world flagged a retailer")
+	}
+}
+
+// oracleFlakyHash01 is the failure injector's hash as it stood before it
+// wrote its key fields into the hash one by one: fmt joins the key and
+// hash/fnv sums it.
+func oracleFlakyHash01(seed int64, host, path, ip, day string) float64 {
+	key := fmt.Sprintf("%s|%s|%s|%s", host, path, ip, day)
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < 8; i++ {
+		buf[i] = byte(seed >> (8 * i))
+	}
+	h.Write(buf[:])
+	h.Write([]byte(key))
+	v := h.Sum64()
+	v ^= v >> 30
+	v *= 0xbf58476d1ce4e5b9
+	v ^= v >> 27
+	v *= 0x94d049bb133111eb
+	v ^= v >> 31
+	return float64(v>>11) / float64(1<<53)
+}
+
+// TestFlakyHashMatchesOracle pins the injected failures: the same
+// (URL, client, day) keys must fail as before, under any seed, so every
+// dataset and error rate stays what it was.
+func TestFlakyHashMatchesOracle(t *testing.T) {
+	hosts := []string{"www.digitalrev.com", "www.amazon.com", ""}
+	paths := []string{"/product/WWW-00001", "/category/photography", "/", "", "/a|b"}
+	ips := []string{"10.0.1.50", "10.13.2.200", ""}
+	days := []string{"2013-02-01", "2013-02-02", ""}
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
+		f := &flakyHandler{seed: seed}
+		for _, host := range hosts {
+			for _, path := range paths {
+				for _, ip := range ips {
+					for _, day := range days {
+						got, want := f.hash01(host, path, ip, day), oracleFlakyHash01(seed, host, path, ip, day)
+						if got != want {
+							t.Fatalf("seed %d %q %q %q %q: hash01 %v, oracle %v", seed, host, path, ip, day, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	f := &flakyHandler{seed: 1}
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.hash01("www.digitalrev.com", "/product/WWW-00001", "10.0.1.50", "2013-02-01")
+	}); allocs != 0 {
+		t.Fatalf("hash01 allocates %.1f times, want 0", allocs)
 	}
 }

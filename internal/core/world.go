@@ -6,8 +6,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"net/http"
 	"time"
 
@@ -197,24 +195,36 @@ func (f *flakyHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	if len(day) >= 10 {
 		day = day[:10]
 	}
-	key := fmt.Sprintf("%s|%s|%s|%s", req.Host, req.URL.Path, req.Header.Get(netsim.HeaderClientIP), day)
-	if f.hash01(key) < fetchFailureRate {
+	if f.hash01(req.Host, req.URL.Path, req.Header.Get(netsim.HeaderClientIP), day) < fetchFailureRate {
 		http.Error(rw, "service unavailable", http.StatusServiceUnavailable)
 		return
 	}
 	f.inner.ServeHTTP(rw, req)
 }
 
-// hash01 maps a key to [0,1) deterministically under the world seed.
-func (f *flakyHandler) hash01(key string) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
+// FNV-1a's 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hash01 maps the key fields, joined by '|', to [0,1) deterministically
+// under the world seed: FNV-1a over the seed's eight little-endian bytes
+// and the joined key, written field by field, then a splitmix64-style
+// finalizer.
+func (f *flakyHandler) hash01(fields ...string) float64 {
+	v := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(f.seed >> (8 * i))
+		v = (v ^ uint64(byte(f.seed>>(8*i)))) * fnvPrime64
 	}
-	h.Write(buf[:])
-	h.Write([]byte(key))
-	v := h.Sum64()
+	for i, s := range fields {
+		if i > 0 {
+			v = (v ^ '|') * fnvPrime64
+		}
+		for j := 0; j < len(s); j++ {
+			v = (v ^ uint64(s[j])) * fnvPrime64
+		}
+	}
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27

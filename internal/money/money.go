@@ -15,7 +15,7 @@ package money
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Currency identifies an ISO-4217-style currency together with the display
@@ -218,65 +218,80 @@ func (c Currency) Style() Style {
 	}
 }
 
-// Format renders amount according to style.
+// Format renders amount according to style. It is AppendFormat into a
+// fresh string.
 func Format(a Amount, s Style) string {
+	var buf [32]byte
+	return string(AppendFormat(buf[:0], a, s))
+}
+
+// AppendFormat appends amount, rendered according to style, to dst and
+// returns the extended slice; it allocates only when dst lacks the room.
+// It is the one price formatter: Format wraps it, and the storefronts
+// append their prices into their pages through it.
+func AppendFormat(dst []byte, a Amount, s Style) []byte {
 	sym := s.Symbol
 	if sym == "" {
 		sym = a.Currency.Symbol
 	}
-	neg := a.Units < 0
 	units := a.Units
-	if neg {
+	if units < 0 {
+		dst = append(dst, '-')
 		units = -units
 	}
-	u := a.Currency.unit()
-	major := units / u
-	minor := units % u
-
-	digits := fmt.Sprintf("%d", major)
-	if s.GroupSep != 0 {
-		digits = group(digits, s.GroupSep)
-	}
-	var b strings.Builder
-	if neg {
-		b.WriteByte('-')
-	}
 	if s.SymbolBefore {
-		b.WriteString(sym)
+		dst = append(dst, sym...)
 		if s.SymbolSpace {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
 	}
-	b.WriteString(digits)
+	u := a.Currency.unit()
+	major, minor := units/u, units%u
+	var digits [20]byte
+	dst = appendGrouped(dst, strconv.AppendInt(digits[:0], major, 10), s.GroupSep)
 	if a.Currency.Exponent > 0 && !(s.StripZeroCents && minor == 0) {
-		b.WriteByte(s.DecimalSep)
-		fmt.Fprintf(&b, "%0*d", a.Currency.Exponent, minor)
+		dst = append(dst, s.DecimalSep)
+		dst = appendPadded(dst, minor, a.Currency.Exponent)
 	}
 	if !s.SymbolBefore {
 		if s.SymbolSpace {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		b.WriteString(sym)
+		dst = append(dst, sym...)
 	}
-	return b.String()
+	return dst
 }
 
-// group inserts sep every three digits from the right: "1234567" -> "1,234,567".
-func group(digits string, sep byte) string {
+// appendGrouped appends digits with sep every three digits from the
+// right: "1234567" -> "1,234,567". A zero sep appends them ungrouped.
+func appendGrouped(dst, digits []byte, sep byte) []byte {
 	n := len(digits)
-	if n <= 3 {
-		return digits
+	if sep == 0 || n <= 3 {
+		return append(dst, digits...)
 	}
-	var b strings.Builder
 	head := n % 3
-	if head > 0 {
-		b.WriteString(digits[:head])
-	}
+	dst = append(dst, digits[:head]...)
 	for i := head; i < n; i += 3 {
-		if b.Len() > 0 {
-			b.WriteByte(sep)
+		if i > 0 {
+			dst = append(dst, sep)
 		}
-		b.WriteString(digits[i : i+3])
+		dst = append(dst, digits[i:i+3]...)
 	}
-	return b.String()
+	return dst
+}
+
+// appendPadded appends v in decimal, zero-padded to width characters the
+// way fmt's %0*d pads: a sign counts toward the width.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	if v < 0 {
+		dst = append(dst, '-')
+		v = -v
+		width--
+	}
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], v, 10)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }

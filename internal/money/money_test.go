@@ -304,8 +304,8 @@ func TestGroupingEdgeCases(t *testing.T) {
 		{"1234567", "1,234,567"},
 	}
 	for _, c := range cases {
-		if got := group(c.in, ','); got != c.want {
-			t.Errorf("group(%q) = %q, want %q", c.in, got, c.want)
+		if got := string(appendGrouped(nil, []byte(c.in), ',')); got != c.want {
+			t.Errorf("appendGrouped(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -17,8 +17,8 @@ package netsim
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"net/netip"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -120,11 +120,12 @@ type Transport struct {
 }
 
 // Header names the fabric stamps onto requests. Handlers read them instead
-// of TCP metadata.
+// of TCP metadata. Both are spelled in canonical form, so http.Header's
+// Get and Set use them as they are.
 const (
 	// HeaderClientIP carries the source address; the handler side of a real
 	// CDN would read X-Forwarded-For.
-	HeaderClientIP = "X-Sim-Client-IP"
+	HeaderClientIP = "X-Sim-Client-Ip"
 	// HeaderSimTime carries the simulated request time in RFC 3339 format.
 	HeaderSimTime = "X-Sim-Time"
 )
@@ -146,20 +147,102 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 
 	// Clone the request so handler-side mutation cannot leak back.
+	src := t.Source.String()
 	hreq := req.Clone(req.Context())
-	hreq.RemoteAddr = t.Source.String() + ":34567"
-	hreq.Header.Set(HeaderClientIP, t.Source.String())
+	hreq.RemoteAddr = src + ":34567"
+	hreq.Header.Set(HeaderClientIP, src)
 	hreq.Header.Set(HeaderSimTime, t.Clock.Now().Format(time.RFC3339))
-	if hreq.Header.Get("User-Agent") == "" && req.UserAgent() != "" {
-		hreq.Header.Set("User-Agent", req.UserAgent())
-	}
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, hreq)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
+	rw := responseWriter{header: make(http.Header)}
+	h.ServeHTTP(&rw, hreq)
+	return rw.response(req), nil
 }
+
+// responseWriter is the handler's side of a fabric response. It keeps
+// what net/http's recorder keeps and a client reads: the status (200
+// unless the handler writes another first), the header as it stood at
+// the first write, a Content-Type sniffed from the body when the handler
+// set none, and the body, of which the response declares the exact
+// length. A body written in one piece is kept as written, not copied.
+type responseWriter struct {
+	header http.Header
+	// sent is the header as it stood at the first write; once it is set,
+	// Header hands the handler a copy (late) whose changes reach no
+	// response.
+	sent, late http.Header
+	code       int
+	body       string
+}
+
+// Header implements http.ResponseWriter.
+func (w *responseWriter) Header() http.Header {
+	if w.sent == nil {
+		return w.header
+	}
+	if w.late == nil {
+		w.late = w.sent.Clone()
+	}
+	return w.late
+}
+
+// WriteHeader implements http.ResponseWriter; only the first call counts.
+func (w *responseWriter) WriteHeader(code int) {
+	if w.sent != nil {
+		return
+	}
+	if code < 100 || code > 999 {
+		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
+	}
+	w.code, w.sent = code, w.header
+}
+
+// Write implements http.ResponseWriter. It copies p, which the caller may
+// reuse.
+func (w *responseWriter) Write(p []byte) (int, error) {
+	return w.WriteString(string(p))
+}
+
+// WriteString implements io.StringWriter, so io.WriteString hands a page
+// over without a copy. The first write sends the header, with the body's
+// sniffed Content-Type when the handler set none.
+func (w *responseWriter) WriteString(s string) (int, error) {
+	if w.sent == nil {
+		if _, ok := w.header["Content-Type"]; !ok && w.header.Get("Transfer-Encoding") == "" {
+			w.header.Set("Content-Type", http.DetectContentType([]byte(s[:min(len(s), 512)])))
+		}
+		w.WriteHeader(http.StatusOK)
+	}
+	w.body += s
+	return len(s), nil
+}
+
+// response is what the client receives for req.
+func (w *responseWriter) response(req *http.Request) *http.Response {
+	if w.sent == nil { // the handler never wrote: 200 and its header now
+		w.code, w.sent = http.StatusOK, w.header
+	}
+	status := "200 OK"
+	if w.code != http.StatusOK {
+		status = strconv.Itoa(w.code) + " " + http.StatusText(w.code)
+	}
+	return &http.Response{
+		Status:     status,
+		StatusCode: w.code,
+		Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:        w.sent,
+		Body:          stringBody{strings.NewReader(w.body)},
+		ContentLength: int64(len(w.body)),
+		Request:       req,
+	}
+}
+
+// stringBody is a response body over the handler's string; reading it
+// copies nothing, and strings.Reader's WriteTo lets io.Copy skip its
+// buffer.
+type stringBody struct{ *strings.Reader }
+
+// Close implements io.Closer.
+func (stringBody) Close() error { return nil }
 
 // NXDomainError reports a domain missing from the registry — the fabric's
 // equivalent of a DNS NXDOMAIN.

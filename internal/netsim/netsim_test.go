@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/cookiejar"
+	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,5 +206,86 @@ func TestConcurrentTransportUse(t *testing.T) {
 	wg.Wait()
 	if got := served.Load(); got != 30 {
 		t.Fatalf("served = %d", got)
+	}
+}
+
+// TestResponseMatchesRecorder holds the fabric's response writer to
+// net/http's recorder, which the fabric used to answer through: for each
+// handler the status, status line, header and body must be the
+// recorder's, and the response must declare its body's exact length.
+func TestResponseMatchesRecorder(t *testing.T) {
+	handlers := map[string]http.HandlerFunc{
+		"sniffed page": func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "<!DOCTYPE html><html><body>hi</body></html>")
+		},
+		"sniffed bytes": func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte{0, 1, 2, 3, 0xff})
+		},
+		"typed, in pieces": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"a":`))
+			io.WriteString(w, "1}")
+			fmt.Fprint(w, "\n")
+		},
+		"error": func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "service unavailable", http.StatusServiceUnavailable)
+		},
+		"not found": func(w http.ResponseWriter, r *http.Request) {
+			http.NotFound(w, r)
+		},
+		"cookie and redirect": func(w http.ResponseWriter, r *http.Request) {
+			http.SetCookie(w, &http.Cookie{Name: "account", Value: "alice", Path: "/"})
+			http.Redirect(w, r, "/", http.StatusFound)
+		},
+		"header after the first write": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Before", "1")
+			io.WriteString(w, "body")
+			w.Header().Set("X-After", "2")
+			w.Header().Del("X-Before")
+			w.WriteHeader(http.StatusTeapot)
+		},
+		"header after WriteHeader": func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			w.Header().Set("X-After", "2")
+			io.WriteString(w, "late")
+		},
+		"no write": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Only", "header")
+		},
+		"status only": func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusNoContent)
+		},
+	}
+	reg := NewRegistry()
+	for name, h := range handlers {
+		reg.Register("h.example.com", h)
+		req, _ := http.NewRequest("GET", "http://h.example.com/x", nil)
+		resp, err := NewTransport(reg, NewClock(origin), netip.AddrFrom4([4]byte{10, 0, 0, 9})).RoundTrip(req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req.Clone(req.Context()))
+		want := rec.Result()
+		wantBody, _ := io.ReadAll(want.Body)
+
+		if resp.StatusCode != want.StatusCode || resp.Status != want.Status {
+			t.Errorf("%s: status %d %q, recorder %d %q", name, resp.StatusCode, resp.Status, want.StatusCode, want.Status)
+		}
+		if !reflect.DeepEqual(resp.Header, want.Header) {
+			t.Errorf("%s: header %v, recorder %v", name, resp.Header, want.Header)
+		}
+		if string(got) != string(wantBody) {
+			t.Errorf("%s: body %q, recorder %q", name, got, wantBody)
+		}
+		if resp.ContentLength != int64(len(got)) {
+			t.Errorf("%s: ContentLength %d for a %d-byte body", name, resp.ContentLength, len(got))
+		}
+		if resp.Request != req {
+			t.Errorf("%s: response does not point back at its request", name)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package shop
 
 import (
-	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
 	"strconv"
@@ -124,7 +124,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
+// writeHTML answers with a rendered page, its exact length declared so a
+// client can size its read buffer once.
 func (s *Server) writeHTML(w http.ResponseWriter, body string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, body)
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	io.WriteString(w, body)
 }

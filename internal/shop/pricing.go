@@ -150,6 +150,9 @@ type Retailer struct {
 	market  *fx.Market
 	dyn     *mkt.Model // market dynamics; nil when neither config is set
 	rules   []PricingRule
+	// trackers is the tracker embed HTML every page carries, rendered
+	// once.
+	trackers string
 }
 
 // New builds a retailer from its config and the shared FX market
@@ -161,7 +164,7 @@ func New(cfg Config, fxm *fx.Market) *Retailer {
 	}
 	prefix := skuPrefix(cfg.Domain)
 	cat := GenCatalog(cfg.Seed, prefix, cfg.Categories, cfg.ProductCount, cfg.PriceLo, cfg.PriceHi)
-	r := &Retailer{cfg: cfg, catalog: cat, market: fxm}
+	r := &Retailer{cfg: cfg, catalog: cat, market: fxm, trackers: trackerHTML(cfg.Trackers)}
 	if cfg.Competition != nil || cfg.Demand != nil {
 		r.dyn = mkt.NewModel(cfg.Seed, cfg.Competition, cfg.Demand)
 	}
@@ -320,5 +323,10 @@ func (r *Retailer) DisplayPrice(p Product, v Visit) money.Amount {
 // (a premium over the current price); it exists to confuse naive price
 // extraction.
 func (r *Retailer) WasPrice(p Product, v Visit) money.Amount {
-	return r.DisplayPrice(p, v).Mul(1.2 + 0.15*hash01(r.cfg.Seed, "was", p.SKU))
+	return r.wasPrice(p, r.DisplayPrice(p, v))
+}
+
+// wasPrice is the "was" decoy over p's display price.
+func (r *Retailer) wasPrice(p Product, display money.Amount) money.Amount {
+	return display.Mul(1.2 + 0.15*hash01(r.cfg.Seed, "was", p.SKU))
 }

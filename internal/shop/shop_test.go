@@ -1,6 +1,7 @@
 package shop
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -560,5 +561,60 @@ func TestCategoryPagination(t *testing.T) {
 	p9 := r.RenderCategoryPage(CatClothing, v, 9)
 	if strings.Count(p9, "product-link") != 0 {
 		t.Fatal("phantom products beyond the catalog")
+	}
+}
+
+// TestRenderAllocs pins what a product page costs in allocations, so the
+// one-buffer render holds in the ordinary test run: the page's buffer,
+// grown once to its exact size, and nothing per price, teaser or section.
+// The pages cover the four templates and a withheld price.
+func TestRenderAllocs(t *testing.T) {
+	const maxAllocsPerPage = 2
+	type renderCase struct {
+		r *Retailer
+		p Product
+		v Visit
+	}
+	var cases []renderCase
+	withheld := false
+	for i, tmpl := range []string{"classic", "modern", "table", "minimal"} {
+		r := testRetailer(Config{
+			Domain: "allocs.example.com", Seed: int64(40 + i),
+			Categories: []Category{CatClothing}, ProductCount: 12,
+			PriceLo: 20, PriceHi: 900, Template: tmpl, Localize: true,
+			HideFraction: 0.5, Trackers: []string{"ga", "twitter"},
+		})
+		for _, p := range r.Catalog().Products()[:4] {
+			v := Visit{Loc: loc(t, "DE", "Berlin"), Time: time.Date(2013, 2, 1, 12, 0, 0, 0, time.UTC), IP: "10.2.0.9"}
+			withheld = withheld || !r.PriceDisclosed(p, v)
+			cases = append(cases, renderCase{r, p, v})
+		}
+	}
+	if !withheld {
+		t.Fatal("no case withholds its price")
+	}
+	perRun := testing.AllocsPerRun(20, func() {
+		for _, c := range cases {
+			if c.r.RenderProduct(c.p, c.v) == "" {
+				t.Fatal("empty page")
+			}
+		}
+	})
+	if perPage := perRun / float64(len(cases)); perPage > maxAllocsPerPage {
+		t.Fatalf("RenderProduct allocates %.2f times per page, want at most %d", perPage, maxAllocsPerPage)
+	}
+}
+
+// TestCategoryPageBeyondTheEnd asks for listing pages far past the last:
+// the ?page= number comes from the request, and a page count near the int
+// range used to overflow page*CategoryPageSize into a negative slice
+// bound and panic. Such a page lists nothing and links nowhere.
+func TestCategoryPageBeyondTheEnd(t *testing.T) {
+	r := testRetailer(Config{Seed: 5, Categories: []Category{CatBooks}, ProductCount: 50, PriceLo: 5, PriceHi: 50})
+	for _, pg := range []int{2, math.MaxInt / 20, math.MaxInt/CategoryPageSize + 1, math.MaxInt} {
+		page := r.RenderCategoryPage(CatBooks, Visit{}, pg)
+		if strings.Contains(page, "product-link") || strings.Contains(page, `rel="next"`) {
+			t.Fatalf("page %d lists products or links on:\n%s", pg, page)
+		}
 	}
 }
