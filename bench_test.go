@@ -12,6 +12,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,7 @@ import (
 	"sheriff/internal/geo"
 	"sheriff/internal/htmlx"
 	"sheriff/internal/money"
+	"sheriff/internal/reference"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
 )
@@ -684,14 +686,15 @@ func BenchmarkStrategyFit(b *testing.B) {
 
 // --- Campaign-engine benchmarks (parallel matrix + concurrent checks) ---
 
-// benchMatrix runs a reduced scenario-matrix sweep at the given worker
-// count: the parallel campaign engine's end-to-end cost (world build,
-// anchor learning, synchronized crawl, detection) per scenario world.
-func benchMatrix(b *testing.B, workers int) {
+// benchMatrix runs a reduced scenario-matrix sweep, one world per
+// GOMAXPROCS worker: the parallel campaign engine's end-to-end cost
+// (world build, anchor learning, synchronized crawl, detection) per
+// scenario world.
+func benchMatrix(b *testing.B) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		rep, err := sheriff.RunScenarioMatrix(sheriff.MatrixOptions{
-			Seed: 1, Products: 4, Rounds: 2, Workers: workers,
+			Seed: 1, Products: 4, Rounds: 2,
 			Scenarios: []string{"control", "geo-mult", "fingerprint", "weekday"},
 		})
 		if err != nil {
@@ -703,13 +706,18 @@ func benchMatrix(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkScenarioMatrixSequential is the workers=1 baseline.
-func BenchmarkScenarioMatrixSequential(b *testing.B) { benchMatrix(b, 1) }
+// BenchmarkScenarioMatrixSequential is the GOMAXPROCS=1 baseline: one
+// world at a time, and the Go runtime on one proc.
+func BenchmarkScenarioMatrixSequential(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchMatrix(b)
+}
 
-// BenchmarkScenarioMatrixParallel runs the same sweep with 4 workers;
-// on multicore hardware the isolated worlds overlap and wall time drops
-// toward 1/4 of the sequential run.
-func BenchmarkScenarioMatrixParallel(b *testing.B) { benchMatrix(b, 4) }
+// BenchmarkScenarioMatrixParallel runs the same sweep at the binary's
+// GOMAXPROCS (the -N suffix of its name), as the matrix ships; on
+// multicore hardware the isolated worlds overlap and wall time drops
+// toward 1/N of the sequential run.
+func BenchmarkScenarioMatrixParallel(b *testing.B) { benchMatrix(b) }
 
 // BenchmarkCrowdCheckConcurrent hammers Backend.Check from GOMAXPROCS
 // goroutines at one simulated instant — the crowd-load shape. The
@@ -892,7 +900,8 @@ func BenchmarkDomainReportIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkDomainReportFull is the pre-engine reference path under the
+// BenchmarkDomainReportFull is the batch reference path
+// (reference.FullDomainReport, linked by no binary) under the
 // identical write pattern: every report recomputes counters, ratios and
 // the strategy verdict from the domain's raw rows — O(rows of the
 // domain) per call, growing with the dataset.
@@ -907,7 +916,7 @@ func BenchmarkDomainReportFull(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.AddAll(reportDelta(i))
-				rep := api.FullDomainReport(st, market, "dense00.example.com")
+				rep := reference.FullDomainReport(st, market, "dense00.example.com")
 				if rep.Observations == 0 {
 					b.Fatal("empty report")
 				}
@@ -933,7 +942,7 @@ func BenchmarkDetectIncrementalVsFull(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep := analysis.DetectStrategies(st, market, "dense00.example.com")
+			rep := reference.DetectStrategies(st, market, "dense00.example.com")
 			if len(rep.Evidence) == 0 {
 				b.Fatal("empty verdict")
 			}

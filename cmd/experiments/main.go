@@ -7,7 +7,6 @@
 //	experiments -scale quick       # reduced scale for smoke runs
 //	experiments -scale full -jsonl dataset.jsonl
 //	experiments -scenarios         # rule-engine validation matrix
-//	experiments -scenarios -workers 4
 //	experiments -scenarios -gate 1.0   # CI: fail unless every family scores 1.00
 //	experiments -load -concurrency 16 -requests 640
 //
@@ -16,11 +15,12 @@
 // fingerprint, selective disclosure, weekday/drift, the market-dynamics
 // worlds — leader-follower, contrarian, periodic-sale, demand — and the
 // mixed market+geo confounds), each crawled synchronized and judged by
-// the per-rule detector, reporting per-family detection precision/recall
-// against the compiled ground truth. Worlds run concurrently on -workers
-// goroutines (default GOMAXPROCS); the report is byte-identical at any
-// worker count. -gate turns the sweep into a CI check: exit 1 unless
-// every family holds precision and recall at or above the threshold.
+// the strategy verdict sheriffd serves (the incremental fold), reporting
+// per-family detection precision/recall against the compiled ground
+// truth. Worlds run concurrently on GOMAXPROCS goroutines; the report is
+// byte-identical at any GOMAXPROCS. -gate turns the sweep into a CI
+// check: exit 1 unless every family holds precision and recall at or
+// above the threshold.
 //
 // With -load the command runs the crowd-load harness instead: -concurrency
 // simulated users hammer Backend.Check in synchronized rounds, and the
@@ -44,7 +44,6 @@ func main() {
 	scale := flag.String("scale", "full", "full or quick")
 	jsonl := flag.String("jsonl", "", "optionally dump the dataset here")
 	scenarios := flag.Bool("scenarios", false, "run the scenario-matrix sweep instead of the paper reproduction")
-	workers := flag.Int("workers", 0, "concurrent scenario worlds for -scenarios (0 = GOMAXPROCS)")
 	gate := flag.Float64("gate", 0, "for -scenarios: exit 1 if any family's precision or recall falls below this (0 disables)")
 	load := flag.Bool("load", false, "run the crowd-load harness instead of the paper reproduction")
 	concurrency := flag.Int("concurrency", 16, "concurrent simulated users for -load")
@@ -62,14 +61,14 @@ func main() {
 			log.Fatalf("-jsonl is not supported with -scenarios: the matrix spans one isolated world per scenario, not a single dataset")
 		}
 		begin := time.Now()
-		rep, err := sheriff.RunScenarioMatrix(sheriff.MatrixOptions{Seed: *seed, Products: products, Workers: *workers})
+		rep, err := sheriff.RunScenarioMatrix(sheriff.MatrixOptions{Seed: *seed, Products: products})
 		if err != nil {
 			log.Fatalf("scenario matrix: %v", err)
 		}
 		fmt.Println("== Rule-engine scenario matrix — per-family detection ==")
 		fmt.Println(rep)
-		log.Printf("matrix wall time %v over %d scenarios (workers=%d, GOMAXPROCS=%d)",
-			time.Since(begin).Round(time.Millisecond), len(rep.Outcomes), *workers, runtime.GOMAXPROCS(0))
+		log.Printf("matrix wall time %v over %d scenarios (GOMAXPROCS=%d)",
+			time.Since(begin).Round(time.Millisecond), len(rep.Outcomes), runtime.GOMAXPROCS(0))
 		if *gate > 0 {
 			failed := false
 			for _, f := range sheriff.DetectableFamilies {

@@ -2,7 +2,7 @@
 // scenario-matrix world, on both store engines, and after durable crash
 // recovery, the aggregate-backed domain report must be BYTE-IDENTICAL to
 // the full-recompute reference, and the engine's strategy verdict must
-// equal analysis.DetectStrategies — equivalence is the contract, not
+// equal reference.DetectStrategies — equivalence is the contract, not
 // approximation.
 package sheriff_test
 
@@ -13,8 +13,8 @@ import (
 
 	"sheriff"
 	"sheriff/internal/aggregate"
-	"sheriff/internal/analysis"
 	"sheriff/internal/api"
+	"sheriff/internal/reference"
 	"sheriff/internal/store"
 )
 
@@ -32,7 +32,7 @@ func reportBytes(t *testing.T, rep api.DomainReport) []byte {
 // for one domain: report DeepEqual + JSON bytes, strategy verdict equal.
 func assertEquivalent(t *testing.T, label string, eng *aggregate.Engine, st sheriff.StoreReader, market *sheriff.Market, domain string) {
 	t.Helper()
-	want := api.FullDomainReport(st, market, domain)
+	want := reference.FullDomainReport(st, market, domain)
 	got := api.ReportFromEngine(eng, domain)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: report diverged\n aggregate %+v\n full      %+v", label, got, want)
@@ -41,7 +41,7 @@ func assertEquivalent(t *testing.T, label string, eng *aggregate.Engine, st sher
 		t.Errorf("%s: report bytes diverged\n aggregate %s\n full      %s", label, gb, wb)
 	}
 	gotRep := eng.StrategyReport(domain)
-	wantRep := analysis.DetectStrategies(st, market, domain)
+	wantRep := reference.DetectStrategies(st, market, domain)
 	if !reflect.DeepEqual(gotRep.Evidence, wantRep.Evidence) {
 		t.Errorf("%s: strategy verdict diverged\n aggregate %+v\n full      %+v",
 			label, gotRep.Evidence, wantRep.Evidence)

@@ -23,10 +23,10 @@
 //     row that crosses it.
 //   - Per-family detector evidence is per-product: each crawled product
 //     keeps an analysis.ProductState, the same round-by-round fold the
-//     full path's Detector.Product runs. Where a crawl product-round
-//     ends (store.SameProductRound), the round is absorbed, the
-//     product's verdict is diffed into the domain's tallies and the
-//     domain's flags are re-evaluated. A round that does not follow the
+//     batch reference (internal/reference) runs per product. Where a
+//     crawl product-round ends (store.SameProductRound), the round is
+//     absorbed, the product's verdict is diffed into the domain's
+//     tallies and the domain's flags are re-evaluated. A round that does not follow the
 //     absorbed ones (written out of order, or one product-round split
 //     over two batches) rebuilds the product's state from the store, so
 //     the verdict stays exact.
@@ -567,9 +567,10 @@ func (e *Engine) assemble(d *domainAgg, domain string) *DomainSummary {
 }
 
 // StrategyReport returns the domain's strategy verdict off the
-// aggregates — the O(1) form of analysis.DetectStrategies for the
-// engine's detect options. A never-observed domain yields the same
-// all-zero evidence the full path yields.
+// aggregates, O(1) per call. It is the verdict sheriffd serves and the
+// one the scenario matrix scores; the differential tests hold it to the
+// batch reference.DetectStrategies. A never-observed domain yields
+// all-zero evidence.
 func (e *Engine) StrategyReport(domain string) analysis.StrategyReport {
 	rep := analysis.StrategyReport{
 		Domain:   domain,

@@ -10,10 +10,9 @@ import (
 	"time"
 
 	"sheriff/internal/aggregate"
-	"sheriff/internal/analysis"
-	"sheriff/internal/api"
 	"sheriff/internal/events"
 	"sheriff/internal/fx"
+	"sheriff/internal/reference"
 	"sheriff/internal/store"
 )
 
@@ -66,7 +65,7 @@ func TestSummaryMatchesFullReport(t *testing.T) {
 
 	for d := 0; d < 5; d++ {
 		domain := fmt.Sprintf("shop-%d.example", d)
-		want := api.FullDomainReport(st, market, domain)
+		want := reference.FullDomainReport(st, market, domain)
 		sum, ok := eng.DomainSummary(domain)
 		if !ok {
 			t.Fatalf("DomainSummary(%q): domain missing from aggregates", domain)
@@ -90,7 +89,7 @@ func TestUnknownDomain(t *testing.T) {
 		t.Fatal("DomainSummary on an empty engine returned ok")
 	}
 	got := eng.StrategyReport("never.example")
-	want := analysis.DetectStrategies(st, market, "never.example")
+	want := reference.DetectStrategies(st, market, "never.example")
 	if fmt.Sprintf("%+v", got.Evidence) != fmt.Sprintf("%+v", want.Evidence) {
 		t.Errorf("StrategyReport evidence:\n aggregate %+v\n full      %+v", got.Evidence, want.Evidence)
 	}
@@ -308,7 +307,7 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 	// Quiesced aggregates must equal full recomputation — the concurrency
 	// convergence contract.
 	for _, d := range domains {
-		want := api.FullDomainReport(st, market, d)
+		want := reference.FullDomainReport(st, market, d)
 		sum, ok := eng.DomainSummary(d)
 		if !ok {
 			t.Fatalf("domain %s missing", d)
@@ -319,7 +318,7 @@ func TestConcurrentFoldAndRead(t *testing.T) {
 			t.Errorf("%s diverged:\n aggregate %+v\n full      %+v", d, sum, want)
 		}
 		gotRep := eng.StrategyReport(d)
-		wantRep := analysis.DetectStrategies(st, market, d)
+		wantRep := reference.DetectStrategies(st, market, d)
 		if fmt.Sprintf("%+v", gotRep.Evidence) != fmt.Sprintf("%+v", wantRep.Evidence) {
 			t.Errorf("%s strategy diverged:\n aggregate %+v\n full      %+v", d, gotRep.Evidence, wantRep.Evidence)
 		}

@@ -9,11 +9,11 @@ import (
 	"testing"
 
 	"sheriff/internal/aggregate"
-	"sheriff/internal/analysis"
 	"sheriff/internal/api"
 	"sheriff/internal/core"
 	"sheriff/internal/crowd"
 	"sheriff/internal/fx"
+	"sheriff/internal/reference"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
 )
@@ -176,11 +176,11 @@ func assertDetectorVerdicts(t *testing.T, name string, eng *aggregate.Engine, st
 	t.Helper()
 	for _, d := range run.domains {
 		got := eng.StrategyReport(d)
-		want := analysis.DetectStrategies(st, run.market, d)
+		want := reference.DetectStrategies(st, run.market, d)
 		if !reflect.DeepEqual(got.Evidence, want.Evidence) {
 			t.Errorf("%s: %s verdict diverged\n engine %+v\n full   %+v", name, d, got.Evidence, want.Evidence)
 		}
-		if got, want := api.ReportFromEngine(eng, d), api.FullDomainReport(st, run.market, d); !reflect.DeepEqual(got, want) {
+		if got, want := api.ReportFromEngine(eng, d), reference.FullDomainReport(st, run.market, d); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: %s report diverged\n engine %+v\n full   %+v", name, d, got, want)
 		}
 	}

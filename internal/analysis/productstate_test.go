@@ -6,13 +6,14 @@ import (
 
 	"sheriff/internal/analysis"
 	"sheriff/internal/core"
+	"sheriff/internal/reference"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
 )
 
 // TestProductStateMatchesProduct: absorbing a product's rounds in
 // ascending order and asking for the Verdict after each one equals
-// Product over the same rounds — on every product of every scenario
+// reference.Product over the same rounds — on every product of every scenario
 // retailer, so every family's signature is exercised.
 func TestProductStateMatchesProduct(t *testing.T) {
 	w := core.NewWorld(core.WorldOptions{Seed: 5, Configs: shop.ScenarioConfigs(5)})
@@ -42,7 +43,7 @@ func TestProductStateMatchesProduct(t *testing.T) {
 				t.Fatalf("round %d does not follow the absorbed rounds", r)
 			}
 			prefix = append(prefix, byRound[r]...)
-			if got, want := state.Verdict(), det.Product(prefix); got != want {
+			if got, want := state.Verdict(), reference.Product(det, prefix); got != want {
 				t.Fatalf("%s/%s after round %d: state %+v, Product %+v", rows[0].Domain, rows[0].SKU, r, got, want)
 			}
 		}

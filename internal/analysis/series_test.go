@@ -2,14 +2,15 @@ package analysis
 
 import (
 	"testing"
-
-	"sheriff/internal/shop"
-	"sheriff/internal/store"
+	"time"
 )
+
+// roundTime is round r's crawl instant: one day per round from t0.
+func roundTime(r int) time.Time { return t0.Add(time.Duration(r) * 24 * time.Hour) }
 
 // pts builds a daily-consecutive consensus series starting at round 0,
 // with each round's weekday taken from the shared t0 fixture — exactly
-// how Product records the series from a synchronized daily crawl.
+// how ProductState records the series from a synchronized daily crawl.
 func pts(units ...int64) []consensusPoint {
 	out := make([]consensusPoint, len(units))
 	for i, u := range units {
@@ -113,132 +114,5 @@ func TestMarketShapeNeedsConsecutiveRounds(t *testing.T) {
 	}
 	if got := classifyConsensus(series); got != shapeOther {
 		t.Fatalf("holey competitive series classified %v, want shapeOther", got)
-	}
-}
-
-// TestMarketRepricingNotTemporal is the differential test for the
-// weekday/temporal detector against a moving base price: a domain whose
-// every vantage point sees the identical competitive repricing path —
-// pure market dynamics, no discrimination — must NOT flag temporal (or
-// anything else but competitive), while the weekday domain beside it
-// still must. Before the market subsystem, ANY cross-round consensus
-// movement was attributed to the temporal family; this pins the
-// separation.
-func TestMarketRepricingNotTemporal(t *testing.T) {
-	st := store.New()
-	vps := []string{"us-bos", "us-chi", "us-nyc", "us-lin"}
-
-	// market.test: held levels, 2 days each, >=4.5% reprices — the
-	// leader-follower signature, identical at every vantage point.
-	levels := []int64{50000, 55000, 50000, 47500, 52500, 50000, 55000}
-	for p := 0; p < 5; p++ {
-		sku := "M-" + string(rune('A'+p))
-		for r := 0; r < 14; r++ {
-			at := roundTime(r)
-			for _, vp := range vps {
-				crawlObs(st, "market.test", sku, vp, r, at, levels[r/2], "USD")
-			}
-		}
-	}
-	// weekday.test: the same cadence, moved by the calendar instead.
-	for p := 0; p < 5; p++ {
-		sku := "W-" + string(rune('A'+p))
-		for r := 0; r < 14; r++ {
-			at := roundTime(r)
-			u := int64(50000)
-			switch at.UTC().Weekday().String() {
-			case "Saturday", "Sunday":
-				u = 56000
-			}
-			for _, vp := range vps {
-				crawlObs(st, "weekday.test", sku, vp, r, at, u, "USD")
-			}
-		}
-	}
-
-	mkt := DetectStrategies(st, market, "market.test")
-	if !mkt.Flagged(shop.FamilyCompetitive) {
-		t.Fatalf("competitive repricing not flagged: %s", mkt)
-	}
-	for _, f := range []shop.StrategyFamily{shop.FamilyTemporal, shop.FamilyGeo,
-		shop.FamilyFingerprint, shop.FamilyDisclosure, shop.FamilyDemand} {
-		if mkt.Flagged(f) {
-			t.Errorf("market repricing falsely flagged %s: %s", f, mkt)
-		}
-	}
-
-	wd := DetectStrategies(st, market, "weekday.test")
-	if !wd.Flagged(shop.FamilyTemporal) {
-		t.Fatalf("weekday pricing lost its temporal flag: %s", wd)
-	}
-	for _, f := range []shop.StrategyFamily{shop.FamilyCompetitive, shop.FamilyDemand} {
-		if wd.Flagged(f) {
-			t.Errorf("weekday pricing falsely flagged %s: %s", f, wd)
-		}
-	}
-}
-
-// TestDemandRepricingNotTemporal: the scarcity-pricing signature (daily
-// climbs, restock drops) seen identically everywhere flags demand and
-// nothing else.
-func TestDemandRepricingNotTemporal(t *testing.T) {
-	st := store.New()
-	vps := []string{"us-bos", "us-chi", "us-nyc", "us-lin"}
-	for p := 0; p < 5; p++ {
-		sku := "D-" + string(rune('A'+p))
-		cur := int64(50000)
-		for r := 0; r < 14; r++ {
-			if r > 0 {
-				if r%5 == 0 {
-					cur = 50000
-				} else {
-					cur += 1500
-				}
-			}
-			at := roundTime(r)
-			for _, vp := range vps {
-				crawlObs(st, "demand.test", sku, vp, r, at, cur, "USD")
-			}
-		}
-	}
-	rep := DetectStrategies(st, market, "demand.test")
-	if !rep.Flagged(shop.FamilyDemand) {
-		t.Fatalf("demand repricing not flagged: %s", rep)
-	}
-	for _, f := range []shop.StrategyFamily{shop.FamilyTemporal, shop.FamilyGeo,
-		shop.FamilyFingerprint, shop.FamilyDisclosure, shop.FamilyCompetitive} {
-		if rep.Flagged(f) {
-			t.Errorf("demand repricing falsely flagged %s: %s", f, rep)
-		}
-	}
-}
-
-// TestShortMarketSeriesStaysTemporal pins backwards compatibility: below
-// minMarketRounds the classifier never claims a market shape, so a
-// 7-round crawl (the historical default) reports moving consensus as
-// temporal, exactly as before the market subsystem existed.
-func TestShortMarketSeriesStaysTemporal(t *testing.T) {
-	st := store.New()
-	levels := []int64{50000, 50000, 55000, 55000, 47500, 47500, 52500}
-	for p := 0; p < 5; p++ {
-		sku := "S-" + string(rune('A'+p))
-		for r := 0; r < 7; r++ {
-			at := roundTime(r)
-			for _, vp := range []string{"us-bos", "us-chi", "us-nyc", "us-lin"} {
-				crawlObs(st, "short.test", sku, vp, r, at, levels[r], "USD")
-			}
-		}
-	}
-	rep := DetectStrategies(st, market, "short.test")
-	if !rep.Flagged(shop.FamilyTemporal) {
-		t.Fatalf("short moving series not reported temporal: %s", rep)
-	}
-	if rep.Flagged(shop.FamilyCompetitive) || rep.Flagged(shop.FamilyDemand) {
-		t.Errorf("7-round series claimed a market shape: %s", rep)
-	}
-	// And the market families were not even eligible: the series is too
-	// short to judge.
-	if ev := rep.Evidence[shop.FamilyCompetitive]; ev.Eligible != 0 {
-		t.Errorf("competitive eligible on a 7-round series: %+v", ev)
 	}
 }

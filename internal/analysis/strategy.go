@@ -115,7 +115,7 @@ func (r StrategyReport) String() string {
 	return r.Domain + ": " + strings.Join(parts, " ")
 }
 
-// DetectableFamilies lists the families DetectStrategies can attribute
+// DetectableFamilies lists the families the detector can attribute
 // from crawl data. Account and segment pricing need the dedicated login
 // and persona experiments; A/B churn is what the persistence filters
 // remove rather than report.
@@ -178,12 +178,13 @@ func (v ProductVerdict) Of(f shop.StrategyFamily) FamilyContribution {
 }
 
 // Detector is the per-product strategy detector with its controls
-// resolved once: the vantage-point metadata and the pair filters.
-// DetectStrategies wraps it for whole-domain full recomputation; the
-// incremental engine (internal/aggregate) keeps a ProductState per
-// crawled product, absorbs each product-round as it is folded and sums
-// the Verdicts' contributions itself — both paths run the identical
-// fold, which is what the equivalence contract rests on.
+// resolved once: the vantage-point metadata and the pair filters. The
+// incremental engine (internal/aggregate) is its one shipped caller: it
+// keeps a ProductState per crawled product, absorbs each product-round
+// as it is folded, sums the Verdicts' contributions and flags them by
+// Evidence. That fold is what sheriffd serves and what the scenario
+// gate scores; the batch recomputation the tests hold it to lives in
+// internal/reference and runs the identical per-product fold.
 type Detector struct {
 	market *fx.Market
 	meta   map[string]vpMeta
@@ -210,10 +211,10 @@ func (d *Detector) acceptFingerprint(a, b string) bool {
 // ProductState is one product's detector evidence folded round by
 // round: the per-round geo and fingerprint votes, the consensus series
 // and the per-vantage-point success and failure tallies. Absorbing a
-// product's rounds in ascending order and then asking for the Verdict is
-// exactly Product over the same rows — Product is that fold — so the
-// incremental engine can judge a product after each crawled round at
-// the cost of that round's rows instead of re-reading every round so far.
+// product's rounds in ascending order and then asking for the Verdict
+// judges the product on all those rows at once, so the incremental
+// engine can judge a product after each crawled round at the cost of
+// that round's rows instead of re-reading every round so far.
 type ProductState struct {
 	d    *Detector
 	last int // newest absorbed round; math.MinInt while empty
@@ -250,13 +251,6 @@ func (d *Detector) NewProductState(obs []store.Observation) *ProductState {
 		s.Absorb(rounds[rk])
 	}
 	return s
-}
-
-// Product judges one product from its crawl observations (any order;
-// rounds are partitioned internally). Observations of other sources must
-// not be passed.
-func (d *Detector) Product(obs []store.Observation) ProductVerdict {
-	return d.NewProductState(obs).Verdict()
 }
 
 // Absorb folds one round — group holds every crawl observation of the
@@ -397,35 +391,6 @@ func (d *Detector) Evidence(f shop.StrategyFamily, affected, eligible int) Famil
 	e.Flagged = affected >= minProducts &&
 		eligible > 0 && float64(affected)/float64(eligible) >= minFraction
 	return e
-}
-
-// DetectStrategies attributes a domain's crawl variation to strategy
-// families. It reads SourceCrawl observations only — one Product verdict
-// per crawled product, summed and flagged by the Detector's rule.
-func DetectStrategies(st store.Reader, market *fx.Market, domain string) StrategyReport {
-	d := NewDetector(market)
-	type familyCount struct{ affected, eligible int }
-	counts := map[shop.StrategyFamily]*familyCount{}
-	for _, f := range DetectableFamilies {
-		counts[f] = &familyCount{}
-	}
-	for _, obs := range st.DomainGroups(domain, store.SourceCrawl) {
-		v := d.Product(obs)
-		for _, f := range DetectableFamilies {
-			c := v.Of(f)
-			if c.Eligible {
-				counts[f].eligible++
-			}
-			if c.Affected {
-				counts[f].affected++
-			}
-		}
-	}
-	rep := StrategyReport{Domain: domain, Evidence: map[shop.StrategyFamily]FamilyEvidence{}}
-	for f, c := range counts {
-		rep.Evidence[f] = d.Evidence(f, c.affected, c.eligible)
-	}
-	return rep
 }
 
 // spanLocations counts distinct locations among observations.

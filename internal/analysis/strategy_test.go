@@ -1,14 +1,31 @@
-package analysis
+package analysis_test
 
 import (
 	"testing"
 	"time"
 
+	"sheriff/internal/aggregate"
+	"sheriff/internal/analysis"
 	"sheriff/internal/extract"
+	"sheriff/internal/fx"
 	"sheriff/internal/money"
 	"sheriff/internal/shop"
 	"sheriff/internal/store"
 )
+
+// The detector is judged the way sheriffd serves it: through the
+// incremental engine's fold (aggregate.Engine.StrategyReport) over the
+// store, not a batch recomputation.
+
+var (
+	market = fx.NewMarket(1)
+	t0     = time.Date(2013, 2, 1, 12, 0, 0, 0, time.UTC)
+)
+
+// detect returns the served strategy verdict for a domain of st.
+func detect(st *store.Store, domain string) analysis.StrategyReport {
+	return aggregate.NewReader(st, market, aggregate.Options{}).StrategyReport(domain)
+}
 
 // Real vantage-point IDs: the detector's controls come from the fleet's
 // structure (same-fingerprint pairs across locations, the Barcelona trio
@@ -63,7 +80,7 @@ func TestDetectGeoPricing(t *testing.T) {
 			crawlObs(st, "geo.test", sku, "br-sao", r, at, 13000, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "geo.test")
+	rep := detect(st, "geo.test")
 	if !rep.Flagged(shop.FamilyGeo) {
 		t.Fatalf("geo not flagged: %s", rep)
 	}
@@ -92,7 +109,7 @@ func TestDetectFingerprintPricing(t *testing.T) {
 			crawlObs(st, "fp.test", sku, "es-win", r, at, eurUnits(t, 10300, at), "EUR")
 		}
 	}
-	rep := DetectStrategies(st, market, "fp.test")
+	rep := detect(st, "fp.test")
 	if !rep.Flagged(shop.FamilyFingerprint) {
 		t.Fatalf("fingerprint not flagged: %s", rep)
 	}
@@ -120,7 +137,7 @@ func TestDetectSelectiveDisclosure(t *testing.T) {
 			crawlObs(st, "disc.test", sku, "us-nyc", r, at, 10000, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "disc.test")
+	rep := detect(st, "disc.test")
 	if !rep.Flagged(shop.FamilyDisclosure) {
 		t.Fatalf("disclosure not flagged: %s", rep)
 	}
@@ -143,7 +160,7 @@ func TestDetectTemporalPricing(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "temp.test")
+	rep := detect(st, "temp.test")
 	if !rep.Flagged(shop.FamilyTemporal) {
 		t.Fatalf("temporal not flagged: %s", rep)
 	}
@@ -168,7 +185,7 @@ func TestABChurnNotFlaggedAsGeo(t *testing.T) {
 			crawlObs(st, "ab.test", sku, "br-sao", r, at, lo, "USD")
 		}
 	}
-	rep := DetectStrategies(st, market, "ab.test")
+	rep := detect(st, "ab.test")
 	if rep.Flagged(shop.FamilyGeo) {
 		t.Fatalf("A/B churn flagged as geo: %s", rep)
 	}
@@ -185,8 +202,8 @@ func TestDetectNothingOnCleanShop(t *testing.T) {
 			}
 		}
 	}
-	rep := DetectStrategies(st, market, "clean.test")
-	for _, f := range DetectableFamilies {
+	rep := detect(st, "clean.test")
+	for _, f := range analysis.DetectableFamilies {
 		if rep.Flagged(f) {
 			t.Errorf("%s flagged on a uniform shop: %s", f, rep)
 		}
@@ -197,7 +214,7 @@ func TestDetectNothingOnCleanShop(t *testing.T) {
 // affected products and an affected share of at least 0.08 of a nonzero
 // eligible count.
 func TestEvidenceFlagRuleEdges(t *testing.T) {
-	d := NewDetector(market)
+	d := analysis.NewDetector(market)
 	for _, c := range []struct {
 		affected, eligible int
 		want               bool
@@ -223,7 +240,7 @@ func TestEvidenceFlagRuleEdges(t *testing.T) {
 // while another reads one in at least 3 rounds, is withholding; 2
 // rounds of either are not enough.
 func TestDisclosureFailRoundsEdge(t *testing.T) {
-	d := NewDetector(market)
+	d := analysis.NewDetector(market)
 	for _, c := range []struct {
 		okRounds, failRounds int
 		eligible, affected   bool
@@ -254,5 +271,132 @@ func TestDisclosureFailRoundsEdge(t *testing.T) {
 			t.Errorf("%d ok rounds, %d failed rounds: %+v, want eligible %v affected %v",
 				c.okRounds, c.failRounds, got, c.eligible, c.affected)
 		}
+	}
+}
+
+// TestMarketRepricingNotTemporal is the differential test for the
+// weekday/temporal detector against a moving base price: a domain whose
+// every vantage point sees the identical competitive repricing path —
+// pure market dynamics, no discrimination — must NOT flag temporal (or
+// anything else but competitive), while the weekday domain beside it
+// still must. Before the market subsystem, ANY cross-round consensus
+// movement was attributed to the temporal family; this pins the
+// separation.
+func TestMarketRepricingNotTemporal(t *testing.T) {
+	st := store.New()
+	vps := []string{"us-bos", "us-chi", "us-nyc", "us-lin"}
+
+	// market.test: held levels, 2 days each, >=4.5% reprices — the
+	// leader-follower signature, identical at every vantage point.
+	levels := []int64{50000, 55000, 50000, 47500, 52500, 50000, 55000}
+	for p := 0; p < 5; p++ {
+		sku := "M-" + string(rune('A'+p))
+		for r := 0; r < 14; r++ {
+			at := roundTime(r)
+			for _, vp := range vps {
+				crawlObs(st, "market.test", sku, vp, r, at, levels[r/2], "USD")
+			}
+		}
+	}
+	// weekday.test: the same cadence, moved by the calendar instead.
+	for p := 0; p < 5; p++ {
+		sku := "W-" + string(rune('A'+p))
+		for r := 0; r < 14; r++ {
+			at := roundTime(r)
+			u := int64(50000)
+			switch at.UTC().Weekday().String() {
+			case "Saturday", "Sunday":
+				u = 56000
+			}
+			for _, vp := range vps {
+				crawlObs(st, "weekday.test", sku, vp, r, at, u, "USD")
+			}
+		}
+	}
+
+	mkt := detect(st, "market.test")
+	if !mkt.Flagged(shop.FamilyCompetitive) {
+		t.Fatalf("competitive repricing not flagged: %s", mkt)
+	}
+	for _, f := range []shop.StrategyFamily{shop.FamilyTemporal, shop.FamilyGeo,
+		shop.FamilyFingerprint, shop.FamilyDisclosure, shop.FamilyDemand} {
+		if mkt.Flagged(f) {
+			t.Errorf("market repricing falsely flagged %s: %s", f, mkt)
+		}
+	}
+
+	wd := detect(st, "weekday.test")
+	if !wd.Flagged(shop.FamilyTemporal) {
+		t.Fatalf("weekday pricing lost its temporal flag: %s", wd)
+	}
+	for _, f := range []shop.StrategyFamily{shop.FamilyCompetitive, shop.FamilyDemand} {
+		if wd.Flagged(f) {
+			t.Errorf("weekday pricing falsely flagged %s: %s", f, wd)
+		}
+	}
+}
+
+// TestDemandRepricingNotTemporal: the scarcity-pricing signature (daily
+// climbs, restock drops) seen identically everywhere flags demand and
+// nothing else.
+func TestDemandRepricingNotTemporal(t *testing.T) {
+	st := store.New()
+	vps := []string{"us-bos", "us-chi", "us-nyc", "us-lin"}
+	for p := 0; p < 5; p++ {
+		sku := "D-" + string(rune('A'+p))
+		cur := int64(50000)
+		for r := 0; r < 14; r++ {
+			if r > 0 {
+				if r%5 == 0 {
+					cur = 50000
+				} else {
+					cur += 1500
+				}
+			}
+			at := roundTime(r)
+			for _, vp := range vps {
+				crawlObs(st, "demand.test", sku, vp, r, at, cur, "USD")
+			}
+		}
+	}
+	rep := detect(st, "demand.test")
+	if !rep.Flagged(shop.FamilyDemand) {
+		t.Fatalf("demand repricing not flagged: %s", rep)
+	}
+	for _, f := range []shop.StrategyFamily{shop.FamilyTemporal, shop.FamilyGeo,
+		shop.FamilyFingerprint, shop.FamilyDisclosure, shop.FamilyCompetitive} {
+		if rep.Flagged(f) {
+			t.Errorf("demand repricing falsely flagged %s: %s", f, rep)
+		}
+	}
+}
+
+// TestShortMarketSeriesStaysTemporal pins backwards compatibility: below
+// minMarketRounds the classifier never claims a market shape, so a
+// 7-round crawl (the historical default) reports moving consensus as
+// temporal, exactly as before the market subsystem existed.
+func TestShortMarketSeriesStaysTemporal(t *testing.T) {
+	st := store.New()
+	levels := []int64{50000, 50000, 55000, 55000, 47500, 47500, 52500}
+	for p := 0; p < 5; p++ {
+		sku := "S-" + string(rune('A'+p))
+		for r := 0; r < 7; r++ {
+			at := roundTime(r)
+			for _, vp := range []string{"us-bos", "us-chi", "us-nyc", "us-lin"} {
+				crawlObs(st, "short.test", sku, vp, r, at, levels[r], "USD")
+			}
+		}
+	}
+	rep := detect(st, "short.test")
+	if !rep.Flagged(shop.FamilyTemporal) {
+		t.Fatalf("short moving series not reported temporal: %s", rep)
+	}
+	if rep.Flagged(shop.FamilyCompetitive) || rep.Flagged(shop.FamilyDemand) {
+		t.Errorf("7-round series claimed a market shape: %s", rep)
+	}
+	// And the market families were not even eligible: the series is too
+	// short to judge.
+	if ev := rep.Evidence[shop.FamilyCompetitive]; ev.Eligible != 0 {
+		t.Errorf("competitive eligible on a 7-round series: %+v", ev)
 	}
 }

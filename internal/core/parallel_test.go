@@ -84,10 +84,12 @@ func TestRunIndexedConcurrencyBound(t *testing.T) {
 }
 
 // TestScenarioMatrixParallelEquivalence is the engine's contract: the
-// matrix report produced with 8 workers must be byte-identical to the
-// sequential (workers=1) sweep — same outcomes in the same order, same
-// confusion matrices, same rendered table.
+// matrix runs one world per GOMAXPROCS worker, and its report at
+// GOMAXPROCS 8 must be byte-identical to the sequential sweep at
+// GOMAXPROCS 1 — same outcomes in the same order, same confusion
+// matrices, same rendered table.
 func TestScenarioMatrixParallelEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	opts := MatrixOptions{
 		Seed:     1,
 		Products: 6,
@@ -100,16 +102,14 @@ func TestScenarioMatrixParallelEquivalence(t *testing.T) {
 		},
 	}
 
-	seqOpts := opts
-	seqOpts.Workers = 1
-	seq, err := RunScenarioMatrix(seqOpts)
+	runtime.GOMAXPROCS(1)
+	seq, err := RunScenarioMatrix(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	parOpts := opts
-	parOpts.Workers = 8
-	par, err := RunScenarioMatrix(parOpts)
+	runtime.GOMAXPROCS(8)
+	par, err := RunScenarioMatrix(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestScenarioMatrixParallelEquivalence(t *testing.T) {
 }
 
 // TestScenarioMatrixParallelSpeedup encodes the engine's performance
-// contract: with 4 workers the default sweep must run at least ~2× faster
-// than sequentially. Worlds are CPU-bound and fully isolated, so the
+// contract: at GOMAXPROCS 4 (four matrix workers) the default sweep must
+// run at least ~2× faster than at GOMAXPROCS 1. Worlds are CPU-bound and fully isolated, so the
 // speedup tracks core count; the test skips where hardware cannot show it
 // (fewer than 4 usable cores) and asserts a conservative 1.5× to stay
 // robust on noisy shared runners.
@@ -135,13 +135,13 @@ func TestScenarioMatrixParallelSpeedup(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("need 4 cores to demonstrate the speedup, have %d", runtime.GOMAXPROCS(0))
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	opts := MatrixOptions{Seed: 1, Products: 8, Rounds: 4}
 
-	run := func(workers int) time.Duration {
-		o := opts
-		o.Workers = workers
+	run := func(procs int) time.Duration {
+		runtime.GOMAXPROCS(procs)
 		begin := time.Now()
-		if _, err := RunScenarioMatrix(o); err != nil {
+		if _, err := RunScenarioMatrix(opts); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(begin)
@@ -154,8 +154,8 @@ func TestScenarioMatrixParallelSpeedup(t *testing.T) {
 		t.Fatalf("degenerate timings: seq=%v par=%v", seq, par)
 	}
 	speedup := float64(seq) / float64(par)
-	t.Logf("11-world sweep: sequential %v, 4 workers %v (%.2fx)", seq, par, speedup)
+	t.Logf("11-world sweep: GOMAXPROCS 1 %v, GOMAXPROCS 4 %v (%.2fx)", seq, par, speedup)
 	if speedup < 1.5 {
-		t.Errorf("4-worker sweep only %.2fx faster than sequential (want >= 1.5x, expect ~2x+ on 4 cores)", speedup)
+		t.Errorf("GOMAXPROCS 4 sweep only %.2fx faster than GOMAXPROCS 1 (want >= 1.5x, expect ~2x+ on 4 cores)", speedup)
 	}
 }

@@ -12,11 +12,12 @@ import (
 
 // This file runs the rule-engine validation matrix: one purpose-built
 // world per discrimination scenario (shop.ScenarioConfigs), crawled
-// synchronized like the paper's campaign, judged by the per-rule detector
-// (analysis.DetectStrategies), and scored against the retailer's compiled
-// ground truth. The matrix is how a new PricingRule proves its detector
-// works — and how temporal rules prove synchronized rounds do NOT read
-// them as discrimination.
+// synchronized like the paper's campaign, judged by the strategy verdict
+// sheriffd serves (the world's incremental engine, which folds every
+// crawl row as the store's observer: aggregate.Engine.StrategyReport),
+// and scored against the retailer's compiled ground truth. The matrix is
+// how a new PricingRule proves its detector works — and how temporal
+// rules prove synchronized rounds do NOT read them as discrimination.
 
 // MatrixOptions configures RunScenarioMatrix; zero values take defaults.
 type MatrixOptions struct {
@@ -36,12 +37,6 @@ type MatrixOptions struct {
 	// Scenarios optionally restricts the sweep to the named scenarios
 	// (shop.ScenarioConfigs labels); empty sweeps all.
 	Scenarios []string
-	// Workers bounds how many scenario worlds run concurrently. Each
-	// world is fully isolated (its own clock, registry, store and
-	// retailers), so parallel execution is safe by construction, and the
-	// merged report is byte-identical to a sequential run regardless of
-	// the worker count. 0 means GOMAXPROCS; 1 forces sequential.
-	Workers int
 }
 
 // ScenarioOutcome is one scenario's ground truth vs detection.
@@ -137,20 +132,18 @@ func markOf(truth, detected bool) string {
 // synchronized crawl, attributes strategies, and scores detection against
 // the compiled rule families.
 //
-// Worlds run concurrently on a bounded worker pool (MatrixOptions.Workers)
-// — each scenario owns its complete universe, so the only shared state is
-// the result slot its outcome lands in. Outcomes are merged and scored in
-// scenario-preset order afterwards, which makes the report byte-identical
-// to a sequential sweep at any worker count.
+// Worlds run concurrently on GOMAXPROCS workers — each scenario owns its
+// complete universe (its own clock, registry, store and retailers), so
+// the only shared state is the result slot its outcome lands in.
+// Outcomes are merged and scored in scenario-preset order afterwards,
+// which makes the report byte-identical to a sequential sweep at any
+// GOMAXPROCS.
 func RunScenarioMatrix(opts MatrixOptions) (*MatrixReport, error) {
 	if opts.Products <= 0 {
 		opts.Products = 12
 	}
 	if opts.Rounds <= 0 {
 		opts.Rounds = 14
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	wanted := map[string]bool{}
 	for _, name := range opts.Scenarios {
@@ -168,7 +161,7 @@ func RunScenarioMatrix(opts MatrixOptions) (*MatrixReport, error) {
 	}
 
 	outs := make([]ScenarioOutcome, len(configs))
-	err := runIndexed(opts.Workers, len(configs), func(i int) error {
+	err := runIndexed(runtime.GOMAXPROCS(0), len(configs), func(i int) error {
 		out, err := runScenario(opts, configs[i])
 		if err != nil {
 			return err
@@ -223,7 +216,7 @@ func runScenario(opts MatrixOptions, cfg shop.Config) (ScenarioOutcome, error) {
 
 	r := w.Retailers[cfg.Domain]
 	truthAll := r.Families()
-	det := analysis.DetectStrategies(w.Store, w.Market, cfg.Domain)
+	det := w.Analysis.StrategyReport(cfg.Domain)
 
 	out := ScenarioOutcome{
 		Scenario: cfg.Label, Domain: cfg.Domain,
