@@ -82,7 +82,7 @@ func TestPublicAPIPipelineAndFigures(t *testing.T) {
 	if len(grid.Locations) == 0 {
 		t.Fatal("empty grid")
 	}
-	report := w.Report(crowdRep, crawlRep)
+	report := w.Report(crowdRep)
 	if !strings.Contains(report, "Fig. 3") {
 		t.Fatal("report incomplete")
 	}

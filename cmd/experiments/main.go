@@ -147,7 +147,7 @@ func main() {
 		log.Fatalf("third-party audit: %v", err)
 	}
 
-	fmt.Println(w.Report(crowdRep, crawlRep))
+	fmt.Println(w.Report(crowdRep))
 
 	fmt.Println("== Sec. 4.4 — persona experiment ==")
 	fmt.Printf("domains tested     %d\n", personaRep.DomainsTested)

@@ -231,13 +231,16 @@ type LocationBox struct {
 // Fig7 computes, for each vantage point, the distribution over
 // (product, round) of the VP's USD price divided by the minimum USD price
 // across all vantage points — "Magnitude of price differences per
-// location".
+// location". It is nil when no vantage point has a ratio.
 func Fig7(st store.Reader, market *fx.Market) []LocationBox {
 	ratiosByVP := map[string][]float64{}
 	for _, obs := range st.Groups(store.SourceCrawl) {
 		for _, group := range byRound(obs) {
 			addLocationRatios(market, group, ratiosByVP)
 		}
+	}
+	if len(ratiosByVP) == 0 {
+		return nil
 	}
 	var out []LocationBox
 	for _, vp := range geo.VantagePoints() {

@@ -59,6 +59,9 @@ func TestRenderFiguresSelects(t *testing.T) {
 	if strings.Contains(all, "Fig. 3 —") {
 		t.Errorf("Fig. 3 rendered without crawl data:\n%s", all)
 	}
+	if strings.Contains(all, "Fig. 7 —") {
+		t.Errorf("Fig. 7 rendered without crawl data:\n%s", all)
+	}
 	one, err := RenderFigures(st, market, Selection{Fig: "2"})
 	if err != nil {
 		t.Fatal(err)

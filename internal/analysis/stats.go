@@ -79,18 +79,6 @@ func Median(values []float64) float64 {
 	return Quantile(v, 0.5)
 }
 
-// Mean averages values (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
 // String renders the five-number summary compactly.
 func (b BoxStats) String() string {
 	if b.N == 0 {

@@ -141,6 +141,16 @@ func TestV1ChecksContract(t *testing.T) {
 			`{"url":"http://no.such.shop/product/X","highlight":"$1.00","user_addr":"10.0.1.50"}`, nil)
 		wantEnvelope(t, status, body, http.StatusNotFound, "not_found")
 	})
+	t.Run("login_redirect", func(t *testing.T) {
+		// The fabric GET follows no redirect: the login page's 302 is
+		// the upstream's answer, not the home page it points at.
+		status, body, _ := doReq(t, http.MethodPost, checks,
+			`{"url":"http://www.digitalrev.com/login?user=alice","highlight":"$1.00","user_addr":"10.0.1.50"}`, nil)
+		wantEnvelope(t, status, body, http.StatusBadGateway, "upstream_error")
+		if !strings.Contains(string(body), "status 302") {
+			t.Fatalf("detail does not name the 302: %s", body)
+		}
+	})
 	t.Run("extraction_failed", func(t *testing.T) {
 		// A price that parses but does not appear on the rendered page.
 		status, body, _ := doReq(t, http.MethodPost, checks,

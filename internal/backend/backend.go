@@ -17,7 +17,6 @@ package backend
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/netip"
 	"net/url"
@@ -42,7 +41,7 @@ type Backend struct {
 	clock    *netsim.Clock
 	market   *fx.Market
 	vps      []geo.VantagePoint
-	egress   []egress // vps[i]'s fabric client, built once
+	egress   []egress // where vps[i] fetches from
 	store    store.Backend
 	geodb    *geo.DB
 
@@ -73,22 +72,16 @@ func New(reg *netsim.Registry, clk *netsim.Clock, market *fx.Market, vps []geo.V
 	}
 	b.egress = make([]egress, len(vps))
 	for i, vp := range vps {
-		b.egress[i] = egress{
-			src: vp.Addr, ua: vp.Browser.UserAgent(),
-			client: netsim.NewTransport(reg, clk, vp.Addr).Client(nil),
-		}
+		b.egress[i] = egress{src: vp.Addr, ua: vp.Browser.UserAgent()}
 	}
 	return b
 }
 
-// egress is where a fetch comes from: the source address, the User-Agent
-// it presents (empty sends none) and an HTTP client on a transport bound
-// to the address. A vantage point's client is built once; a user's is
-// nil and built for the fetch when the page cache misses.
+// egress is where a fetch comes from: the source address and the
+// User-Agent it presents (empty sends none).
 type egress struct {
-	src    netip.Addr
-	ua     string
-	client *http.Client
+	src netip.Addr
+	ua  string
 }
 
 // CheckRequest is what the browser extension submits: the exact URI and
@@ -283,11 +276,11 @@ func measure(o *store.Observation, vp geo.VantagePoint, page string, fetchErr er
 func (b *Backend) fetch(now time.Time, rawURL string, e egress) (call *pageCall, memo memoSlot) {
 	key := pageKey{url: rawURL, src: e.src, ua: e.ua}
 	call, hit := b.pages.do(now, key, func() (string, error) {
-		c := e.client
-		if c == nil {
-			c = netsim.NewTransport(b.registry, b.clock, e.src).Client(nil)
+		page, status, err := netsim.NewTransport(b.registry, b.clock, e.src).Get(rawURL, e.ua)
+		if err == nil && status != http.StatusOK {
+			return "", fmt.Errorf("backend: GET %s: status %d", rawURL, status)
 		}
-		return doGet(c, rawURL, e.ua)
+		return page, err
 	})
 	if hit {
 		memo = memoSlot{cache: b.pages, call: call}
@@ -307,34 +300,6 @@ func derive(page, highlight string, hint money.Currency) (extract.Parsed, error)
 		return extract.Parsed{}, fmt.Errorf("backend: %w", err)
 	}
 	return a.Parse(), nil
-}
-
-func doGet(c *http.Client, rawURL, ua string) (string, error) {
-	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
-	if err != nil {
-		return "", err
-	}
-	if ua != "" {
-		req.Header.Set("User-Agent", ua)
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("backend: GET %s: status %d", rawURL, resp.StatusCode)
-	}
-	// Read the body straight into the page string: one buffer, no copy
-	// from a byte slice into a string.
-	var page strings.Builder
-	if resp.ContentLength > 0 {
-		page.Grow(int(resp.ContentLength))
-	}
-	if _, err := io.Copy(&page, resp.Body); err != nil {
-		return "", err
-	}
-	return page.String(), nil
 }
 
 // locate resolves a fabric address to its location and local currency.

@@ -36,10 +36,9 @@ func New(reg *netsim.Registry, clk *netsim.Clock, addr netip.Addr, profile geo.B
 	if err != nil {
 		panic(err) // cookiejar.New with nil options cannot fail
 	}
-	tr := netsim.NewTransport(reg, clk, addr)
 	return &Browser{
 		profile: profile,
-		client:  tr.Client(jar),
+		client:  &http.Client{Transport: netsim.NewTransport(reg, clk, addr), Jar: jar},
 		jar:     jar,
 		addr:    addr,
 	}

@@ -382,7 +382,7 @@ func TestEndToEndThirdPartyAudit(t *testing.T) {
 
 func TestEndToEndReportRenders(t *testing.T) {
 	w := runEndToEnd(t).world
-	text := w.Report(nil, nil)
+	text := w.Report(nil)
 	for _, want := range []string{
 		"Fig. 1", "Fig. 3", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7",
 		"Fig. 8", "Fig. 9", "Fig. 10",

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"sheriff/internal/analysis"
-	"sheriff/internal/crawler"
 	"sheriff/internal/crowd"
 )
 
@@ -55,9 +54,9 @@ func (w *World) CampaignAgreement() analysis.CampaignAgreement {
 
 // Report renders the full experiment suite as text: the dataset summary
 // and then every figure in paper order, through analysis.RenderFigures —
-// the renderer cmd/analyze prints with. crowdRep/crawlRep may be nil
-// when a campaign was skipped.
-func (w *World) Report(crowdRep *crowd.Report, crawlRep *crawler.Report) string {
+// the renderer cmd/analyze prints with. crowdRep may be nil when the
+// crowd campaign was skipped; the summary is then left out.
+func (w *World) Report(crowdRep *crowd.Report) string {
 	var b strings.Builder
 
 	if crowdRep != nil {

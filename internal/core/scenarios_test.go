@@ -255,18 +255,13 @@ func TestConfigsWorldInjectsNoFailures(t *testing.T) {
 		for _, d := range w.Crawled {
 			for _, p := range w.Retailers[d].Catalog().Products()[:6] {
 				for _, vp := range vps {
-					req, err := http.NewRequest(http.MethodGet, "http://"+d+"/product/"+p.SKU, nil)
+					tr := netsim.NewTransport(w.Registry, w.Clock, vp.Addr)
+					_, status, err := tr.Get("http://"+d+"/product/"+p.SKU, vp.Browser.UserAgent())
 					if err != nil {
 						t.Fatal(err)
 					}
-					req.Header.Set("User-Agent", vp.Browser.UserAgent())
-					resp, err := netsim.NewTransport(w.Registry, w.Clock, vp.Addr).RoundTrip(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("day %d %s/%s from %s: status %d", day, d, p.SKU, vp.ID, resp.StatusCode)
+					if status != http.StatusOK {
+						t.Fatalf("day %d %s/%s from %s: status %d", day, d, p.SKU, vp.ID, status)
 					}
 					fetches++
 				}

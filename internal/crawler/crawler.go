@@ -18,7 +18,6 @@ package crawler
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -302,32 +301,13 @@ func (c *Crawler) fetchResilient(preferred geo.VantagePoint, rawURL string) (str
 	return "", err
 }
 
-// fetch retrieves a URL as a vantage point sending User-Agent ua. The
-// status is checked before the body is read, and the body is read
-// straight into the page string: one buffer, no copy from a byte slice.
+// fetch retrieves a URL as a vantage point sending User-Agent ua.
 func fetch(reg *netsim.Registry, clk *netsim.Clock, vp geo.VantagePoint, ua, rawURL string) (string, error) {
-	tr := netsim.NewTransport(reg, clk, vp.Addr)
-	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
-	if err != nil {
-		return "", err
+	page, status, err := netsim.NewTransport(reg, clk, vp.Addr).Get(rawURL, ua)
+	if err == nil && status != http.StatusOK {
+		return "", fmt.Errorf("crawler: GET %s: status %d", rawURL, status)
 	}
-	req.Header.Set("User-Agent", ua)
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("crawler: GET %s: status %d", rawURL, resp.StatusCode)
-	}
-	var page strings.Builder
-	if resp.ContentLength > 0 {
-		page.Grow(int(resp.ContentLength))
-	}
-	if _, err := io.Copy(&page, resp.Body); err != nil {
-		return "", err
-	}
-	return page.String(), nil
+	return page, err
 }
 
 // skuOf extracts the SKU path element from a product URL.

@@ -4,10 +4,13 @@
 // replace the wire with an in-process fabric: retailers register an
 // http.Handler under their domain in a Registry, and every client —
 // vantage point, crowd user, crawler — talks to them through a Transport
-// that implements http.RoundTripper and carries the client's source IP.
-// Retailers geo-locate that IP exactly the way production sites resolve
-// visitor addresses, so the entire measurement stack (net/http clients,
-// cookie jars, redirects) is exercised unmodified.
+// that carries the client's source IP. Retailers geo-locate that IP
+// exactly the way production sites resolve visitor addresses.
+//
+// The measurement campaigns fetch with Transport.Get, a single GET that
+// follows no redirect. Transport is also an http.RoundTripper, so a
+// client that needs cookies and redirects — the browser persona that
+// logs in — runs net/http's client over the same exchange.
 //
 // Time is simulated: a Clock owned by the world replaces the wall clock so
 // a "week of daily crawls" takes milliseconds and every run is
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,10 +110,11 @@ func (r *Registry) Domains() []string {
 	return out
 }
 
-// Transport is an http.RoundTripper bound to a source IP on the virtual
-// fabric. It resolves the request's host through the Registry, stamps the
-// request with the source address and simulated time, and invokes the
-// registered handler in-process.
+// Transport is a client bound to a source IP on the virtual fabric. It
+// resolves a request's host through the Registry, stamps the request with
+// the source address and simulated time, and invokes the registered
+// handler in-process. Get and RoundTrip are its two adapters onto that
+// one exchange.
 type Transport struct {
 	// Registry resolves domains; required.
 	Registry *Registry
@@ -135,8 +140,49 @@ func NewTransport(reg *Registry, clk *Clock, src netip.Addr) *Transport {
 	return &Transport{Registry: reg, Clock: clk, Source: src}
 }
 
-// RoundTrip implements http.RoundTripper on the virtual fabric.
+// RoundTrip implements http.RoundTripper on the virtual fabric. It serves
+// a clone of req, so handler-side mutation cannot leak back.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rw, err := t.serve(req.Clone(req.Context()))
+	if err != nil {
+		return nil, err
+	}
+	return rw.response(req), nil
+}
+
+// Get fetches rawURL presenting User-Agent ua (empty sends none) and
+// returns the string the handler wrote, not a copy, and its status. It
+// follows no redirect. A fabric failure is the *url.Error net/http's
+// client would return, password masked, around the cause: an
+// *NXDomainError when the host does not resolve.
+func (t *Transport) Get(rawURL, ua string) (body string, status int, err error) {
+	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
+	if err != nil {
+		return "", 0, err
+	}
+	if ua != "" {
+		req.Header.Set("User-Agent", ua)
+	}
+	rw, err := t.serve(req)
+	if err != nil {
+		return "", 0, &url.Error{Op: "Get", URL: clientURL(req.URL), Err: err}
+	}
+	return rw.body, rw.code, nil
+}
+
+// clientURL is u as net/http's client quotes it in an error, with the
+// password, if any, written "***".
+func clientURL(u *url.URL) string {
+	if _, ok := u.User.Password(); ok {
+		return strings.Replace(u.String(), u.User.String()+"@", u.User.Username()+":***@", 1)
+	}
+	return u.String()
+}
+
+// serve is the fabric's one exchange: it resolves req's host, stamps req
+// with the source address and simulated time, and runs the registered
+// handler on it to the end.
+func (t *Transport) serve(req *http.Request) (*responseWriter, error) {
 	if t.Registry == nil || t.Clock == nil {
 		return nil, fmt.Errorf("netsim: transport not initialized")
 	}
@@ -145,17 +191,17 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !ok {
 		return nil, &NXDomainError{Domain: host}
 	}
-
-	// Clone the request so handler-side mutation cannot leak back.
 	src := t.Source.String()
-	hreq := req.Clone(req.Context())
-	hreq.RemoteAddr = src + ":34567"
-	hreq.Header.Set(HeaderClientIP, src)
-	hreq.Header.Set(HeaderSimTime, t.Clock.Now().Format(time.RFC3339))
+	req.RemoteAddr = src + ":34567"
+	req.Header.Set(HeaderClientIP, src)
+	req.Header.Set(HeaderSimTime, t.Clock.Now().Format(time.RFC3339))
 
-	rw := responseWriter{header: make(http.Header)}
-	h.ServeHTTP(&rw, hreq)
-	return rw.response(req), nil
+	rw := &responseWriter{header: make(http.Header)}
+	h.ServeHTTP(rw, req)
+	if rw.sent == nil { // the handler never wrote: 200 and its header now
+		rw.code, rw.sent = http.StatusOK, rw.header
+	}
+	return rw, nil
 }
 
 // responseWriter is the handler's side of a fabric response. It keeps
@@ -218,9 +264,6 @@ func (w *responseWriter) WriteString(s string) (int, error) {
 
 // response is what the client receives for req.
 func (w *responseWriter) response(req *http.Request) *http.Response {
-	if w.sent == nil { // the handler never wrote: 200 and its header now
-		w.code, w.sent = http.StatusOK, w.header
-	}
 	status := "200 OK"
 	if w.code != http.StatusOK {
 		status = strconv.Itoa(w.code) + " " + http.StatusText(w.code)
@@ -254,10 +297,4 @@ type NXDomainError struct {
 // Error implements the error interface.
 func (e *NXDomainError) Error() string {
 	return fmt.Sprintf("netsim: no such domain %q", e.Domain)
-}
-
-// Client returns an *http.Client that sends through the transport. Cookie
-// handling is the caller's choice: pass a jar or nil.
-func (t *Transport) Client(jar http.CookieJar) *http.Client {
-	return &http.Client{Transport: t, Jar: jar}
 }

@@ -35,7 +35,7 @@ func clientAt(t *testing.T, reg *netsim.Registry, clk *netsim.Clock, cc, city st
 		t.Fatal(err)
 	}
 	jar, _ := cookiejar.New(nil)
-	return netsim.NewTransport(reg, clk, addr).Client(jar)
+	return &http.Client{Transport: netsim.NewTransport(reg, clk, addr), Jar: jar}
 }
 
 func get(t *testing.T, c *http.Client, url string) string {
@@ -179,13 +179,11 @@ func TestServerUnknownClientDefaultsToUS(t *testing.T) {
 	reg2.Register(r.Domain(), srv)
 	clk := netsim.NewClock(time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC))
 	tr := netsim.NewTransport(reg2, clk, netip.AddrFrom4([4]byte{192, 168, 7, 7}))
-	resp, err := tr.Client(nil).Get("http://" + r.Domain() + "/product/" + r.Catalog().Products()[0].SKU)
+	body, _, err := tr.Get("http://"+r.Domain()+"/product/"+r.Catalog().Products()[0].SKU, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "$") {
+	if !strings.Contains(body, "$") {
 		t.Fatal("unknown-location visitor did not get USD prices")
 	}
 }

@@ -300,11 +300,6 @@ func shippingTeaser() money.Amount {
 // discovery has to follow "next" links.
 const CategoryPageSize = 40
 
-// RenderCategory produces the first page of a category listing.
-func (r *Retailer) RenderCategory(cat Category, v Visit) string {
-	return r.RenderCategoryPage(cat, v, 0)
-}
-
 // RenderCategoryPage produces one page of a category listing with teaser
 // prices and, when more products follow, a rel=next pagination link.
 func (r *Retailer) RenderCategoryPage(cat Category, v Visit, page int) string {

@@ -495,7 +495,7 @@ func TestRenderLocalizedFormats(t *testing.T) {
 func TestRenderCategoryListsProducts(t *testing.T) {
 	r := testRetailer(Config{Seed: 59, ProductCount: 12})
 	v := visitAt(t, "US", "Boston")
-	page := r.RenderCategory(CatClothing, v)
+	page := r.RenderCategoryPage(CatClothing, v, 0)
 	if got := strings.Count(page, "product-link"); got != 12 {
 		t.Fatalf("category lists %d products, want 12", got)
 	}

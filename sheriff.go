@@ -11,8 +11,8 @@
 //	w := sheriff.NewWorld(sheriff.WorldOptions{Seed: 1})
 //	crowdRep, _ := w.RunCrowd(sheriff.CrowdOptions{})       // Sec. 3
 //	_ = w.EnsureAnchors(w.Crawled)
-//	crawlRep, _ := w.RunCrawl(sheriff.CrawlOptions{})       // Sec. 4
-//	fmt.Print(w.Report(crowdRep, crawlRep))                 // Figs. 1–10
+//	w.RunCrawl(sheriff.CrawlOptions{})                      // Sec. 4
+//	fmt.Print(w.Report(crowdRep))                           // Figs. 1–10
 //
 // Individual price checks — what the browser extension triggers — go
 // through the backend:
